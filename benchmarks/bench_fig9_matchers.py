@@ -12,7 +12,12 @@ compiled engine: it times both engines on the same payloads, requires
 byte-identical match output, requires the compiled engine to be at
 least as fast on every workload and >= 2x on the full piece set, and
 writes the machine-readable comparison to ``BENCH_matchers.json`` at
-the repo root (CI's perf smoke job runs exactly this test).
+the repo root (CI's perf smoke job runs exactly this test).  On the
+full piece set it also times the batch entry point
+(``DualAutomaton.scan_many`` over MTU-sized slices of the same payload):
+with numpy the q-gram sweep must make that >= 2x the compiled walk
+(ROADMAP item 2's gate) with identical output; without numpy the sweep
+is recorded as disabled and only the identity is required.
 """
 
 import json
@@ -22,17 +27,23 @@ import time
 from pathlib import Path
 
 from exp_common import bundled_rules, emit
-from repro.match import AhoCorasick, BoyerMooreHorspool, naive_find_all
+from repro.match import AhoCorasick, BoyerMooreHorspool, DualAutomaton, naive_find_all
+from repro.optional_numpy import numpy_available
 from repro.signatures import split_ruleset
 from repro.traffic import benign_payload
 
 PAYLOAD_SIZE = 65_536
+MTU_PAYLOAD = 1_460
 PATTERN = b"EVIL-PAYLOAD\x90\x90\x90\x90:exec/bin/sh"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The compiled engine must beat the reference by this factor on the
 #: full piece set (the fast path's production workload).
 REQUIRED_SPEEDUP = 2.0
+
+#: ... and the batch q-gram sweep must beat the compiled walk by this
+#: factor on the same piece set (ROADMAP item 2's gate).
+REQUIRED_SWEEP_SPEEDUP = 2.0
 
 
 def payload() -> bytes:
@@ -43,9 +54,11 @@ def rate_of(benchmark_stats, nbytes: int) -> float:
     return nbytes / benchmark_stats["mean"] / 1e6
 
 
-def best_rate_mbps(fn, data: bytes, *, repeats: int = 5, min_rep_s: float = 0.05) -> float:
+def best_rate_mbps(fn, data, *, repeats: int = 5, min_rep_s: float = 0.05) -> float:
     """Best-of-N scan rate in MB/s, calibrating the inner loop so each
-    repeat runs long enough for the clock to resolve."""
+    repeat runs long enough for the clock to resolve.  ``data`` is one
+    buffer or a list of them (a batch)."""
+    nbytes = len(data) if isinstance(data, bytes) else sum(map(len, data))
     iterations = 1
     while True:
         start = time.perf_counter()
@@ -61,7 +74,7 @@ def best_rate_mbps(fn, data: bytes, *, repeats: int = 5, min_rep_s: float = 0.05
         for _ in range(iterations):
             fn(data)
         best = min(best, time.perf_counter() - start)
-    return len(data) * iterations / best / 1e6
+    return nbytes * iterations / best / 1e6
 
 
 def pieceset_patterns() -> list[bytes]:
@@ -88,6 +101,22 @@ def test_fig9_compiled_vs_reference(capfd):
             assert compiled.scan(buf) == reference.scan(buf), name
         compiled_mbps = best_rate_mbps(compiled.find_all, data)
         reference_mbps = best_rate_mbps(reference.find_all, data)
+        # Work accounting from the engines' own scan counters (covers
+        # the correctness probes plus every timing rep).
+        scan_stats = {"compiled": compiled.scan_stats(), "reference": reference.scan_stats()}
+        swept = {}
+        if name == "ac_full_pieceset":
+            # The fast path's batch entry point over packet-sized
+            # slices; ids line up because every pattern is case-sensitive.
+            batch = [data[i : i + MTU_PAYLOAD] for i in range(0, len(data), MTU_PAYLOAD)]
+            dual = DualAutomaton([(pattern, False) for pattern in patterns])
+            assert dual.scan_many(batch) == [compiled.find_all(piece) for piece in batch]
+            swept_mbps = best_rate_mbps(dual.scan_many, batch)
+            swept = {
+                "sweep": "enabled" if numpy_available() else "disabled",
+                "swept_mbps": round(swept_mbps, 3),
+                "swept_speedup": round(swept_mbps / compiled_mbps, 3),
+            }
         engines.append(
             {
                 "workload": name,
@@ -99,18 +128,15 @@ def test_fig9_compiled_vs_reference(capfd):
                 "compiled_mbps": round(compiled_mbps, 3),
                 "speedup": round(compiled_mbps / reference_mbps, 3),
                 "identical_output": True,
-                # Work accounting from the engines' own scan counters
-                # (covers the correctness probes plus every timing rep).
-                "scan_stats": {
-                    "compiled": compiled.scan_stats(),
-                    "reference": reference.scan_stats(),
-                },
+                **swept,
+                "scan_stats": scan_stats,
             }
         )
     result = {
         "benchmark": "fig9_matchers",
         "payload_bytes": PAYLOAD_SIZE,
         "required_speedup_full_pieceset": REQUIRED_SPEEDUP,
+        "required_sweep_speedup_full_pieceset": REQUIRED_SWEEP_SPEEDUP,
         "engines": engines,
     }
     (REPO_ROOT / "BENCH_matchers.json").write_text(
@@ -119,6 +145,11 @@ def test_fig9_compiled_vs_reference(capfd):
     lines = [
         f"{e['workload']:<20} ref={e['reference_mbps']:>9.2f} MB/s  "
         f"compiled={e['compiled_mbps']:>9.2f} MB/s  speedup={e['speedup']:.2f}x"
+        + (
+            f"  swept={e['swept_mbps']:>9.2f} MB/s ({e['sweep']})"
+            if "sweep" in e
+            else ""
+        )
         for e in engines
     ]
     emit("fig9_compiled_vs_reference", lines, capfd)
@@ -126,6 +157,8 @@ def test_fig9_compiled_vs_reference(capfd):
     for e in engines:
         assert e["speedup"] >= 1.0, f"{e['workload']}: compiled slower than reference"
     assert by_name["ac_full_pieceset"]["speedup"] >= REQUIRED_SPEEDUP
+    if numpy_available():
+        assert by_name["ac_full_pieceset"]["swept_speedup"] >= REQUIRED_SWEEP_SPEEDUP
 
 
 def test_fig9_ac_full_pieceset_compiled(benchmark, capfd):

@@ -537,6 +537,23 @@ class SplitDetectIPS:
             t0 = perf_counter_ns() if tel_on else 0
             off_col = batch.off
             caplen_col = batch.caplen
+            # Candidate rows: every payload the fast path would scan.
+            # Flow keys interned while gathering are kept for the row
+            # loop.
+            slots: list[int] = []
+            nbytes = 0
+            for row in range(n):
+                p = proto_col[row]
+                if (
+                    (p == IP_PROTO_TCP or p == IP_PROTO_UDP)
+                    and not (frag_col[row] & 0x3FFF)
+                    and tok_col[row]
+                    and (plen := paylen_col[row])
+                ):
+                    keys = flows_by_row[row] = intern_flow(batch, row)
+                    if keys[1] not in diverted:
+                        slots.append(row)
+                        nbytes += plen
             # Batch sweep: one C-speed substring search per pattern over
             # the batch's record range.  Rows are in capture order, so
             # the range encloses every payload view, and a clear range
@@ -548,46 +565,20 @@ class SplitDetectIPS:
             if automaton.range_clear(
                 batch.buffer, off_col[0], off_col[n - 1] + caplen_col[n - 1]
             ):
-                count = 0
-                nbytes = 0
-                for row in range(n):
-                    p = proto_col[row]
-                    if (
-                        (p == IP_PROTO_TCP or p == IP_PROTO_UDP)
-                        and not (frag_col[row] & 0x3FFF)
-                        and tok_col[row]
-                        and paylen_col[row]
-                    ):
-                        keys = flows_by_row[row] = intern_flow(batch, row)
-                        if keys[1] not in diverted:
-                            hits_by_row[row] = []
-                            count += 1
-                            nbytes += paylen_col[row]
-                automaton.account_prefilter_skips(count, nbytes)
-            else:
+                for row in slots:
+                    hits_by_row[row] = []
+                automaton.account_prefilter_skips(len(slots), nbytes)
+            elif slots:
                 # The same stateless prescan sweep process_batch runs,
                 # minus the per-packet bytes copies: candidate payloads
                 # go to the automaton as views over the shared capture
-                # buffer.  Flow keys interned while gathering are kept
-                # for the row loop.
-                payloads: list[memoryview] = []
-                slots: list[int] = []
-                for row in range(n):
-                    p = proto_col[row]
-                    if (
-                        (p == IP_PROTO_TCP or p == IP_PROTO_UDP)
-                        and not (frag_col[row] & 0x3FFF)
-                        and tok_col[row]
-                        and paylen_col[row]
-                    ):
-                        keys = flows_by_row[row] = intern_flow(batch, row)
-                        if keys[1] not in diverted:
-                            start = payoff_col[row]
-                            payloads.append(view[start : start + paylen_col[row]])
-                            slots.append(row)
-                if payloads:
-                    for slot, hits in zip(slots, fast.prescan_views(payloads)):
-                        hits_by_row[slot] = hits
+                # buffer.
+                payloads = [
+                    view[payoff_col[row] : payoff_col[row] + paylen_col[row]]
+                    for row in slots
+                ]
+                for row, hits in zip(slots, fast.prescan_views(payloads)):
+                    hits_by_row[row] = hits
             if tel_on:
                 self._stage_prescan.observe(perf_counter_ns() - t0)
         alerts: list[Alert] = []

@@ -120,6 +120,9 @@ class AhoCorasick:
         self.scanned_bytes = 0
         self.matches_emitted = 0
         self.prefilter_skips = 0
+        #: Footprint of a batch sweep an owning ``DualAutomaton`` built
+        #: over these patterns; reported by :meth:`compiled_table_bytes`.
+        self.sweep_table_bytes = 0
 
     def _build_failure_links(self) -> None:
         queue: deque[int] = deque()
@@ -222,10 +225,15 @@ class AhoCorasick:
 
     def compiled_table_bytes(self) -> int:
         """Approximate memory the compiled form spends beyond the trie:
-        the dense next-state array plus the linked-row pointer lattice."""
+        the dense next-state array plus the linked-row pointer lattice,
+        plus any batch-sweep tables booked on this automaton."""
         if self._table is None or self._rows is None:
-            return 0
-        return self._table.itemsize * len(self._table) + len(self._rows) * 258 * 8
+            return self.sweep_table_bytes
+        return (
+            self._table.itemsize * len(self._table)
+            + len(self._rows) * 258 * 8
+            + self.sweep_table_bytes
+        )
 
     def state_depth(self, state: int) -> int:
         """Longest pattern prefix the state represents (streaming carryover)."""

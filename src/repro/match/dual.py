@@ -10,14 +10,23 @@ order; :class:`DualStreamMatcher` is the streaming counterpart.
 
 When no ``nocase`` pattern exists the folded side is absent and the cost
 is identical to a single automaton.
+
+Batched scans (``scan_many`` / ``prescan_batch``) sit behind one of two
+batch prefilters, chosen by the pattern set: small sets (both sides
+within ``PIECE_PREFILTER_MAX_PATTERNS``) keep the literal sweep
+(``range_clear`` plus the per-payload alternation regex); larger sets
+get the q-gram sweep of :mod:`repro.match.sweep`, which serves both
+sides from one pass over the joined, case-folded batch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import Any
 
-from .aho_corasick import DENSE_STATE_LIMIT, AhoCorasick
+from .aho_corasick import DENSE_STATE_LIMIT, PIECE_PREFILTER_MAX_PATTERNS, AhoCorasick
 from .streaming import StreamMatch, StreamMatcher
+from .sweep import build_sweep
 
 
 class DualAutomaton:
@@ -55,6 +64,20 @@ class DualAutomaton:
             else None
         )
         self.pattern_count = len(patterns)
+        # The literal sweep is faster where it exists (a few finds per
+        # batch against ~0.4 ms of numpy), so the q-gram sweep is built
+        # only for sets it cannot serve.
+        self._sweep = (
+            build_sweep(
+                [(pattern, False) for pattern in sensitive]
+                + [(pattern, True) for pattern in folded]
+            )
+            if max(len(sensitive), len(folded)) > PIECE_PREFILTER_MAX_PATTERNS
+            else None
+        )
+        if self._sweep is not None:
+            # Booked on one side so per-side table sums see it once.
+            (self.sensitive or self.folded).sweep_table_bytes = self._sweep.table_bytes()
 
     @property
     def needs_folding(self) -> bool:
@@ -83,6 +106,7 @@ class DualAutomaton:
             "matches_emitted": sum(s["matches_emitted"] for s in sides),
             "prefilter_skips": skips,
             "prefilter_skip_rate": skips / scans if scans else 0.0,
+            "sweep_verifies": self._sweep.verifies if self._sweep is not None else 0,
         }
 
     def find_all(self, data: bytes) -> list[tuple[int, int]]:
@@ -100,46 +124,46 @@ class DualAutomaton:
             )
         return out
 
-    def scan_many(self, payloads: Sequence[bytes]) -> list[list[tuple[int, int]]]:
+    def scan_many(self, payloads: Sequence[Any]) -> list[list[tuple[int, int]]]:
         """Batched :meth:`find_all`: one result list per payload.
 
+        Payloads may be ``bytes`` or shared-buffer views (the columnar
+        prescan); the case-sensitive side scans views zero-copy, the
+        folded side materializes a case-folded copy of what it scans.
         Match ordering within a payload is identical to ``find_all``
         (case-sensitive hits first, then folded hits).
+
+        With a q-gram sweep, each side walks only the payloads the sweep
+        could not prove match-free on that side; the rest are counted as
+        prefilter skips, so ``scans`` / ``scanned_bytes`` /
+        ``matches_emitted`` equal the unswept accounting.
         """
         results: list[list[tuple[int, int]]] = [[] for _ in payloads]
-        if self.sensitive is not None:
-            sensitive_ids = self._sensitive_ids
-            for result, hits in zip(results, self.sensitive.scan_many(payloads)):
-                result.extend((sensitive_ids[pid], end) for pid, end in hits)
-        if self.folded is not None:
-            folded_ids = self._folded_ids
-            lowered = [payload.lower() for payload in payloads]
-            for result, hits in zip(results, self.folded.scan_many(lowered)):
-                result.extend((folded_ids[pid], end) for pid, end in hits)
+        dirty = self._sweep.dirty_rows(payloads) if self._sweep is not None else None
+        sensitive_rows, folded_rows = dirty or (None, None)
+        offered_bytes = sum(map(len, payloads)) if dirty else 0
+        for side, ids, fold, rows in (
+            (self.sensitive, self._sensitive_ids, False, sensitive_rows),
+            (self.folded, self._folded_ids, True, folded_rows),
+        ):
+            if side is None:
+                continue
+            chosen, targets = payloads, results
+            if rows is not None:
+                chosen = [payloads[row] for row in rows]
+                targets = [results[row] for row in rows]
+                side.account_prefilter_skips(
+                    len(payloads) - len(rows),
+                    offered_bytes - sum(map(len, chosen)),
+                )
+            if fold:
+                chosen = [bytes(payload).lower() for payload in chosen]
+            for result, hits in zip(targets, side.scan_many(chosen)):
+                result.extend((ids[pid], end) for pid, end in hits)
         return results
 
-    def prescan_batch(
-        self, payloads: Sequence[memoryview]
-    ) -> list[list[tuple[int, int]]]:
-        """Batched scan over shared-buffer views (the columnar prescan).
-
-        The case-sensitive side scans the views zero-copy; the folded
-        side needs a case-folded copy, so it materializes ``bytes`` per
-        view exactly as :meth:`scan_many` does for ``bytes`` payloads.
-        Results (ids, ordering, scan accounting) are identical to
-        :meth:`scan_many` over ``[bytes(v) for v in payloads]``.
-        """
-        results: list[list[tuple[int, int]]] = [[] for _ in payloads]
-        if self.sensitive is not None:
-            sensitive_ids = self._sensitive_ids
-            for result, hits in zip(results, self.sensitive.scan_many(payloads)):
-                result.extend((sensitive_ids[pid], end) for pid, end in hits)
-        if self.folded is not None:
-            folded_ids = self._folded_ids
-            lowered = [bytes(payload).lower() for payload in payloads]
-            for result, hits in zip(results, self.folded.scan_many(lowered)):
-                result.extend((folded_ids[pid], end) for pid, end in hits)
-        return results
+    #: The columnar prescan entry point (payloads are memoryviews there).
+    prescan_batch = scan_many
 
     def range_clear(self, buffer: bytes, lo: int, hi: int) -> bool:
         """True when no pattern from either side occurs in ``buffer[lo:hi]``.

@@ -26,11 +26,12 @@ than clever):
   materialized by the engine, which reproduces the object path's
   decode-error accounting byte for byte.
 
-The optional numpy path (probed at import, disabled when the
-environment variable ``REPRO_COLUMNAR_NUMPY=0``) vectorizes field
-extraction and validity checks; rows it cannot prove clean fall back to
-the stdlib row decoder, so both paths produce identical columns by
-construction.  The stdlib path is mandatory and fully featured.
+The optional numpy path (probed once, in :mod:`repro.optional_numpy`;
+disabled when the environment variable ``REPRO_COLUMNAR_NUMPY=0``)
+vectorizes field extraction and validity checks; rows it cannot prove
+clean fall back to the stdlib row decoder, so both paths produce
+identical columns by construction.  The stdlib path is mandatory and
+fully featured.
 
 Each batch carries exactly ``batch_size`` valid rows (skipped and
 quarantined records consume no slots), so downstream evict cadence
@@ -47,6 +48,7 @@ import struct
 from collections.abc import Iterator
 from typing import BinaryIO
 
+from ..optional_numpy import NUMPY as _NUMPY, numpy_available
 from ..packet import EthernetFrame, IPv4Packet, PacketError
 from ..packet.batch import PacketBatch, PacketBatchBuilder, portless_flow_hash
 from .format import (
@@ -73,26 +75,6 @@ _ETH_HLEN = 14
 _IP_FIXED = struct.Struct("!BBHHHBBHII")
 _PORTS = struct.Struct("!HH")
 _TCP_PREFIX = struct.Struct("!HHII")
-
-_NUMPY_ENV = "REPRO_COLUMNAR_NUMPY"
-
-
-def _load_numpy():  # type: ignore[no-untyped-def]
-    if os.environ.get(_NUMPY_ENV, "").strip() == "0":
-        return None
-    try:
-        import numpy
-    except Exception:
-        return None
-    return numpy
-
-
-_NUMPY = _load_numpy()
-
-
-def numpy_available() -> bool:
-    """True when the vectorized extraction path is importable and enabled."""
-    return _NUMPY is not None
 
 
 def _read_source(source: str | os.PathLike[str] | bytes | BinaryIO) -> bytes:

@@ -1,5 +1,7 @@
 """Unit, differential, and property tests for the matching engines."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from repro.match import (
     DualAutomaton,
     StreamMatcher,
     naive_find_all,
+    sweep,
 )
+from repro.optional_numpy import numpy_available
 
 
 def ac_starts(automaton, data, pattern_id):
@@ -283,3 +287,112 @@ def test_dual_compiled_equals_reference(patterns, data):
         [data, b"", data]
     )
     assert compiled.scan_many([data])[0] == compiled.find_all(data)
+
+
+# -- batch q-gram sweep ------------------------------------------------------
+
+# A tiny alphabet (zero and high bytes, both letter cases) makes random
+# patterns nest, overlap, repeat and actually occur in random payloads.
+_SWEEP_ALPHABET = b"\x00aAbB\xff\xc1"
+_sweep_bytes = st.lists(st.sampled_from(_SWEEP_ALPHABET), max_size=40).map(bytes)
+_sweep_pattern = st.lists(
+    st.sampled_from(_SWEEP_ALPHABET), min_size=4, max_size=11
+).map(bytes)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(patterns, payloads) for a pattern set large enough to be swept."""
+    # One side must exceed the literal sweep's 64 patterns; either may.
+    big_nocase = draw(st.booleans())
+    patterns = [
+        (pattern, big_nocase)
+        for pattern in draw(st.lists(_sweep_pattern, min_size=65, max_size=75))
+    ] + [
+        (pattern, not big_nocase)
+        for pattern in draw(st.lists(_sweep_pattern, max_size=10))
+    ]
+    patterns.append((draw(st.sampled_from(patterns))[0][:4], draw(st.booleans())))
+    patterns.append(draw(st.sampled_from(patterns)))  # a duplicate
+    patterns = draw(st.permutations(patterns))
+    payloads = draw(st.lists(_sweep_bytes, min_size=1, max_size=8))
+    planted = draw(st.sampled_from(patterns))[0]
+    cut = draw(st.integers(min_value=1, max_value=len(planted) - 1))
+    payloads += [
+        b"",
+        planted[:3],  # shorter than one gram
+        planted + draw(_sweep_bytes),  # occurrence at offset 0
+        draw(_sweep_bytes) + planted,  # ... and at the very end
+        draw(_sweep_bytes) + planted[:cut],  # split across two payloads:
+        planted[cut:] + draw(_sweep_bytes),  # must not match as a whole
+    ]
+    return patterns, draw(st.permutations(payloads))
+
+
+@given(sweep_cases())
+@settings(max_examples=60, deadline=None)
+def test_swept_scan_equals_reference_find_all(case):
+    patterns, payloads = case
+    reference = DualAutomaton(patterns, dense_state_limit=0)
+    expected = [reference.find_all(payload) for payload in payloads]
+    wanted = reference.scan_stats()
+    with mock.patch.object(sweep, "MIN_SWEEP_BYTES", sweep.GRAM):  # its floor
+        for entry, wrap in (("scan_many", bytes), ("prescan_batch", memoryview)):
+            swept = DualAutomaton(patterns)
+            assert (swept._sweep is not None) == numpy_available()
+            assert getattr(swept, entry)([wrap(p) for p in payloads]) == expected
+            stats = swept.scan_stats()
+            for counter in ("scans", "scanned_bytes", "matches_emitted"):
+                assert stats[counter] == wanted[counter], (entry, counter)
+
+
+def test_sweep_needs_a_large_set_of_gram_sized_patterns():
+    many = [(b"pattern-%03d" % i, False) for i in range(65)]
+    assert DualAutomaton(many[:64])._sweep is None  # literal sweep serves it
+    assert DualAutomaton(many + [(b"abc", False)])._sweep is None  # shorter than a gram
+    assert (DualAutomaton(many)._sweep is not None) == numpy_available()
+
+
+def test_sweep_skips_clean_payloads_and_books_its_tables():
+    patterns = [(b"pattern-%03d" % i, i % 2 == 0) for i in range(130)]
+    automaton = DualAutomaton(patterns)
+    bare = sum(
+        AhoCorasick(side.patterns).compiled_table_bytes()
+        for side in (automaton.sensitive, automaton.folded)
+    )
+    booked = sum(
+        side.compiled_table_bytes() for side in (automaton.sensitive, automaton.folded)
+    )
+    payloads = [b"x" * 1500, b"..PATTERN-004..pattern-005", b"y" * 1500]
+    assert automaton.scan_many(payloads) == [[], [(5, 26), (4, 13)], []]
+    stats = automaton.scan_stats()
+    assert stats["scans"] == 6
+    if numpy_available():
+        assert booked - bare == automaton._sweep.table_bytes() > 0
+        assert stats["prefilter_skips"] == 4
+    else:
+        assert booked == bare
+
+
+def test_sweep_hostile_density_falls_back_to_the_walk():
+    """Payloads made only of pattern-prefix grams must not be verified
+    candidate by candidate: dense rows go straight to the table walk."""
+    patterns = [(b"%04d-suffix-%04d" % (i, i), False) for i in range(70)]
+    automaton = DualAutomaton(patterns)
+    reference = DualAutomaton(patterns, dense_state_limit=0)
+    gram_only = [patterns[i][0][:4] * 300 for i in range(8)]  # dense at stage 2
+    prefix_only = [patterns[i][0][:8] * 150 for i in range(8)]  # dense at stage 3
+    hostile = gram_only + prefix_only
+    assert automaton.scan_many(hostile) == [reference.find_all(p) for p in hostile]
+    stats = automaton.scan_stats()
+    assert stats["sweep_verifies"] == 0
+    assert stats["prefilter_skips"] == 0  # nothing was proven clean: all walked
+    # Control: sparse near-misses are verified one by one and skipped.
+    sparse = [b"." * 700 + patterns[i][0][:8] + b"." * 700 for i in range(8)]
+    assert automaton.scan_many(sparse) == [[] for _ in sparse]
+    stats = automaton.scan_stats()
+    if numpy_available():
+        assert stats["sweep_verifies"] == len(sparse)
+        assert stats["prefilter_skips"] == len(sparse)
+    else:
+        assert stats["sweep_verifies"] == 0

@@ -48,6 +48,7 @@ from exp_common import (
     gauntlet_ruleset,
 )
 from repro.evasion import build_attack
+from repro.pcap.columnar import encode_batches
 from repro.runtime import EngineSpec, RunnerConfig, ShardProcessor
 from repro.service import (
     FRAME_MAGIC,
@@ -116,19 +117,20 @@ def batch_p99_reference(trace: list) -> float:
     :data:`REFERENCE_PASSES` passes so the p99 estimate has thousands
     of samples behind it, like the soak side's does.
     """
+    batches = list(encode_batches(trace, BATCH_SIZE))
     warmup = ShardProcessor(
         0, make_spec(), RunnerConfig(batch_size=BATCH_SIZE, telemetry=True)
     )
-    for base in range(0, len(trace), BATCH_SIZE):
-        warmup.feed(trace[base : base + BATCH_SIZE])
+    for batch in batches:
+        warmup.feed(batch)
     warmup.finish()
 
     processor = ShardProcessor(
         0, make_spec(), RunnerConfig(batch_size=BATCH_SIZE, telemetry=True)
     )
     for _ in range(REFERENCE_PASSES):
-        for base in range(0, len(trace), BATCH_SIZE):
-            processor.feed(trace[base : base + BATCH_SIZE])
+        for batch in batches:
+            processor.feed(batch)
     processor.finish()
     profile = stage_profile(processor.telemetry) or {}
     return float(

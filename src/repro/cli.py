@@ -28,10 +28,9 @@ from .metrics import (
     RunReport,
     run_conventional,
     run_split_detect,
-    run_split_detect_columnar,
     state_bytes_ratio,
 )
-from .pcap import read_column_batches, read_records, read_trace, write_trace
+from .pcap import read_column_batches, read_trace, write_trace
 from .runtime import (
     Backpressure,
     EngineSpec,
@@ -163,20 +162,17 @@ def _cmd_run_parallel(args: argparse.Namespace, rules: RuleSet) -> int:
         max_restarts=args.max_restarts,
         restart_backoff=args.restart_backoff,
         faults=faults,
-        ingest=args.ingest,
     )
     with TelemetrySession(args.serve_telemetry, hold=args.serve_hold) as session:
         runner = ParallelRunner(spec, workers=args.workers, config=config)
         session.update_health(status="running", mode="parallel",
                               workers=args.workers)
-        # Undecoded records, not parsed packets: the runner's quarantine
-        # owns malformed frames, so a hostile capture cannot kill the run.
-        if args.ingest == "columnar":
-            report = runner.run_columnar(
-                read_column_batches(args.pcap, batch_size=config.batch_size)
-            )
-        else:
-            report = runner.run(read_records(args.pcap))
+        # Decoded straight to columns, malformed frames riding along as
+        # quarantine entries: the runner's ledger owns them, so a
+        # hostile capture cannot kill the run.
+        report = runner.run(
+            read_column_batches(args.pcap, batch_size=config.batch_size)
+        )
         session.publish_registry(report.registry)
         session.publish_trace(report.trace)
         session.update_health(
@@ -288,16 +284,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("--inject/--max-restarts drive the sharded runtime; add "
               "--workers N", file=sys.stderr)
         return 2
-    if args.ingest == "columnar" and args.engine != "split":
-        print("--ingest columnar feeds the split engine's columnar fast "
-              "path; conventional/naive baselines consume packet objects",
-              file=sys.stderr)
-        return 2
-    if args.ingest == "columnar" and args.inject:
-        print("--inject is incompatible with --ingest columnar (the fault "
-              "injection points are defined over object batches)",
-              file=sys.stderr)
-        return 2
     if args.max_restarts < 0:
         print(f"--max-restarts must be >= 0, got {args.max_restarts}",
               file=sys.stderr)
@@ -306,9 +292,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"loaded {len(rules)} signatures")
     if args.workers:
         return _cmd_run_parallel(args, rules)
-    # Single-process path.  The trace is streamed lazily off the pcap in
-    # batches, so footprint stays bounded regardless of capture size.
-    trace = read_trace(args.pcap)
     telemetry = NULL_REGISTRY if args.no_telemetry else TelemetryRegistry()
     if args.engine == "split":
         tracer = None
@@ -326,24 +309,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             # reads the engine's registry directly.
             session.publish_registry(telemetry, refresh=ips.refresh_telemetry)
             session.update_health(status="running", mode="single")
-            if args.ingest == "columnar":
-                # Same contract as read_trace: malformed frames raise.
-                report = run_split_detect_columnar(
-                    ips,
-                    read_column_batches(
-                        args.pcap,
-                        batch_size=args.batch_size,
-                        on_invalid="raise",
-                    ),
-                    evict_interval=args.evict_interval,
-                )
-            else:
-                report = run_split_detect(
-                    ips,
-                    trace,
-                    batch_size=args.batch_size,
-                    evict_interval=args.evict_interval,
-                )
+            # Single-process contract: a malformed frame raises (only
+            # the runners keep a quarantine ledger).
+            report = run_split_detect(
+                ips,
+                read_column_batches(
+                    args.pcap, batch_size=args.batch_size, on_invalid="raise"
+                ),
+                batch_size=args.batch_size,
+                evict_interval=args.evict_interval,
+            )
             print(f"processed {report.packets} packets")
             print(f"diverted flows: {report.diverted_flows}  "
                   f"({report.diversion_byte_fraction:.2%} of bytes on slow path)")
@@ -368,13 +343,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     elif args.engine == "conventional":
         ips = ConventionalIPS(rules, telemetry=telemetry)
-        report = run_conventional(ips, trace)
+        report = run_conventional(ips, read_trace(args.pcap))
         print(f"processed {report.packets} packets")
     else:
         ips = NaivePacketIPS(rules, telemetry=telemetry)
         alerts = []
         packets = 0
-        for batch in iter_batches(trace, args.batch_size):
+        for batch in iter_batches(read_trace(args.pcap), args.batch_size):
             alerts.extend(ips.process_batch(batch))
             packets += len(batch)
         print(f"processed {packets} packets")
@@ -767,15 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("pcap")
     run.add_argument("--rules", help="Snort-content rules file (default: bundled corpus)")
     run.add_argument("--engine", choices=("split", "conventional", "naive"), default="split")
-    run.add_argument(
-        "--ingest",
-        choices=("object", "columnar"),
-        default="object",
-        help="pcap ingest mode: 'object' parses every frame into packet "
-             "objects (default); 'columnar' decodes whole batches into "
-             "parallel columns and materializes objects only for flagged "
-             "rows (split engine only; results are byte-identical)",
-    )
     run.add_argument(
         "--state-backend",
         choices=("dict", "table", "sketch"),

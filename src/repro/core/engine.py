@@ -23,11 +23,10 @@ from ..packet import (
     IP_PROTO_UDP,
     FlowKey,
     TimedPacket,
-    decode_tcp,
-    decode_udp,
     flow_key_of,
 )
 from ..packet.batch import PacketBatch, ip_u32_to_str
+from ..pcap.columnar import encode_batches
 from ..signatures import ByteFrequencyModel, RuleSet, SplitPolicy, split_ruleset
 from ..streams import FLOW_OVERHEAD_BYTES, OverlapPolicy
 from ..telemetry import NULL_REGISTRY, NULL_TRACER, StageProfiler
@@ -296,7 +295,7 @@ class SplitDetectIPS:
 
         Atomic with respect to packets: the engine is driven from one
         thread (one shard), and callers apply swaps between batches --
-        never mid-:meth:`process_batch`, whose prescan hit lists index
+        never mid-:meth:`process_column_batch`, whose prescan hit lists index
         the pre-swap entry table.  ``split_policy`` / ``model`` default
         to the values the engine was constructed with.
         """
@@ -452,41 +451,20 @@ class SplitDetectIPS:
         return alerts
 
     def process_batch(self, packets: list[TimedPacket]) -> list[Alert]:
-        """Route a batch of packets; returns all alerts in packet order.
+        """Route a batch of packet objects; returns all alerts in packet order.
 
-        Packet-for-packet identical to calling :meth:`process` in order.
-        The batch exists because the fast path's piece scan is stateless
-        per packet: every payload that would reach it is scanned up front
-        in one :meth:`~repro.match.DualAutomaton.scan_many` sweep, and
-        the per-packet routing then consumes the precomputed matches.
-        A flow that diverts mid-batch merely wastes its remaining
-        prescans; one reinstated mid-batch falls back to inline scans.
+        Packet-for-packet identical to calling :meth:`process` in order
+        (the tested oracle): the objects are encoded at the door and go
+        the one batch route, :meth:`process_column_batch`.  The engine
+        has no quarantine ledger, so a packet that cannot be serialized
+        raises here (the runners quarantine it instead).
         """
         packets = list(packets)
-        prescanned: list[list[tuple[int, int]] | None] | None = None
-        if self.fast_path.automaton is not None and len(packets) > 1:
-            tel_on = self._tel_on
-            t0 = perf_counter_ns() if tel_on else 0
-            payloads: list[bytes] = []
-            slots: list[int] = []
-            for index, packet in enumerate(packets):
-                payload = self._scan_candidate(packet)
-                if payload:
-                    payloads.append(payload)
-                    slots.append(index)
-            if payloads:
-                prescanned = [None] * len(packets)
-                for slot, hits in zip(slots, self.fast_path.prescan(payloads)):
-                    prescanned[slot] = hits
-            if tel_on:
-                self._stage_prescan.observe(perf_counter_ns() - t0)
         alerts: list[Alert] = []
-        if prescanned is None:
-            for packet in packets:
-                alerts.extend(self.process(packet))
-        else:
-            for packet, hits in zip(packets, prescanned):
-                alerts.extend(self.process(packet, hits))
+        for batch in encode_batches(packets, len(packets) or 1):
+            if batch.quarantined:
+                raise batch.quarantined[0]
+            alerts.extend(self.process_column_batch(batch))
         return alerts
 
     def process_column_batch(self, batch: PacketBatch) -> list[Alert]:
@@ -569,15 +547,14 @@ class SplitDetectIPS:
                     hits_by_row[row] = []
                 automaton.account_prefilter_skips(len(slots), nbytes)
             elif slots:
-                # The same stateless prescan sweep process_batch runs,
-                # minus the per-packet bytes copies: candidate payloads
-                # go to the automaton as views over the shared capture
-                # buffer.
+                # One stateless sweep over every candidate payload, as
+                # views over the shared capture buffer (no per-packet
+                # bytes copies).
                 payloads = [
                     view[payoff_col[row] : payoff_col[row] + paylen_col[row]]
                     for row in slots
                 ]
-                for row, hits in zip(slots, fast.prescan_views(payloads)):
+                for row, hits in zip(slots, automaton.prescan_batch(payloads)):
                     hits_by_row[row] = hits
             if tel_on:
                 self._stage_prescan.observe(perf_counter_ns() - t0)
@@ -658,6 +635,11 @@ class SplitDetectIPS:
             self._c_ingest_batches.inc()
         return alerts
 
+    def forget_interned_flows(self) -> None:
+        """Drop the numeric five-tuple -> ``FlowKey`` intern (flow state is
+        untouched; keys are rebuilt on the next row that needs them)."""
+        self._flow_intern.clear()
+
     def _intern_flow(self, batch: PacketBatch, row: int) -> tuple[FlowKey, FlowKey]:
         """(flow, canonical) for a row, interned by numeric five-tuple."""
         key = (
@@ -684,24 +666,6 @@ class SplitDetectIPS:
             handle = self._c_ingest_materialized.labels(cause=cause)
             self._ingest_mat_labels[cause] = handle
         return handle
-
-    def _scan_candidate(self, packet: TimedPacket) -> bytes | None:
-        """The payload the fast path would scan for this packet, if any."""
-        ip = packet.ip
-        if ip.protocol not in (IP_PROTO_TCP, IP_PROTO_UDP) or ip.is_fragment:
-            return None
-        try:
-            flow = flow_key_of(ip)
-        except ValueError:
-            return None
-        if flow.canonical() in self._diverted:
-            return None
-        try:
-            if ip.protocol == IP_PROTO_TCP:
-                return decode_tcp(ip).payload or None
-            return decode_udp(ip).payload or None
-        except Exception:
-            return None
 
     def _hint_all(self, direction: FlowKey, expected: int) -> None:
         self.slow_path.hint_stream_start(direction, expected)

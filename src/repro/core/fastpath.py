@@ -278,8 +278,8 @@ class FastPath:
         clocks, sketch counters) survives untouched -- the monitor's
         anomaly checks are ruleset-independent except for the small-packet
         threshold B, which is recompiled here.  Must be called between
-        batches: a prescan hit list from :meth:`prescan` indexes into the
-        entry table it was produced against, so callers (the shard
+        batches: the engine's per-batch prescan hit lists index into the
+        entry table they were produced against, so callers (the shard
         processors) apply swaps only at batch boundaries.
         """
         self._compile(split_rules)
@@ -381,8 +381,9 @@ class FastPath:
     ) -> FastPathResult:
         """Classify one packet: pass silently, alert, and/or divert its flow.
 
-        ``prescanned`` carries this packet's payload matches from a prior
-        :meth:`prescan` sweep (batched intake); ``None`` means scan here.
+        ``prescanned`` carries this packet's payload matches from the
+        engine's per-batch :meth:`~repro.match.DualAutomaton.prescan_batch`
+        sweep; ``None`` means scan here.
         """
         result = self._process(packet, prescanned)
         if self._tel_on:
@@ -529,25 +530,6 @@ class FastPath:
     def live_flows(self) -> set[FlowKey]:
         """Canonical keys of flows currently holding monitor entries."""
         return {flow.canonical() for flow, _ in self._flows.items()}
-
-    def prescan(self, payloads: list[bytes]) -> list[list[tuple[int, int]]]:
-        """Batch-scan raw payloads ahead of per-packet intake.
-
-        The piece scan is stateless per packet, so a caller holding a
-        batch can run one :meth:`~repro.match.DualAutomaton.scan_many`
-        sweep and feed each packet's matches back via ``process``'s
-        ``prescanned`` argument."""
-        if self.automaton is None:
-            return [[] for _ in payloads]
-        return self.automaton.scan_many(payloads)
-
-    def prescan_views(
-        self, payloads: list[memoryview]
-    ) -> list[list[tuple[int, int]]]:
-        """:meth:`prescan` over shared-buffer memoryviews (columnar intake)."""
-        if self.automaton is None:
-            return [[] for _ in payloads]
-        return self.automaton.prescan_batch(payloads)
 
     # -- columnar intake --------------------------------------------------
 
@@ -737,8 +719,8 @@ class FastPath:
     ) -> None:
         """One automaton pass over the payload; state resets per packet.
 
-        ``hits`` short-circuits the pass with matches a batched
-        :meth:`prescan` already produced for this payload."""
+        ``hits`` short-circuits the pass with matches the engine's batch
+        sweep already produced for this payload."""
         self.bytes_scanned += len(payload)
         if self._tel_on:
             self._c_bytes.inc(len(payload))

@@ -19,7 +19,6 @@ from .report import (
     provisioned_fastpath_state,
     run_conventional,
     run_split_detect,
-    run_split_detect_columnar,
     state_bytes_ratio,
     state_per_flow,
     throughput_comparison,
@@ -41,7 +40,6 @@ __all__ = [
     "provisioned_fastpath_state",
     "run_conventional",
     "run_split_detect",
-    "run_split_detect_columnar",
     "split_detect_cost",
     "state_bytes_ratio",
     "state_per_flow",

@@ -16,7 +16,9 @@ from ..core.conventional import PROVISIONED_BUFFER_PER_FLOW
 from ..core.fastpath import FAST_FLOW_STATE_BYTES
 from ..packet import TimedPacket
 from ..packet.batch import PacketBatch
-from ..runtime.batching import iter_batches
+from ..pcap.columnar import encode_batches
+from ..runtime.batching import rebatch_columns
+from ..runtime.quarantine import PacketSource
 from ..streams import FLOW_OVERHEAD_BYTES
 from ..telemetry import stage_profile
 from .cost import CostReport, HardwareModel, conventional_cost, split_detect_cost
@@ -29,7 +31,6 @@ __all__ = [
     "provisioned_fastpath_state",
     "run_conventional",
     "run_split_detect",
-    "run_split_detect_columnar",
     "state_bytes_ratio",
     "state_per_flow",
     "throughput_comparison",
@@ -78,7 +79,7 @@ class RunReport:
 
 def run_split_detect(
     ips: SplitDetectIPS,
-    trace: Iterable[TimedPacket],
+    trace: "PacketSource | Iterable[PacketBatch]",
     *,
     label: str = "split-detect",
     sample_every: int = 200,
@@ -87,12 +88,14 @@ def run_split_detect(
 ) -> RunReport:
     """Feed a trace through a Split-Detect engine, sampling peak state.
 
-    ``trace`` may be any iterable -- in particular a lazy
-    :func:`repro.pcap.read_trace` iterator, which keeps the resident
-    footprint at one batch no matter the pcap size.  Packets are driven
-    through :meth:`SplitDetectIPS.process_batch` in batches of
-    ``batch_size`` (default: ``sample_every``, so state is sampled
-    between batches exactly as the per-packet loop used to).
+    ``trace`` may be any iterable of packets, ``(timestamp, bytes)``
+    records or encoded :class:`~repro.packet.batch.PacketBatch` columns
+    (:func:`repro.pcap.read_column_batches`).  Everything is encoded at
+    the door and driven through
+    :meth:`SplitDetectIPS.process_column_batch` in batches of at most
+    ``batch_size`` rows (default: ``sample_every``), with state sampled
+    between batches.  This harness has no quarantine ledger: a frame
+    the decode rejects is raised, not dropped silently.
 
     ``evict_interval`` (seconds of *packet time*) arms automatic
     :meth:`SplitDetectIPS.evict_idle` sweeps -- the same housekeeping
@@ -104,43 +107,7 @@ def run_split_detect(
     report = RunReport(label=label)
     step = batch_size or sample_every
     evict_anchor: float | None = None
-    for batch in iter_batches(trace, step):
-        report.alerts.extend(ips.process_batch(batch))
-        if evict_interval is not None:
-            now = batch[-1].timestamp
-            if evict_anchor is None:
-                evict_anchor = batch[0].timestamp
-            if now - evict_anchor >= evict_interval:
-                report.evictions += ips.evict_idle(now)
-                evict_anchor = now
-        report.peak_state_bytes = max(report.peak_state_bytes, ips.state_bytes())
-        flows = ips.fast_path.tracked_flows + ips.slow_path.active_flows
-        report.peak_flows = max(report.peak_flows, flows)
-        ips.refresh_telemetry()
-    return _finish_split_report(ips, report)
-
-
-def run_split_detect_columnar(
-    ips: SplitDetectIPS,
-    batches: Iterable[PacketBatch],
-    *,
-    label: str = "split-detect",
-    evict_interval: float | None = None,
-) -> RunReport:
-    """Columnar twin of :func:`run_split_detect`.
-
-    Drives :meth:`SplitDetectIPS.process_column_batch` over a
-    :class:`~repro.packet.batch.PacketBatch` stream (see
-    :func:`repro.pcap.read_column_batches`).  State is sampled between
-    batches and eviction runs on the same packet-time cadence as the
-    object harness, so a run over identically sized batches produces the
-    same report fields.  Reader-side quarantined exceptions must already
-    have been handled (use ``on_invalid="raise"`` or pre-absorb them);
-    this harness asserts none slip through silently.
-    """
-    report = RunReport(label=label)
-    evict_anchor: float | None = None
-    for batch in batches:
+    for batch in rebatch_columns(encode_batches(trace, step), step):
         if batch.quarantined:
             raise batch.quarantined[0]
         if not batch:
@@ -157,11 +124,6 @@ def run_split_detect_columnar(
         flows = ips.fast_path.tracked_flows + ips.slow_path.active_flows
         report.peak_flows = max(report.peak_flows, flows)
         ips.refresh_telemetry()
-    return _finish_split_report(ips, report)
-
-
-def _finish_split_report(ips: SplitDetectIPS, report: RunReport) -> RunReport:
-    """Shared tail of the split-detect harnesses: stats, gauges, trace."""
     report.peak_state_bytes = max(report.peak_state_bytes, ips.state_bytes())
     report.packets = ips.stats.packets_total
     report.fast_packets = ips.stats.fast_packets

@@ -1,18 +1,18 @@
 """Columnar packet batches: struct-of-arrays decode for the fast path.
 
 The paper's economy is per-byte asymmetry: the fast path must do almost
-nothing per packet.  Our object ingest violated that shape -- every
-frame became an :class:`~repro.packet.ip.IPv4Packet` dataclass (header
+nothing per packet.  An object ingest violates that shape -- every
+frame becomes an :class:`~repro.packet.ip.IPv4Packet` dataclass (header
 unpack, payload copy, options copy, ``TimedPacket`` wrapper) before the
-engine ever looked at it.  A :class:`PacketBatch` instead carries one
+engine ever looks at it.  A :class:`PacketBatch` instead carries one
 shared ``bytes`` capture buffer plus parallel ``array`` columns of the
 few fields the fast path actually consults (protocol, fragment bits,
 TTL, addresses/ports, TCP seq/flags, payload offset/length), so the
 clean majority of rows is processed with integer reads and zero-copy
 ``memoryview`` slices.  Only rows the engine flags -- fragment,
 diverted, anomalous, matched, or undecodable -- are materialized into
-real packet objects via :meth:`PacketBatch.materialize` and dropped
-into the existing object path unchanged.
+real packet objects via :meth:`PacketBatch.materialize` and handed to
+the per-packet ``process()`` unchanged.
 
 Column schema (one entry per valid row, in capture order):
 
@@ -42,8 +42,8 @@ flow_hash    ``Q``      FNV-1a of the port-less canonical flow key
 
 ``tok == 0`` marks rows whose transport header would make
 ``decode_tcp`` / ``UdpDatagram.parse`` raise; the engine materializes
-them so the object path produces the authoritative error and
-accounting.  Malformed *IP* rows never become rows at all -- the reader
+them so the per-packet path produces the authoritative error and
+accounting.  Malformed *IP* rows never become rows at all -- the decode
 quarantines them (as real exception instances on
 :attr:`PacketBatch.quarantined`) or raises, mirroring the two object
 readers.
@@ -61,7 +61,7 @@ from .ip import IPv4Packet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..runtime.sharding import ShardRouter
 
-__all__ = ["PacketBatch", "ip_u32_to_str"]
+__all__ = ["PacketBatch", "forget_interned_flows", "ip_u32_to_str"]
 
 IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
@@ -144,6 +144,18 @@ def _tuple5_flow_hash(src: int, dst: int, sport: int, dport: int, proto: int) ->
         cached = fnv1a_64(shard_key_bytes(flow, with_ports=True))
         _TUPLE5_HASHES[key] = cached
     return cached
+
+
+def forget_interned_flows() -> None:
+    """Empty the intern caches; every entry is re-derived on demand.
+
+    At their cap the caches hold tens of MB of strings and hashes for
+    flows long gone -- cheap beside a capture file that is resident
+    anyway, not for a daemon whose working set is one poll (see
+    ``SplitDetectService.run``)."""
+    _PORTLESS_HASHES.clear()
+    _TUPLE5_HASHES.clear()
+    ip_u32_to_str.cache_clear()
 
 
 class PacketBatch:
@@ -297,11 +309,12 @@ class PacketBatch:
     # -- shard routing -------------------------------------------------
 
     def shard_rows(self, router: "ShardRouter") -> list[list[int]]:
-        """Row indices per shard, matching ``ShardRouter.shard_of``.
+        """Row indices per shard: the runners' packet-to-shard assignment.
 
-        Non-TCP/UDP rows pin to shard 0; fragments hash the port-less
-        address pair; everything else follows the router's policy.  The
-        port-less hash comes straight off the precomputed
+        Non-TCP/UDP rows pin to shard 0 (they carry no flow state, so
+        placement only needs to be deterministic); fragments hash the
+        port-less address pair; everything else follows the router's
+        policy.  The port-less hash comes straight off the precomputed
         :attr:`flow_hash` column.
         """
         from ..runtime.sharding import ShardPolicy

@@ -1,11 +1,13 @@
-"""Columnar pcap decode: whole batches of packets without packet objects.
+"""Columnar decode: whole batches of packets without packet objects.
 
-:func:`read_column_batches` walks a savefile once and yields
-:class:`~repro.packet.batch.PacketBatch` instances -- parallel columns
-of fast-path-relevant fields over one shared capture buffer -- instead
-of per-packet dataclasses.  The engine consumes the columns directly
-and materializes full objects only for the flagged minority, which is
-where the ingest speedup comes from.
+The one place frames become :class:`~repro.packet.batch.PacketBatch`
+columns -- parallel arrays of fast-path-relevant fields over one shared
+buffer.  :func:`read_column_batches` walks a savefile once;
+:func:`encode_batches` is the door every other source goes through.
+Both hand offsets into a buffer to the same row decode, so a frame is
+classified one way whichever route carried it.  The engine consumes the
+columns directly and materializes full objects only for the flagged
+minority.
 
 Parity contract (tested, and the reason this module is careful rather
 than clever):
@@ -13,18 +15,19 @@ than clever):
 * Record framing, both byte orders, and the nanosecond magics follow
   :class:`~repro.pcap.io.PcapReader` exactly, including the timestamp
   arithmetic (``sec + frac / scale``) and every ``PcapFormatError``.
-* ``on_invalid="quarantine"`` mirrors :func:`~repro.pcap.io.read_records`
-  + the runtime decode quarantine: Ethernet-short records are treated
-  as raw IP, non-IPv4 ethertypes are skipped silently, and malformed IP
-  rows become real exception instances on ``batch.quarantined``.
+* ``on_invalid="quarantine"`` treats a savefile as
+  :func:`~repro.pcap.io.read_records` does: Ethernet-short records are
+  taken as raw IP, non-IPv4 ethertypes are skipped silently, and
+  malformed IP rows become real exception instances on
+  ``batch.quarantined``.
 * ``on_invalid="raise"`` mirrors :func:`~repro.pcap.io.read_trace`: the
   first malformed record raises the authoritative parse error.
 * Invalid rows are produced by delegating to the *object* parsers
   (``EthernetFrame.parse`` / ``IPv4Packet.parse``), so exception types
-  and messages can never drift from the object path.
+  and messages can never drift from them.
 * Rows whose transport header would not decode get ``tok == 0`` and are
-  materialized by the engine, which reproduces the object path's
-  decode-error accounting byte for byte.
+  materialized by the engine, so the per-packet path produces the
+  authoritative decode-error accounting.
 
 The optional numpy path (probed once, in :mod:`repro.optional_numpy`;
 disabled when the environment variable ``REPRO_COLUMNAR_NUMPY=0``)
@@ -33,23 +36,27 @@ clean fall back to the stdlib row decoder, so both paths produce
 identical columns by construction.  The stdlib path is mandatory and
 fully featured.
 
-Each batch carries exactly ``batch_size`` valid rows (skipped and
-quarantined records consume no slots), so downstream evict cadence
-matches the object path's fixed-size batches.  The reader holds the
-whole file in one ``bytes`` buffer that all batches share -- the price
-of zero-copy payload views; ``PacketBatch.compact`` copies slices out
-before they are pickled to workers.
+A savefile batch carries exactly ``batch_size`` valid rows (skipped and
+quarantined records consume no slots); an encoded batch covers
+``batch_size`` consecutive source items, so a rejected frame leaves it
+one row short.  The reader holds the whole file in one ``bytes`` buffer
+that all batches share -- the price of zero-copy payload views;
+``PacketBatch.compact`` copies slices out before they are pickled to
+workers.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from collections.abc import Iterator
-from typing import BinaryIO
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+from itertools import accumulate
+from types import ModuleType
+from typing import TYPE_CHECKING, BinaryIO
 
 from ..optional_numpy import NUMPY as _NUMPY, numpy_available
-from ..packet import EthernetFrame, IPv4Packet, PacketError
+from ..packet import EthernetFrame, IPv4Packet, PacketError, TimedPacket
 from ..packet.batch import PacketBatch, PacketBatchBuilder, portless_flow_hash
 from .format import (
     GLOBAL_HEADER_SIZE,
@@ -60,9 +67,25 @@ from .format import (
     decode_global_header,
 )
 
-__all__ = ["ColumnarPcapReader", "numpy_available", "read_column_batches"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from ..runtime.control import ControlMessage
+    from ..runtime.quarantine import PacketSource
 
-_DECODE_ERRORS = (PacketError, ValueError, struct.error)
+__all__ = [
+    "DECODE_ERRORS",
+    "ColumnarPcapReader",
+    "encode_batches",
+    "numpy_available",
+    "read_column_batches",
+]
+
+#: Exception types the decode boundary converts into quarantine entries.
+#: Anything else is a genuine bug and must escape loudly.
+DECODE_ERRORS: tuple[type[BaseException], ...] = (
+    PacketError,
+    ValueError,
+    struct.error,
+)
 
 IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
@@ -142,6 +165,29 @@ class ColumnarPcapReader:
             pos = body + captured
         return ts_list, off_list, cap_list
 
+    def __iter__(self) -> Iterator[PacketBatch]:
+        ethernet = self.header.linktype == LINKTYPE_ETHERNET
+        decoder = _RowDecoder(
+            self.data, ethernet, self.batch_size, self.on_invalid, self._numpy
+        )
+        yield from decoder.batches(*self._walk_records())
+
+
+@dataclass
+class _RowDecoder:
+    """Rows at known offsets in one buffer -> :class:`PacketBatch` columns.
+
+    The half of the reader that does not know about pcap framing: the
+    savefile reader hands it record offsets, :func:`encode_batches` the
+    offsets of frames it joined itself.
+    """
+
+    data: bytes
+    ethernet: bool
+    batch_size: int
+    on_invalid: str
+    numpy: ModuleType | None
+
     # -- per-row decode (stdlib; also the fallback for the numpy path) -
 
     def _decode_row(
@@ -156,7 +202,7 @@ class ColumnarPcapReader:
         data = self.data
         ip_off = off
         ip_len = caplen
-        if self.header.linktype == LINKTYPE_ETHERNET:
+        if self.ethernet:
             if caplen >= _ETH_HLEN:
                 if data[off + 12] != 0x08 or data[off + 13] != 0x00:
                     return  # non-IPv4 ethertype: skipped silently
@@ -219,7 +265,7 @@ class ColumnarPcapReader:
         """Authoritative exception for a malformed IP region (or None)."""
         try:
             IPv4Packet.parse(self.data[ip_off : ip_off + ip_len])
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             if self.on_invalid == "raise":
                 raise
             return exc
@@ -273,9 +319,12 @@ class ColumnarPcapReader:
 
     # -- iteration -----------------------------------------------------
 
-    def __iter__(self) -> Iterator[PacketBatch]:
-        ts_list, off_list, cap_list = self._walk_records()
-        if self._numpy is not None and ts_list:
+    def batches(
+        self, ts_list: list[float], off_list: list[int], cap_list: list[int]
+    ) -> Iterator[PacketBatch]:
+        # (An empty buffer has no last byte for the vectorized gathers
+        # to clamp to; the encoder can produce one, the reader cannot.)
+        if self.numpy is not None and ts_list and self.data:
             yield from self._iter_numpy(ts_list, off_list, cap_list)
             return
         builder = PacketBatchBuilder()
@@ -300,7 +349,7 @@ class ColumnarPcapReader:
         a vectorized validity check -- or needs Ethernet/quarantine
         special-casing -- is routed through :meth:`_decode_row`.
         """
-        np = self._numpy
+        np = self.numpy
         buf = np.frombuffer(self.data, dtype=np.uint8)
         limit = len(buf) - 1
         off = np.asarray(off_list, dtype=np.int64)
@@ -309,7 +358,7 @@ class ColumnarPcapReader:
         def gather(idx):  # type: ignore[no-untyped-def]
             return buf[np.minimum(idx, limit)].astype(np.int64)
 
-        ethernet = self.header.linktype == LINKTYPE_ETHERNET
+        ethernet = self.ethernet
         if ethernet:
             eth_ok = cap >= _ETH_HLEN
             ethertype = (gather(off + 12) << 8) | gather(off + 13)
@@ -483,3 +532,75 @@ def read_column_batches(
             use_numpy=use_numpy,
         )
     )
+
+
+def encode_batches(
+    source: "PacketSource | Iterable[PacketBatch]", batch_size: int
+) -> "Iterator[PacketBatch | ControlMessage]":
+    """The one door: any packet source becomes a :class:`PacketBatch` stream.
+
+    ``(timestamp, bytes)`` records, bare frames (timestamped 0.0) and
+    parsed :class:`~repro.packet.TimedPacket` objects (re-serialized:
+    the wire form is the one representation the pipeline decodes) are
+    joined, ``batch_size`` consecutive items at a time, into one buffer
+    for the reader's row decode.  A frame the IPv4 layer rejects, or an
+    object that cannot be serialized, lands on ``batch.quarantined``
+    with the authoritative exception; nothing raises out of the stream.
+
+    Items already in the pipeline's own form pass through at their
+    stream position, after the open batch is flushed: a
+    :class:`~repro.runtime.control.ControlMessage` (so a hot reload
+    lands between the same two packets on every shard) and an encoded
+    :class:`PacketBatch` (a savefile read by :func:`read_column_batches`
+    needs no second decode).
+    """
+    # Deferred: repro.runtime imports this module.
+    from ..runtime.control import ControlMessage
+
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    ts_list: list[float] = []
+    frames: list[bytes] = []
+    unserializable: list[BaseException] = []
+
+    def flush() -> Iterator[PacketBatch]:
+        if not frames and not unserializable:
+            return
+        caplens = list(map(len, frames))
+        offsets = list(accumulate(caplens, initial=0))[:-1]
+        decoder = _RowDecoder(
+            b"".join(frames), False, len(frames) or 1, "quarantine", _NUMPY
+        )
+        # batch_size covers every frame, so the decode yields one batch
+        # -- or none, when no frame was offered at all.
+        batch = next(decoder.batches(ts_list, offsets, caplens), None)
+        if batch is None:
+            batch = PacketBatch(b"", {})
+        batch.quarantined.extend(unserializable)
+        ts_list.clear()
+        frames.clear()
+        unserializable.clear()
+        yield batch
+
+    for item in source:
+        if isinstance(item, (ControlMessage, PacketBatch)):
+            yield from flush()
+            yield item
+            continue
+        if isinstance(item, TimedPacket):
+            timestamp = item.timestamp
+            try:
+                frame = item.ip.serialize()
+            except DECODE_ERRORS as exc:
+                unserializable.append(exc)
+                frame = None
+        elif isinstance(item, tuple):
+            timestamp, frame = item
+        else:
+            timestamp, frame = 0.0, item
+        if frame is not None:
+            ts_list.append(timestamp)
+            frames.append(bytes(frame))
+        if len(frames) + len(unserializable) >= batch_size:
+            yield from flush()
+    yield from flush()

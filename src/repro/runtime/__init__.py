@@ -29,17 +29,18 @@ Quick tour::
 - :mod:`~repro.runtime.faults` -- deterministic, seed-driven fault
   injection (``RunnerConfig(faults=...)`` / the CLI ``--inject`` flag);
 - :mod:`~repro.runtime.quarantine` -- malformed frames are counted per
-  cause and dropped at the decode boundary, never raised;
+  cause and dropped at the one decode boundary (every source is encoded
+  to ``PacketBatch`` columns before a shard sees it), never raised;
 - :mod:`~repro.runtime.report` -- deterministic alert ordering, summed
   counters, merged telemetry, and the equivalence digest.
 """
 
-from .batching import iter_batches, iter_batches_with_controls, rebatch_columns
+from .batching import iter_batches, rebatch_columns
 from .config import Backpressure, RunnerConfig
 from .control import ControlMessage
 from .faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from .parallel import ParallelRunner, WorkerFailure
-from .quarantine import DECODE_ERRORS, Quarantine, decode_packets
+from .quarantine import DECODE_ERRORS, Quarantine
 from .report import (
     DegradedInterval,
     RuntimeReport,
@@ -76,10 +77,8 @@ __all__ = [
     "ShardRouter",
     "WorkerFailure",
     "alert_sort_key",
-    "decode_packets",
     "equivalence_digest",
     "iter_batches",
-    "iter_batches_with_controls",
     "merge_shard_reports",
     "rebatch_columns",
     "shard_key_bytes",

@@ -1,10 +1,11 @@
-"""Fixed-size batch iteration shared by the runners and the CLI.
+"""Batch intake shared by the runners, the service and the run harness.
 
-One helper, used everywhere a packet stream is consumed in batches: the
-single-process run harness, the serial runner's router loop, and the
-parallel runner's feeder.  Working from an iterator (not a list) is what
-lets ``repro run`` stream a multi-GB pcap under a bounded footprint --
-at most one batch of parsed packets is alive per pipeline stage.
+Every feeder takes its source through :func:`iter_feed`: encoded to
+:class:`~repro.packet.batch.PacketBatch` columns at the door
+(:func:`repro.pcap.columnar.encode_batches`), cut to the configured
+batch size, and relieved of its decode quarantine before any shard sees
+it.  Working from an iterator (not a list) keeps at most one batch
+alive per pipeline stage.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from itertools import islice
 
 from ..packet import TimedPacket
 from ..packet.batch import PacketBatch
+from ..pcap.columnar import encode_batches
 from .control import ControlMessage
+from .quarantine import PacketSource, Quarantine
 
-__all__ = ["iter_batches", "iter_batches_with_controls", "rebatch_columns"]
+__all__ = ["iter_batches", "iter_feed", "rebatch_columns"]
 
 
 def iter_batches(
@@ -39,20 +42,21 @@ def iter_batches(
 
 
 def rebatch_columns(
-    batches: Iterable[PacketBatch], size: int
-) -> Iterator[PacketBatch]:
+    batches: "Iterable[PacketBatch | ControlMessage]", size: int
+) -> "Iterator[PacketBatch | ControlMessage]":
     """Split oversized columnar batches down to at most ``size`` rows.
 
     Split-only by design: batches are never merged across capture
     buffers (a merge would force a copy and break the shared-buffer
     zero-copy contract), so a source already at or under ``size`` passes
-    through untouched.  Quarantined exceptions ride on the first slice
-    of a split batch so the feeder-side ledger sees each exactly once.
+    through untouched -- as does an interleaved control message.
+    Quarantined exceptions ride on the first slice of a split batch so
+    the feeder-side ledger sees each exactly once.
     """
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
     for batch in batches:
-        if len(batch) <= size:
+        if isinstance(batch, ControlMessage) or len(batch) <= size:
             yield batch
             continue
         for start in range(0, len(batch), size):
@@ -62,30 +66,22 @@ def rebatch_columns(
             yield piece
 
 
-def iter_batches_with_controls(
-    items: Iterable["TimedPacket | ControlMessage"], size: int
-) -> Iterator[tuple[str, "list[TimedPacket] | ControlMessage"]]:
-    """Batch a packet stream that may carry interleaved control messages.
+def iter_feed(
+    source: "PacketSource | Iterable[PacketBatch]", size: int, quarantine: Quarantine
+) -> "Iterator[PacketBatch | ControlMessage]":
+    """What a feeder loop consumes: non-empty batches and control messages.
 
-    Yields ``("batch", list[TimedPacket])`` and ``("ctl", ControlMessage)``
-    items in stream order.  A control message flushes the batch under
-    construction first, so every consumer applies the command at exactly
-    the stream position the producer issued it -- the property that makes
-    a hot reload deterministic with respect to the packet sequence.
+    Frames the decode rejected are absorbed into *quarantine* here, on
+    the feeder side -- exception instances never cross a process
+    boundary (SD103) -- and a batch left with no rows is dropped.  A
+    control message keeps its stream position, so every consumer
+    applies the command between the same two packets: what makes a hot
+    reload deterministic with respect to the packet sequence.
     """
-    if size < 1:
-        raise ValueError(f"batch size must be >= 1, got {size}")
-    batch: list[TimedPacket] = []
-    for item in items:
-        if isinstance(item, ControlMessage):
-            if batch:
-                yield "batch", batch
-                batch = []
-            yield "ctl", item
-            continue
-        batch.append(item)
-        if len(batch) >= size:
-            yield "batch", batch
-            batch = []
-    if batch:
-        yield "batch", batch
+    for item in rebatch_columns(encode_batches(source, size), size):
+        if not isinstance(item, ControlMessage):
+            for exc in item.quarantined:
+                quarantine.add(exc)
+            if not item:
+                continue
+        yield item

@@ -103,12 +103,10 @@ class RunnerConfig:
     disables every injection point."""
 
     ingest: str = "object"
-    """Ingest mode: ``"object"`` parses every frame into packet objects
-    (the historical path), ``"columnar"`` feeds the engine whole
-    :class:`~repro.packet.batch.PacketBatch` columns and materializes
-    objects only for flagged rows.  Columnar ingest is incompatible
-    with fault injection (the injection points are defined over object
-    batches)."""
+    """Accepted and ignored: there is one ingest path.  The field
+    survives only because the frozen pipeline ledger still constructs
+    ``RunnerConfig(ingest="columnar")``, and goes with the benchmark
+    change that drops that spelling."""
 
     @property
     def supervised(self) -> bool:
@@ -147,9 +145,3 @@ class RunnerConfig:
                 "heartbeat_timeout must exceed heartbeat_interval, got "
                 f"{self.heartbeat_timeout} <= {self.heartbeat_interval}"
             )
-        if self.ingest not in ("object", "columnar"):
-            raise ValueError(
-                f"ingest must be 'object' or 'columnar', got {self.ingest!r}"
-            )
-        if self.ingest == "columnar" and self.faults is not None:
-            raise ValueError("fault injection is incompatible with columnar ingest")

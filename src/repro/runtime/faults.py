@@ -43,9 +43,9 @@ import os
 import random
 import sys
 import time
+from collections.abc import Sized
 from dataclasses import dataclass
 
-from ..packet import TimedPacket
 from ..packet.errors import MalformedPacketError
 
 __all__ = [
@@ -247,12 +247,13 @@ class FaultInjector:
     def pending(self) -> int:
         return len(self._pending)
 
-    def before_batch(self, packets_seen: int, batch: list[TimedPacket]) -> None:
+    def before_batch(self, packets_seen: int, batch: Sized) -> None:
         """Fire every fault whose index falls inside this batch.
 
-        Called with the shard-local index of the batch's first packet.
-        May sleep, raise :class:`MalformedPacketError` (quarantined by
-        the caller), or -- in a worker process -- never return.
+        Called with the shard-local index of the batch's first packet;
+        only the batch's length is consulted.  May sleep, raise
+        :class:`MalformedPacketError` (quarantined by the caller), or
+        -- in a worker process -- never return.
         """
         end = packets_seen + len(batch)
         while self._pending and self._pending[0].at < end:

@@ -47,12 +47,11 @@ from collections.abc import Iterable, Iterator
 from time import monotonic, perf_counter
 from typing import Any
 
-from ..packet import TimedPacket
 from ..packet.batch import PacketBatch
-from .batching import iter_batches_with_controls, rebatch_columns
+from .batching import iter_feed
 from .config import Backpressure, RunnerConfig
 from .control import ControlMessage
-from .quarantine import PacketSource, Quarantine, decode_packets
+from .quarantine import PacketSource, Quarantine
 from .report import (
     DegradedInterval,
     RuntimeReport,
@@ -73,12 +72,6 @@ _PUT_POLL_SECONDS = 0.5
 #: Seconds the supervisor's drain loop waits per results-queue read
 #: between liveness sweeps.
 _DRAIN_POLL_SECONDS = 0.1
-
-def _bucket_first_ts(bucket: "list[TimedPacket] | PacketBatch") -> float:
-    """Timestamp of a non-empty bucket's first packet (either kind)."""
-    if isinstance(bucket, PacketBatch):
-        return bucket.first_ts
-    return bucket[0].timestamp
 
 
 class WorkerFailure(RuntimeError):
@@ -197,50 +190,26 @@ class ParallelRunner:
             except ValueError:
                 pass  # unkillable straggler; nothing more we can do
 
-    def _split_buckets(
-        self, item: "list[TimedPacket] | PacketBatch"
-    ) -> "Iterator[tuple[int, list[TimedPacket] | PacketBatch]]":
+    def _split_buckets(self, batch: PacketBatch) -> Iterator[tuple[int, PacketBatch]]:
         """Yield non-empty ``(shard, bucket)`` pairs for one input batch.
 
-        Columnar batches are routed off the precomputed hash columns and
-        compacted (fresh buffer holding just the selected records) so a
-        pickle to the worker never ships the whole capture file.
+        Rows are routed off the precomputed hash columns and compacted
+        (fresh buffer holding just the selected records) so a pickle to
+        the worker never ships the whole capture file.
         """
-        if isinstance(item, PacketBatch):
-            if self.workers == 1:
-                yield 0, item.compact()
-                return
-            for index, rows in enumerate(item.shard_rows(self.router)):
-                if rows:
-                    yield index, item.select(rows).compact()
+        if self.workers == 1:
+            yield 0, batch.compact()
             return
-        buckets: list[list[TimedPacket]] = [[] for _ in range(self.workers)]
-        shard_of = self.router.shard_of
-        for packet in item:
-            buckets[shard_of(packet)].append(packet)
-        for index, bucket in enumerate(buckets):
-            if bucket:
-                yield index, bucket
-
-    def _columnar_items(
-        self, batches: Iterable[PacketBatch], quarantine: Quarantine
-    ) -> "Iterator[tuple[str, PacketBatch]]":
-        """Adapt a columnar stream to the feeder loops' item protocol.
-
-        Reader-side quarantined exceptions are absorbed into the feeder
-        ledger here -- they never cross a process boundary (SD103)."""
-        for batch in rebatch_columns(batches, self.config.batch_size):
-            for exc in batch.quarantined:
-                quarantine.add(exc)
-            if batch:
-                yield "batch", batch
+        for index, rows in enumerate(batch.shard_rows(self.router)):
+            if rows:
+                yield index, batch.select(rows).compact()
 
     # -- legacy fail-fast path -------------------------------------------
 
     def _put_blocking(
         self,
         in_queue: Any,
-        item: "list[TimedPacket] | PacketBatch | None",
+        item: "PacketBatch | ControlMessage | None",
         process: Any,
         shard: int,
     ) -> None:
@@ -255,35 +224,23 @@ class ParallelRunner:
                         f"shard {shard} worker exited with its queue full"
                     ) from None
 
-    def run(self, packets: PacketSource) -> RuntimeReport:
+    def run(self, packets: "PacketSource | Iterable[PacketBatch]") -> RuntimeReport:
         """Route, process in parallel, drain gracefully, merge.
 
-        Accepts parsed :class:`TimedPacket` streams (zero-cost
-        passthrough) or raw ``(timestamp, bytes)`` records, which are
-        decoded here with malformed frames quarantined rather than
-        raised (see :mod:`repro.runtime.quarantine`).
+        Accepts what :meth:`SerialRunner.run` accepts, through the same
+        intake; malformed frames are quarantined feeder-side rather
+        than raised (see :mod:`repro.runtime.quarantine`), and each
+        shard's engine consumes its routed column slices directly.
         """
         if self.config.supervised:
             return self._run_supervised(packets)
         return self._run_legacy(packets)
 
-    def run_columnar(self, batches: Iterable[PacketBatch]) -> RuntimeReport:
-        """Route, process in parallel, and merge a columnar batch stream.
+    # The name the pipeline ledger binds; one method since every source
+    # is encoded at the door.
+    run_columnar = run
 
-        Same topology, backpressure, supervision, and merge as
-        :meth:`run`; the input is :class:`~repro.packet.batch.PacketBatch`
-        columns (see :func:`repro.pcap.read_column_batches`) and each
-        shard's engine consumes its routed column slices directly.
-        """
-        if self.config.faults is not None:
-            raise ValueError("fault injection is incompatible with columnar ingest")
-        if self.config.supervised:
-            return self._run_supervised(batches, columnar=True)
-        return self._run_legacy(batches, columnar=True)
-
-    def _run_legacy(
-        self, packets: Any, *, columnar: bool = False
-    ) -> RuntimeReport:
+    def _run_legacy(self, packets: Any) -> RuntimeReport:
         config = self.config
         ctx = mp.get_context(config.start_method)
         in_queues = [ctx.Queue(maxsize=config.queue_depth) for _ in range(self.workers)]
@@ -300,14 +257,9 @@ class ParallelRunner:
         shed = config.backpressure is Backpressure.SHED
         interrupted = False
         try:
-            if columnar:
-                items: Any = self._columnar_items(packets, quarantine)
-            else:
-                stream = decode_packets(packets, quarantine)
-                items = iter_batches_with_controls(stream, config.batch_size)
             try:
-                for kind, item in items:
-                    if kind == "ctl":
+                for item in iter_feed(packets, config.batch_size, quarantine):
+                    if isinstance(item, ControlMessage):
                         # Controls are lossless even under shed: dropping
                         # a reload would silently split the fleet across
                         # rule generations.
@@ -378,9 +330,7 @@ class ParallelRunner:
 
     # -- supervised path --------------------------------------------------
 
-    def _run_supervised(
-        self, packets: Any, *, columnar: bool = False
-    ) -> RuntimeReport:
+    def _run_supervised(self, packets: Any) -> RuntimeReport:
         config = self.config
         ctx = mp.get_context(config.start_method)
         out_queue = ctx.Queue()
@@ -529,7 +479,7 @@ class ParallelRunner:
                         f"no heartbeat for {config.heartbeat_timeout:g}s",
                     )
 
-        def route(seat: _Seat, bucket: "list[TimedPacket] | PacketBatch") -> None:
+        def route(seat: _Seat, bucket: PacketBatch) -> None:
             nonlocal shed_packets, shed_batches, batches_routed
             if seat.dead:
                 seat.dead_dropped_packets += len(bucket)
@@ -560,7 +510,7 @@ class ParallelRunner:
             if interval is not None and bucket:
                 # The replacement generation is taking traffic again;
                 # close the coverage gap at this batch's first packet.
-                interval.end_ts = _bucket_first_ts(bucket)
+                interval.end_ts = bucket.first_ts
                 seat.open_interval = None
 
         def broadcast_control(message: ControlMessage) -> None:
@@ -587,15 +537,10 @@ class ParallelRunner:
 
         interrupted = False
         try:
-            if columnar:
-                items: Any = self._columnar_items(packets, quarantine)
-            else:
-                stream = decode_packets(packets, quarantine)
-                items = iter_batches_with_controls(stream, config.batch_size)
             try:
-                for kind, item in items:
+                for item in iter_feed(packets, config.batch_size, quarantine):
                     poll()
-                    if kind == "ctl":
+                    if isinstance(item, ControlMessage):
                         broadcast_control(item)
                         continue
                     for index, bucket in self._split_buckets(item):

@@ -8,10 +8,13 @@ and a frame that fails IPv4 parsing is diverted into a
 :class:`Quarantine` ledger (per-cause counts plus a few exemplars)
 instead of raising out of the feed loop.
 
-Two quarantine sites exist, same ledger shape at both:
+There is one decode boundary -- the row decode behind
+:func:`repro.pcap.columnar.encode_batches` and the savefile reader --
+and two quarantine sites, same ledger shape at both:
 
-- **feeder-side** (this module's :func:`decode_packets`): raw pcap
-  records that never become a :class:`~repro.packet.TimedPacket`;
+- **feeder-side** (:func:`~repro.runtime.batching.iter_feed`): frames
+  the decode rejected, carried on ``batch.quarantined``, that never
+  become a row;
 - **shard-side** (:meth:`~repro.runtime.worker.ShardProcessor.feed`):
   a :class:`~repro.packet.errors.PacketError` escaping the engine for a
   batch that decoded but blew up deeper in the pipeline.
@@ -23,22 +26,13 @@ malformed traffic is *visibly* degraded, never silently wrong.
 
 from __future__ import annotations
 
-import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
-from ..packet import IPv4Packet, TimedPacket
-from ..packet.errors import PacketError
+from ..packet import TimedPacket
+from ..pcap.columnar import DECODE_ERRORS
 from .control import ControlMessage
 
-__all__ = ["DECODE_ERRORS", "PacketSource", "Quarantine", "decode_packets"]
-
-#: Exception types the decode boundary converts into quarantine entries.
-#: Anything else is a genuine bug and must escape loudly.
-DECODE_ERRORS: tuple[type[BaseException], ...] = (
-    PacketError,
-    ValueError,
-    struct.error,
-)
+__all__ = ["DECODE_ERRORS", "PacketSource", "Quarantine"]
 
 #: What the runners accept: parsed packets, (timestamp, bytes) records,
 #: bare frame bytes (timestamped 0.0), or interleaved
@@ -72,32 +66,3 @@ class Quarantine:
         """Fold this ledger's counts into an accumulating cause map."""
         for cause in sorted(self.counts):
             counts[cause] = counts.get(cause, 0) + self.counts[cause]
-
-
-def decode_packets(
-    items: PacketSource, quarantine: Quarantine
-) -> "Iterator[TimedPacket | ControlMessage]":
-    """Yield parsed packets; malformed frames go to *quarantine*.
-
-    Already-parsed :class:`TimedPacket` items pass through untouched, so
-    existing callers pay nothing; raw ``(timestamp, bytes)`` records (or
-    bare ``bytes``) are parsed here, and a frame the IPv4 layer rejects
-    is counted by exception class and dropped -- the pipeline keeps
-    running.  :class:`ControlMessage` items pass through at their stream
-    position (the runners broadcast them to every shard).
-    """
-    for item in items:
-        if isinstance(item, TimedPacket):
-            yield item
-            continue
-        if isinstance(item, ControlMessage):
-            yield item
-            continue
-        if isinstance(item, tuple):
-            timestamp, data = item
-        else:
-            timestamp, data = 0.0, item
-        try:
-            yield TimedPacket(float(timestamp), IPv4Packet.parse(bytes(data)))
-        except DECODE_ERRORS as exc:
-            quarantine.add(exc)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from time import perf_counter
 
-from ..packet import TimedPacket
 from ..packet.batch import PacketBatch
-from .batching import iter_batches_with_controls, rebatch_columns
+from .batching import iter_feed
 from .config import RunnerConfig
-from .quarantine import PacketSource, Quarantine, decode_packets
+from .control import ControlMessage
+from .quarantine import PacketSource, Quarantine
 from .report import RuntimeReport, merge_shard_reports
 from .sharding import ShardRouter
 from .spec import EngineSpec
@@ -43,15 +43,20 @@ class SerialRunner:
         self.config = config or RunnerConfig()
         self.router = ShardRouter(shards, self.config.shard_policy)
 
-    def run(self, packets: PacketSource) -> RuntimeReport:
+    def run(self, packets: "PacketSource | Iterable[PacketBatch]") -> RuntimeReport:
         """Route, process, and merge one packet stream.
 
-        Accepts parsed packets or raw ``(timestamp, bytes)`` records;
-        malformed frames are quarantined, never raised (see
-        :mod:`repro.runtime.quarantine`).  Fault injection runs with
-        process-scoped kinds (crash/hang) disabled: an in-process shard
-        taking the interpreter down would kill the caller, not the
-        shard.
+        Accepts parsed packets, raw ``(timestamp, bytes)`` records or
+        encoded :class:`~repro.packet.batch.PacketBatch` columns (see
+        :func:`repro.pcap.read_column_batches`), control messages
+        interleaved anywhere, all through the one intake
+        (:func:`~repro.runtime.batching.iter_feed`).  Malformed frames
+        are quarantined, never raised (see
+        :mod:`repro.runtime.quarantine`); row selections share the
+        source buffer (no copies -- everything stays in this process).
+        Fault injection runs with process-scoped kinds (crash/hang)
+        disabled: an in-process shard taking the interpreter down would
+        kill the caller, not the shard.
         """
         start = perf_counter()
         processors = [
@@ -59,64 +64,21 @@ class SerialRunner:
             for index in range(self.shards)
         ]
         quarantine = Quarantine()
-        shard_of = self.router.shard_of
         batches_routed = 0
-        stream = decode_packets(packets, quarantine)
-        for kind, item in iter_batches_with_controls(stream, self.config.batch_size):
-            if kind == "ctl":
+        for item in iter_feed(packets, self.config.batch_size, quarantine):
+            if isinstance(item, ControlMessage):
                 # Broadcast: every shard applies the command at this
                 # stream position (same contract as the parallel path).
                 for processor in processors:
                     processor.control(item)
                 continue
-            buckets: list[list[TimedPacket]] = [[] for _ in range(self.shards)]
-            for packet in item:
-                buckets[shard_of(packet)].append(packet)
-            for index, bucket in enumerate(buckets):
-                if bucket:
-                    processors[index].feed(bucket)
-                    batches_routed += 1
-        reports = [processor.finish() for processor in processors]
-        return merge_shard_reports(
-            reports,
-            mode="serial",
-            workers=self.shards,
-            wall_seconds=perf_counter() - start,
-            batches_routed=batches_routed,
-            quarantined=dict(quarantine.counts),
-        )
-
-    def run_columnar(self, batches: Iterable[PacketBatch]) -> RuntimeReport:
-        """Route, process, and merge a columnar batch stream.
-
-        Same shards, same merge, same report as :meth:`run` -- the
-        stream is :class:`~repro.packet.batch.PacketBatch` columns (see
-        :func:`repro.pcap.read_column_batches`) instead of packet
-        objects.  Reader-side quarantined exceptions are absorbed into
-        the feeder ledger here; row selections share the source buffer
-        (no copies -- everything stays in this process).
-        """
-        if self.config.faults is not None:
-            raise ValueError("fault injection is incompatible with columnar ingest")
-        start = perf_counter()
-        processors = [
-            ShardProcessor(index, self.spec, self.config, allow_process_faults=False)
-            for index in range(self.shards)
-        ]
-        quarantine = Quarantine()
-        batches_routed = 0
-        for batch in rebatch_columns(batches, self.config.batch_size):
-            for exc in batch.quarantined:
-                quarantine.add(exc)
-            if not batch:
-                continue
             if self.shards == 1:
-                processors[0].feed(batch)
+                processors[0].feed(item)
                 batches_routed += 1
                 continue
-            for index, rows in enumerate(batch.shard_rows(self.router)):
+            for index, rows in enumerate(item.shard_rows(self.router)):
                 if rows:
-                    processors[index].feed(batch.select(rows))
+                    processors[index].feed(item.select(rows))
                     batches_routed += 1
         reports = [processor.finish() for processor in processors]
         return merge_shard_reports(
@@ -127,3 +89,7 @@ class SerialRunner:
             batches_routed=batches_routed,
             quarantined=dict(quarantine.counts),
         )
+
+    # The name the pipeline ledger drives; one method since every source
+    # is encoded at the door.
+    run_columnar = run

@@ -33,13 +33,7 @@ from __future__ import annotations
 import enum
 
 from ..core.flowtable import fnv1a_64
-from ..packet import (
-    IP_PROTO_TCP,
-    IP_PROTO_UDP,
-    FlowKey,
-    TimedPacket,
-    flow_key_of,
-)
+from ..packet import FlowKey
 
 __all__ = ["ShardPolicy", "ShardRouter", "shard_key_bytes"]
 
@@ -86,26 +80,3 @@ class ShardRouter:
         """Shard index for a flow key (``fragment`` forces the port-less key)."""
         with_ports = self.policy is ShardPolicy.TUPLE5 and not fragment
         return fnv1a_64(shard_key_bytes(flow, with_ports=with_ports)) % self.shards
-
-    def shard_of(self, packet: TimedPacket) -> int:
-        """Shard index for one packet.
-
-        Non-TCP/UDP and otherwise undecodable packets all go to shard 0:
-        they carry no flow state, so placement only needs to be
-        deterministic, and a fixed shard keeps their handling (and any
-        alerts) in one place.
-        """
-        ip = packet.ip
-        if ip.protocol not in (IP_PROTO_TCP, IP_PROTO_UDP):
-            return 0
-        if ip.is_fragment:
-            # No transport header guaranteed; hash the address pair so
-            # every fragment -- and, under FLOW, the rest of the
-            # connection -- agrees on the shard.
-            key = FlowKey(ip.src, ip.dst, 0, 0, ip.protocol)
-            return self.shard_of_flow(key, fragment=True)
-        try:
-            flow = flow_key_of(ip)
-        except ValueError:
-            return 0
-        return self.shard_of_flow(flow)

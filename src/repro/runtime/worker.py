@@ -38,7 +38,6 @@ from time import monotonic, process_time_ns
 from typing import Any
 
 from ..core import Alert
-from ..packet import TimedPacket
 from ..packet.batch import PacketBatch
 from ..packet.errors import PacketError
 from ..telemetry import FlowTracer, TelemetryRegistry
@@ -112,38 +111,27 @@ class ShardProcessor:
         self._flush_seq = 0
         self._evict_anchor: float | None = None
 
-    def feed(self, batch: "list[TimedPacket] | PacketBatch") -> None:
+    def feed(self, batch: PacketBatch) -> None:
         """Process one routed batch (engine work + periodic housekeeping).
 
-        Accepts an object batch (``list[TimedPacket]``) or a columnar
-        :class:`~repro.packet.batch.PacketBatch`; both take the same
-        housekeeping path (eviction cadence, state sampling, busy-time
-        accounting), so the two ingest modes see identical batch
-        boundaries.  A :class:`PacketError` raised at this boundary --
-        by an injected decode fault or by the engine itself --
-        quarantines the affected packets and returns normally: malformed
-        input degrades coverage (visibly, via the ledger), never the
+        Every source reaches a shard as
+        :class:`~repro.packet.batch.PacketBatch` columns, so eviction
+        cadence, state sampling, busy-time accounting and the fault
+        injection points see the same batch boundaries whatever fed the
+        run.  A :class:`PacketError` raised at this boundary -- by an
+        injected decode fault or by the engine itself -- quarantines
+        the affected packets and returns normally: malformed input
+        degrades coverage (visibly, via the ledger), never the
         pipeline.
         """
         if not batch:
             return
-        columnar = isinstance(batch, PacketBatch)
-        if columnar:
-            count = len(batch)
-            first_ts = batch.first_ts
-            last_ts = batch.last_ts
-            if self.injector is not None:
-                # RunnerConfig rejects faults+columnar; guard direct use.
-                raise RuntimeError(
-                    "fault injection is incompatible with columnar ingest"
-                )
-        else:
-            count = len(batch)
-            first_ts = batch[0].timestamp
-            last_ts = batch[-1].timestamp
+        count = len(batch)
+        first_ts = batch.first_ts
+        last_ts = batch.last_ts
         self.packets_seen += count
         self.last_ts = last_ts
-        if self.injector is not None and not columnar:
+        if self.injector is not None:
             try:
                 self.injector.before_batch(self.packets_seen - count, batch)
             except PacketError as exc:
@@ -164,10 +152,7 @@ class ShardProcessor:
         t0 = process_time_ns()
         examined_before = self.engine.stats.packets_total
         try:
-            if columnar:
-                self.alerts.extend(self.engine.process_column_batch(batch))
-            else:
-                self.alerts.extend(self.engine.process_batch(batch))
+            self.alerts.extend(self.engine.process_column_batch(batch))
         except PacketError as exc:
             # The engine raised mid-batch.  The packets it already
             # counted stay counted (their alerts are lost with the

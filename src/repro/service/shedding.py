@@ -34,6 +34,7 @@ from typing import Any
 
 from ..hashing import fnv1a_64
 from ..packet import FlowKey
+from ..packet.batch import PacketBatch, ip_u32_to_str, portless_flow_hash
 
 __all__ = ["LoadShedder", "ShedPolicy"]
 
@@ -83,6 +84,9 @@ def _shed_slot(flow: FlowKey) -> int:
     Port-less canonical key, same serialization discipline as the trace
     id and the fragment-safe shard policy: both directions and every IP
     fragment of a flow land on one slot, so a shed flow is shed wholly.
+    (The same hash :func:`~repro.packet.batch.portless_flow_hash` puts
+    in a batch's ``flow_hash`` column, which is what
+    :meth:`LoadShedder.shed_rows` reads.)
     """
     canonical = flow.canonical()
     return (
@@ -147,21 +151,18 @@ class LoadShedder:
             self._calm_streak = 0
         return self.level
 
-    def should_shed(self, flow: FlowKey, *, engine: Any, tracer: Any = None) -> bool:
-        """The per-packet decision, with the never-shed invariants.
+    def _threshold(self) -> float:
+        """Shed-space slots below this are shed (0: nothing is)."""
+        if not self.enabled:
+            return 0.0
+        return self.policy.levels[self.level] * _SHED_SCALE
 
-        Order matters: the protection checks run *before* the hash, so
-        a currently-diverted or force-traced flow is never shed at any
+    def _shed_unless_protected(self, flow: FlowKey, engine: Any, tracer: Any) -> bool:
+        """The never-shed invariants, for a flow inside the shed space.
+
+        A currently-diverted or force-traced flow is never shed at any
         level -- the invariant the shedding test asserts under injected
-        overload.
-        """
-        if not self.enabled or self.level == 0:
-            return False
-        fraction = self.policy.levels[self.level]
-        if fraction <= 0.0:
-            return False
-        if _shed_slot(flow) >= fraction * _SHED_SCALE:
-            return False
+        overload."""
         if engine.is_diverted(flow):
             self.protected_packets += 1
             return False
@@ -170,6 +171,53 @@ class LoadShedder:
             return False
         self.shed_packets += 1
         return True
+
+    def should_shed(self, flow: FlowKey, *, engine: Any, tracer: Any = None) -> bool:
+        """The per-packet decision, with the never-shed invariants."""
+        if _shed_slot(flow) >= self._threshold():
+            return False
+        return self._shed_unless_protected(flow, engine, tracer)
+
+    def shed_rows(
+        self, batch: PacketBatch, rows: list[int], *, engine: Any, tracer: Any = None
+    ) -> tuple[list[int], list[tuple[int, FlowKey]]]:
+        """:meth:`should_shed` over batch rows: ``(kept, shed)``.
+
+        The slot comes off the precomputed ``flow_hash`` column, so a
+        flow key is only built for rows inside the shed space.  A
+        non-first fragment has no ports to name its flow and is always
+        kept.  Shed rows come back with their flow for the caller's
+        counters and trace spans.
+        """
+        threshold = self._threshold()
+        if threshold <= 0:
+            return rows, []
+        kept: list[int] = []
+        shed: list[tuple[int, FlowKey]] = []
+        fragflags = batch.fragflags
+        flow_hash = batch.flow_hash
+        for row in rows:
+            if fragflags[row] & 0x1FFF:
+                kept.append(row)
+                continue
+            src, dst, proto = batch.src[row], batch.dst[row], batch.proto[row]
+            # The column is only filled for TCP/UDP rows.
+            digest = flow_hash[row] or portless_flow_hash(src, dst, proto)
+            if digest % _SHED_SCALE >= threshold:
+                kept.append(row)
+                continue
+            flow = FlowKey(
+                ip_u32_to_str(src),
+                ip_u32_to_str(dst),
+                batch.sport[row],
+                batch.dport[row],
+                proto,
+            )
+            if self._shed_unless_protected(flow, engine, tracer):
+                shed.append((row, flow))
+            else:
+                kept.append(row)
+        return kept, shed
 
     def state(self) -> dict[str, Any]:
         """The /shed body: level, fractions, and the decision counters."""

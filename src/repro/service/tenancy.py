@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..packet import IP_PROTO_TCP, IP_PROTO_UDP, TimedPacket
+from ..packet.batch import PacketBatch, forget_interned_flows
 from ..runtime import RunnerConfig, ShardProcessor
 from ..runtime.control import ControlMessage
 from ..runtime.spec import EngineSpec
@@ -58,17 +59,17 @@ class TenantSpec:
     """Where the rules came from, so a hot reload can re-read them."""
 
 
-def _parse_networks(
-    selectors: tuple[str, ...],
-) -> list[ipaddress.IPv4Network]:
+def _parse_networks(selectors: tuple[str, ...]) -> list[tuple[int, int]]:
+    """``(network, netmask)`` integer pairs, the form the columns compare."""
     networks = []
     for selector in selectors:
         try:
-            networks.append(ipaddress.ip_network(selector, strict=False))
+            network = ipaddress.IPv4Network(selector, strict=False)
         except ValueError as exc:
             raise ValueError(
                 f"bad tenant selector {selector!r}: not an IPv4 address or CIDR"
             ) from exc
+        networks.append((int(network.network_address), int(network.netmask)))
     return networks
 
 
@@ -133,16 +134,26 @@ class TenantTable:
                 for selector in spec.selectors:
                     port = int(selector)
                     self._ports.setdefault(port, spec.name)
-            self._networks: list[tuple[ipaddress.IPv4Network, str]] = []
+            self._networks: list[tuple[int, int, str]] = []
         else:
             self._ports = {}
             self._networks = []
             for spec in tenants:
-                for network in _parse_networks(spec.selectors):
-                    self._networks.append((network, spec.name))
+                for network, netmask in _parse_networks(spec.selectors):
+                    self._networks.append((network, netmask, spec.name))
+
+    def _tenant_of_address(self, address: int) -> str:
+        for network, netmask, name in self._networks:
+            if address & netmask == network:
+                return name
+        return DEFAULT_TENANT
 
     def tenant_of(self, packet: TimedPacket) -> str:
-        """The owning tenant's name; :data:`DEFAULT_TENANT` if unmatched."""
+        """The owning tenant's name; :data:`DEFAULT_TENANT` if unmatched.
+
+        The per-packet statement of the keyer; the service routes whole
+        batches through :meth:`tenant_rows`, which must agree with this
+        row for row (tested)."""
         ip = packet.ip
         if self.keyer == "dst-port":
             if ip.is_fragment and ip.fragment_offset > 0:
@@ -155,13 +166,39 @@ class TenantTable:
             return self._ports.get(
                 int.from_bytes(payload[2:4], "big"), DEFAULT_TENANT
             )
-        address = ipaddress.ip_address(
-            ip.dst if self.keyer == "dst-ip" else ip.src
+        return self._tenant_of_address(
+            int(ipaddress.IPv4Address(ip.dst if self.keyer == "dst-ip" else ip.src))
         )
-        for network, name in self._networks:
-            if address in network:
-                return name
-        return DEFAULT_TENANT
+
+    def tenant_rows(self, batch: PacketBatch) -> dict[str, list[int]]:
+        """Row indices per owning tenant, in row order."""
+        if not self.specs:
+            return {DEFAULT_TENANT: list(range(len(batch)))}
+        rows_by_tenant: dict[str, list[int]] = {}
+        if self.keyer == "dst-port":
+            ports = self._ports
+            fragflags = batch.fragflags
+            for row, port in enumerate(batch.dport):
+                # A 0 in the column is "port 0" or "no port to read",
+                # and a non-first fragment's column holds payload bytes:
+                # the per-packet rule decides those rows.
+                if port == 0 or fragflags[row] & 0x1FFF:
+                    name = self.tenant_of(batch.materialize(row))
+                else:
+                    name = ports.get(port, DEFAULT_TENANT)
+                rows_by_tenant.setdefault(name, []).append(row)
+            return rows_by_tenant
+        tenant_of_address = self._tenant_of_address
+        addresses = batch.dst if self.keyer == "dst-ip" else batch.src
+        for row, address in enumerate(addresses):
+            rows_by_tenant.setdefault(tenant_of_address(address), []).append(row)
+        return rows_by_tenant
+
+    def forget_interned_flows(self) -> None:
+        """Release every pipeline's per-flow intern caches (not flow state)."""
+        for processor in self.processors.values():
+            processor.engine.forget_interned_flows()
+        forget_interned_flows()
 
     def processor(self, name: str) -> ShardProcessor:
         return self.processors[name]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.packet import FlowKey
+from repro.core import Alert, SplitDetectIPS
+from repro.packet import FlowKey, PacketBatch, TimedPacket
+from repro.pcap.columnar import encode_batches
 from repro.signatures import RuleSet, Signature
 
 ATTACK_SIGNATURE = b"EVIL/shellcode\x90\x90\x90:run/bin/sh"  # 31 bytes
@@ -36,3 +38,16 @@ def attack_payload(total: int = 2000, offset: int = SIGNATURE_OFFSET) -> bytes:
 
 def signature_span() -> tuple[int, int]:
     return (SIGNATURE_OFFSET, len(ATTACK_SIGNATURE))
+
+
+def as_batch(packets: list[TimedPacket]) -> PacketBatch:
+    """One encoded batch holding every packet (what a shard is fed)."""
+    (batch,) = encode_batches(packets, len(packets))
+    assert not batch.quarantined
+    return batch
+
+
+def per_packet_oracle(ips: SplitDetectIPS, packets) -> list[Alert]:
+    """The reference every batch route is compared against: the engine's
+    per-packet ``process()`` loop, no batching, no encoder."""
+    return [alert for packet in packets for alert in ips.process(packet)]

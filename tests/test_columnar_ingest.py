@@ -1,11 +1,13 @@
-"""Columnar ingest: object/columnar parity, edge cases, and wiring.
+"""Ingest: batch route vs per-packet reference, encoder differential, wiring.
 
-The tentpole contract is byte-identical results: the columnar reader +
-``process_column_batch`` must produce the same alerts, stats, flow
-state, and runtime digests as the object path on the same savefile --
-with numpy on or off, on both supported linktypes, through every
-runner.  Everything here compares the two pipelines over one file so a
-single drifted field fails loudly.
+The contract is byte-identical results: whatever feeds it -- the
+savefile reader or the door encoder -- ``process_column_batch`` must
+produce the same alerts, stats, flow state, and runtime digests as the
+unsharded per-packet ``SplitDetectIPS.process()`` loop on the same
+savefile, with numpy on or off, on both supported linktypes, through
+every runner.  The reference shares no batching and no decode with the
+route under test, so a single drifted field fails loudly; and the one
+decode itself is held to ``IPv4Packet.parse`` record by record.
 """
 
 from __future__ import annotations
@@ -13,19 +15,30 @@ from __future__ import annotations
 import io
 import pickle
 import struct
+from unittest import mock
 
 import pytest
 
 from repro.cli import main
 from repro.core import FastPathConfig, SplitDetectIPS
 from repro.evasion import build_attack
-from repro.metrics import run_split_detect, run_split_detect_columnar
+from repro.metrics import run_split_detect
 from repro.packet import (
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
     TCP_ACK,
     TCP_SYN,
+    IPv4Packet,
     TcpSegment,
     TimedPacket,
+    UdpDatagram,
     build_tcp_packet,
+    build_udp_packet,
+    decode_tcp,
+    decode_udp,
+    flow_key_of,
+    fragment,
+    ip_u32_to_str,
 )
 from repro.pcap import (
     LINKTYPE_ETHERNET,
@@ -38,21 +51,25 @@ from repro.pcap import (
     read_trace,
     write_trace,
 )
+from repro.pcap import columnar
+from repro.pcap.columnar import encode_batches
 from repro.runtime import (
+    DECODE_ERRORS,
     EngineSpec,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
     ParallelRunner,
-    Quarantine,
-    RunnerConfig,
     SerialRunner,
-    decode_packets,
+    equivalence_digest,
     rebatch_columns,
 )
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
-from helpers import ATTACK_SIGNATURE, SIGNATURE_OFFSET, attack_payload, attack_ruleset
+from helpers import (
+    ATTACK_SIGNATURE,
+    SIGNATURE_OFFSET,
+    attack_payload,
+    attack_ruleset,
+    per_packet_oracle,
+)
 
 NUMPY_MODES = [False, True] if numpy_available() else [False]
 
@@ -85,14 +102,10 @@ def mixed_pcaps(tmp_path_factory):
     return paths
 
 
-def run_object_engine(rules, path):
-    ips = SplitDetectIPS(rules)
-    alerts = []
-    from repro.runtime import iter_batches
-
-    for batch in iter_batches(read_trace(path), 256):
-        alerts.extend(ips.process_batch(batch))
-    return ips, alerts
+def run_object_engine(rules, path, **ips_kw):
+    """The reference: parsed packet objects, one ``process()`` at a time."""
+    ips = SplitDetectIPS(rules, **ips_kw)
+    return ips, per_packet_oracle(ips, read_trace(path))
 
 
 def run_columnar_engine(rules, path, use_numpy, **ips_kw):
@@ -133,12 +146,7 @@ class TestEngineParity:
         path = mixed_pcaps[LINKTYPE_RAW_IP]
         rules = attack_ruleset()
         config = FastPathConfig(state_backend="table")
-        obj = SplitDetectIPS(rules, fast_config=config)
-        obj_alerts = []
-        from repro.runtime import iter_batches
-
-        for batch in iter_batches(read_trace(path), 256):
-            obj_alerts.extend(obj.process_batch(batch))
+        obj, obj_alerts = run_object_engine(rules, path, fast_config=config)
         col, col_alerts = run_columnar_engine(
             rules, path, use_numpy, fast_config=config
         )
@@ -163,27 +171,33 @@ class TestNumpyStdlibEquivalence:
 
 
 class TestRunnerParity:
+    @staticmethod
+    def oracle_digest(path) -> str:
+        ips, alerts = run_object_engine(attack_ruleset(), path)
+        return equivalence_digest(alerts, ips.stats)
+
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_serial_digest_equal(self, mixed_pcaps, shards):
         path = mixed_pcaps[LINKTYPE_RAW_IP]
         spec = EngineSpec(rules=attack_ruleset())
+        oracle = self.oracle_digest(path)
         obj = SerialRunner(spec, shards=shards).run(read_trace(path))
-        col = SerialRunner(
-            spec, shards=shards, config=RunnerConfig(ingest="columnar")
-        ).run_columnar(read_column_batches(path))
-        assert obj.digest() == col.digest()
-        assert obj.packets == col.packets
+        rec = SerialRunner(spec, shards=shards).run(read_records(path))
+        col = SerialRunner(spec, shards=shards).run_columnar(read_column_batches(path))
+        assert obj.digest() == rec.digest() == col.digest() == oracle
+        assert obj.packets == rec.packets == col.packets
 
     def test_parallel_digest_equal(self, mixed_pcaps):
         path = mixed_pcaps[LINKTYPE_RAW_IP]
         spec = EngineSpec(rules=attack_ruleset())
         obj = ParallelRunner(spec, workers=2).run(read_trace(path))
-        col = ParallelRunner(
-            spec, workers=2, config=RunnerConfig(ingest="columnar")
-        ).run_columnar(read_column_batches(path))
-        assert obj.digest() == col.digest()
+        col = ParallelRunner(spec, workers=2).run_columnar(read_column_batches(path))
+        assert obj.digest() == col.digest() == self.oracle_digest(path)
 
     def test_harness_reports_match(self, mixed_pcaps):
+        """Encoder-built and reader-built batches drive the harness alike
+        (same boundaries, so same sampling and eviction points), and both
+        alert exactly as the per-packet reference does."""
         path = mixed_pcaps[LINKTYPE_RAW_IP]
         rules = attack_ruleset()
         obj = run_split_detect(
@@ -192,9 +206,10 @@ class TestRunnerParity:
             batch_size=256,
             evict_interval=5.0,
         )
-        col = run_split_detect_columnar(
+        col = run_split_detect(
             SplitDetectIPS(rules),
             read_column_batches(path, batch_size=256, on_invalid="raise"),
+            batch_size=256,
             evict_interval=5.0,
         )
         assert obj.alerts == col.alerts
@@ -203,6 +218,10 @@ class TestRunnerParity:
         assert obj.divert_reasons == col.divert_reasons
         assert obj.peak_flows == col.peak_flows
         assert obj.peak_state_bytes == col.peak_state_bytes
+        # Evictions only ever drop idle state here, so the reference
+        # (which never evicts) sees the same alerts.
+        _ips, reference = run_object_engine(rules, path)
+        assert col.alerts == reference
 
 
 class TestEdgeCases:
@@ -223,9 +242,11 @@ class TestEdgeCases:
         record = struct.pack("<IIII", 1, 0, len(clipped), len(raw)) + clipped
         data = header + record
 
-        object_q = Quarantine()
-        packets = list(decode_packets(read_records(io.BytesIO(data)), object_q))
-        assert packets == []
+        with pytest.raises(DECODE_ERRORS) as parse_error:
+            IPv4Packet.parse(clipped)
+        (encoded,) = encode_batches(read_records(io.BytesIO(data)), 256)
+        assert len(encoded) == 0
+        assert [type(exc) for exc in encoded.quarantined] == [parse_error.type]
 
         batches = list(read_column_batches(io.BytesIO(data)))
         assert len(batches) == 1
@@ -233,7 +254,7 @@ class TestEdgeCases:
         assert len(batch) == 0
         assert len(batch.quarantined) == 1
         columnar_cause = type(batch.quarantined[0]).__name__
-        assert set(object_q.counts) == {columnar_cause}
+        assert columnar_cause == parse_error.type.__name__
 
         with pytest.raises(Exception) as exc_info:
             list(read_column_batches(io.BytesIO(data), on_invalid="raise"))
@@ -275,6 +296,174 @@ class TestEdgeCases:
         assert obj_alerts == col_alerts == []
 
 
+def crafted_frames() -> dict[str, bytes]:
+    """One frame per way a record can differ from a clean TCP segment."""
+    src, dst = "10.0.0.1", "10.0.0.2"
+    segment = TcpSegment(1234, 80, seq=7, payload=b"hello, world")
+    tcp = build_tcp_packet(src, dst, segment, dont_fragment=False)
+    raw = tcp.serialize()
+    udp = build_udp_packet(src, dst, UdpDatagram(5353, 53, b"query-bytes")).serialize()
+    fragments = fragment(tcp, 28)
+    with_options = tcp.copy(options=b"\x01\x01\x01\x00").serialize()
+
+    def patched(frame: bytes, offset: int, value: bytes) -> bytes:
+        return frame[:offset] + value + frame[offset + len(value) :]
+
+    return {
+        "valid_tcp": raw,
+        "valid_udp": udp,
+        "empty": b"",
+        "truncated_header": raw[:11],
+        "bad_version": patched(raw, 0, b"\x65"),
+        "ihl_below_minimum": patched(raw, 0, b"\x44"),
+        "ihl_beyond_capture": patched(raw[:24], 0, b"\x4f"),
+        "total_length_below_ihl": patched(raw, 2, b"\x00\x0a"),
+        "snaplen_clipped": raw[:-5],
+        "trailing_padding": raw + b"\x00" * 6,
+        "ip_options": with_options,
+        "first_fragment": fragments[0].serialize(),
+        "non_first_fragment": fragments[1].serialize(),
+        "lying_udp_length": patched(udp, 24, b"\xff\xff"),
+        "udp_length_below_header": patched(udp, 24, b"\x00\x04"),
+        "tcp_offset_below_20": patched(raw, 32, b"\x40"),
+        "tcp_offset_beyond_segment": patched(raw, 32, b"\xf0"),
+        "short_transport": IPv4Packet(src, dst, IP_PROTO_TCP, b"\x01").serialize(),
+        "three_byte_udp": IPv4Packet(src, dst, IP_PROTO_UDP, b"\x00\x35\x00").serialize(),
+        "icmp": IPv4Packet(src, dst, 1, b"\x08\x00\xf7\xff\x00\x00\x00\x00").serialize(),
+    }
+
+
+def parse_reference(frames) -> list[IPv4Packet | type]:
+    """``IPv4Packet.parse`` record by record: the packet, or the error class."""
+    out: list[IPv4Packet | type] = []
+    for frame in frames:
+        try:
+            out.append(IPv4Packet.parse(frame))
+        except DECODE_ERRORS as exc:
+            out.append(type(exc))
+    return out
+
+
+def assert_row_is(batch, row: int, ip: IPv4Packet) -> None:
+    """Every column of one row restates what the object parsers say."""
+    assert batch.materialize(row).ip == ip
+    assert batch.proto[row] == ip.protocol
+    assert batch.ttl[row] == ip.ttl
+    assert ip_u32_to_str(batch.src[row]) == ip.src
+    assert ip_u32_to_str(batch.dst[row]) == ip.dst
+    assert (batch.fragflags[row] & 0x1FFF) * 8 == ip.fragment_offset
+    assert bool(batch.fragflags[row] & 0x2000) == ip.more_fragments
+    if ip.protocol not in (IP_PROTO_TCP, IP_PROTO_UDP):
+        assert (batch.tok[row], batch.flow_hash[row]) == (0, 0)
+        assert (batch.sport[row], batch.dport[row]) == (0, 0)
+        return
+    if not ip.fragment_offset:
+        flow = flow_key_of(ip)
+        assert (batch.sport[row], batch.dport[row]) == (flow.src_port, flow.dst_port)
+    if ip.is_fragment:
+        assert batch.tok[row] == 0
+        return
+    try:
+        transport = decode_tcp(ip) if ip.protocol == IP_PROTO_TCP else decode_udp(ip)
+    except DECODE_ERRORS:
+        assert batch.tok[row] == 0
+        return
+    assert batch.tok[row] == 1
+    assert bytes(batch.payload_view(row)) == transport.payload
+    if ip.protocol == IP_PROTO_TCP:
+        assert (batch.seq[row], batch.tcpflags[row]) == (transport.seq, transport.flags)
+
+
+def encoded(source, batch_size: int, use_numpy: bool) -> list:
+    """``encode_batches`` drained, with the stdlib row decode forced when
+    asked (the encoder itself has no switch: it uses numpy if importable)."""
+    if use_numpy:
+        return list(encode_batches(source, batch_size))
+    with mock.patch.object(columnar, "_NUMPY", None):
+        return list(encode_batches(source, batch_size))
+
+
+def assert_encoder_agrees(frames, batch_size: int, use_numpy: bool) -> None:
+    reference = parse_reference(frames)
+    batches = encoded(frames, batch_size, use_numpy)
+    rows = [(batch, row) for batch in batches for row in range(len(batch))]
+    packets = [entry for entry in reference if isinstance(entry, IPv4Packet)]
+    assert len(rows) == len(packets)
+    for (batch, row), ip in zip(rows, packets):
+        assert_row_is(batch, row, ip)
+    quarantined = [type(exc) for batch in batches for exc in batch.quarantined]
+    assert quarantined == [entry for entry in reference if isinstance(entry, type)]
+
+
+class TestEncoderDifferential:
+    """The door's decode is ``IPv4Packet.parse``, column by column."""
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_crafted_frames_decode_as_the_object_parser_does(
+        self, use_numpy, batch_size
+    ):
+        frames = crafted_frames()
+        reference = dict(zip(frames, parse_reference(frames.values())))
+        # The cases must actually land on both sides of the boundary.
+        assert {name for name, entry in reference.items() if isinstance(entry, type)} == {
+            "empty",
+            "truncated_header",
+            "bad_version",
+            "ihl_below_minimum",
+            "ihl_beyond_capture",
+            "total_length_below_ihl",
+            "snaplen_clipped",
+        }
+        assert_encoder_agrees(list(frames.values()), batch_size, use_numpy)
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
+    def test_every_source_shape_gives_the_same_rows(self, use_numpy):
+        frames = [frame for frame in crafted_frames().values()]
+        records = [(float(index), frame) for index, frame in enumerate(frames)]
+        objects = [
+            TimedPacket(ts, IPv4Packet.parse(frame))
+            for ts, frame in records
+            if isinstance(parse_reference([frame])[0], IPv4Packet)
+        ]
+        (from_records,) = encoded(records, len(records), use_numpy)
+        (from_objects,) = encoded(objects, len(objects), use_numpy)
+        assert [
+            from_records.materialize(row) for row in range(len(from_records))
+        ] == objects
+        assert [
+            from_objects.materialize(row) for row in range(len(from_objects))
+        ] == objects
+        assert not from_objects.quarantined
+
+    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
+    def test_unserializable_object_is_quarantined_not_raised(self, use_numpy):
+        good = TimedPacket(1.0, IPv4Packet.parse(crafted_frames()["valid_tcp"]))
+        oversized = TimedPacket(
+            2.0, IPv4Packet("10.0.0.1", "10.0.0.2", IP_PROTO_UDP, b"z" * 70000)
+        )
+        with pytest.raises(DECODE_ERRORS) as serialize_error:
+            oversized.ip.serialize()
+        (batch,) = encoded([good, oversized, good], 3, use_numpy)
+        assert [batch.materialize(row) for row in range(len(batch))] == [good, good]
+        assert [type(exc) for exc in batch.quarantined] == [serialize_error.type]
+        # ...and alone in its batch it still costs no row and no raise.
+        (alone,) = encoded([oversized], 1, use_numpy)
+        assert len(alone) == 0 and len(alone.quarantined) == 1
+
+    def test_control_messages_and_batches_keep_their_stream_position(self):
+        from repro.runtime import ControlMessage
+
+        frame = crafted_frames()["valid_tcp"]
+        control = ControlMessage(op="reload", seq=1)
+        (ready,) = encode_batches([frame], 1)
+        out = list(encode_batches([frame, frame, control, frame, ready, frame], 8))
+        assert [len(item) if item is not control else "ctl" for item in out] == [
+            2, "ctl", 1, 1, 1,
+        ]
+        assert out[3] is ready
+
+
 class TestBatchMechanics:
     def test_select_compact_pickle_roundtrip(self, mixed_pcaps):
         (batch, *_rest) = read_column_batches(mixed_pcaps[LINKTYPE_RAW_IP])
@@ -309,30 +498,46 @@ class TestBatchMechanics:
 
 
 class TestConfigAndCli:
-    def test_runner_config_rejects_unknown_ingest(self):
-        with pytest.raises(ValueError, match="ingest"):
-            RunnerConfig(ingest="rowwise")
-
-    def test_runner_config_rejects_columnar_faults(self):
-        plan = FaultPlan(specs=(FaultSpec(kind=FaultKind.DECODE_ERROR, shard=0, at=1),))
-        with pytest.raises(ValueError, match="columnar"):
-            RunnerConfig(ingest="columnar", faults=plan)
-
-    def test_run_columnar_rejects_faults(self):
-        plan = FaultPlan(specs=(FaultSpec(kind=FaultKind.DECODE_ERROR, shard=0, at=1),))
-        spec = EngineSpec(rules=attack_ruleset())
-        runner = SerialRunner(spec, config=RunnerConfig(faults=plan))
-        with pytest.raises(ValueError, match="columnar"):
-            runner.run_columnar(iter(()))
-
     def test_cli_columnar_single_process(self, mixed_pcaps, capsys):
         path = str(mixed_pcaps[LINKTYPE_RAW_IP])
-        assert main(["run", path, "--ingest", "columnar", "--no-telemetry"]) == 0
+        assert main(["run", path, "--no-telemetry"]) == 0
         out = capsys.readouterr().out
         assert "processed" in out
 
-    def test_cli_columnar_requires_split_engine(self, mixed_pcaps, capsys):
+    def test_cli_has_no_ingest_option(self, mixed_pcaps, capsys):
         path = str(mixed_pcaps[LINKTYPE_RAW_IP])
-        code = main(["run", path, "--ingest", "columnar", "--engine", "naive"])
-        assert code == 2
-        assert "columnar" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", path, "--ingest", "columnar"])
+        assert exit_info.value.code == 2
+        assert "--ingest" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Property-based: the door never disagrees with the object parser
+# ---------------------------------------------------------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_BASE_FRAMES = list(crafted_frames().values())
+
+
+@st.composite
+def mutated_frames(draw) -> bytes:
+    """A crafted frame with a few bytes overwritten and its tail cut or padded."""
+    frame = bytearray(draw(st.sampled_from(_BASE_FRAMES)))
+    for _ in range(draw(st.integers(0, 3))):
+        if frame:
+            frame[draw(st.integers(0, min(len(frame), 44) - 1))] = draw(
+                st.integers(0, 255)
+            )
+    cut = draw(st.integers(0, len(frame)))
+    return bytes(frame[:cut]) if draw(st.booleans()) else bytes(frame) + b"\x00" * (cut % 9)
+
+
+@given(frames=st.lists(mutated_frames(), max_size=24), batch_size=st.integers(1, 8))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_encoder_equals_object_parser_on_mutated_frames(frames, batch_size):
+    for use_numpy in NUMPY_MODES:
+        assert_encoder_agrees(frames, batch_size, use_numpy)

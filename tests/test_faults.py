@@ -16,6 +16,7 @@ import pytest
 from repro.evasion import build_attack
 from repro.packet import IPv4Packet, TimedPacket
 from repro.packet.errors import MalformedPacketError
+from repro.pcap import read_column_batches, read_records, read_trace, write_trace
 from repro.runtime import (
     DECODE_ERRORS,
     EngineSpec,
@@ -28,8 +29,8 @@ from repro.runtime import (
     RunnerConfig,
     SerialRunner,
     WorkerFailure,
-    decode_packets,
 )
+from repro.runtime.batching import iter_feed
 from repro.signatures import SplitPolicy
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
@@ -172,9 +173,9 @@ def test_decode_packets_quarantines_garbage():
     quarantine = Quarantine()
     good = gauntlet_trace(flows=2)[:5]
     items = [good[0], b"\x00\x01", (1.5, b"junk"), good[1], bytes(range(20))]
-    out = list(decode_packets(items, quarantine))
-    assert out[:1] == [good[0]]
-    assert good[1] in out
+    (batch,) = iter_feed(items, len(items), quarantine)
+    out = [batch.materialize(row) for row in range(len(batch))]
+    assert out == [good[0], good[1]]
     assert quarantine.total == len(items) - len(out)
     assert all(count > 0 for count in quarantine.counts.values())
 
@@ -214,6 +215,68 @@ def test_injected_decode_fault_quarantines_batch():
     quarantined = report.quarantined.get("MalformedPacketError")
     assert quarantined is not None and 1 <= quarantined <= 16
     assert_accounting(report, len(trace))
+
+
+@pytest.fixture(params=["records", "column_batches"])
+def sources_of(request, tmp_path):
+    """One savefile read back two ways: as packet objects (the source the
+    tests around these already use) and as undecoded records or a
+    savefile-reader batch stream."""
+
+    def build(trace: list[TimedPacket], batch_size: int):
+        path = tmp_path / "trace.pcap"
+        write_trace(path, trace)
+        if request.param == "records":
+            return list(read_trace(path)), read_records(path)
+        return list(read_trace(path)), read_column_batches(path, batch_size=batch_size)
+
+    return build
+
+
+def test_decode_fault_on_every_source(sources_of):
+    objects, source = sources_of(gauntlet_trace(flows=5), 16)
+    config = RunnerConfig(
+        batch_size=16, faults=FaultPlan.parse(["decode:shard=0,at=0"])
+    )
+    reference = SerialRunner(make_spec(), shards=2, config=config).run(objects)
+    report = SerialRunner(make_spec(), shards=2, config=config).run(source)
+    assert report.quarantined == reference.quarantined
+    assert 1 <= report.quarantined["MalformedPacketError"] <= 16
+    assert report.digest() == reference.digest()
+    assert_accounting(report, len(objects))
+
+
+def test_clock_skew_on_every_source(sources_of):
+    """Skew lands on the housekeeping clock only: the sweep it provokes
+    is the same whatever fed the run, and nothing goes unaccounted."""
+    objects, source = sources_of(gauntlet_trace(flows=5), 16)
+    config = RunnerConfig(
+        batch_size=16,
+        evict_interval=5.0,
+        faults=FaultPlan.parse(["skew:shard=0,at=40,seconds=3600"]),
+    )
+    reference = SerialRunner(make_spec(), shards=2, config=config).run(objects)
+    report = SerialRunner(make_spec(), shards=2, config=config).run(source)
+    assert report.evictions == reference.evictions > 0
+    assert report.digest() == reference.digest()
+    assert_accounting(report, len(objects))
+
+
+def test_crash_restart_on_every_source(sources_of):
+    config = supervised_config(faults=FaultPlan.parse(["crash:shard=0,at=120"]))
+    objects, source = sources_of(gauntlet_trace(), config.batch_size)
+
+    def intervals(report):
+        return [(iv.shard, iv.generation, iv.reason) for iv in report.degraded]
+
+    reference = ParallelRunner(make_spec(), workers=2, config=config).run(objects)
+    report = ParallelRunner(make_spec(), workers=2, config=config).run(source)
+    assert report.worker_restarts >= 1
+    assert intervals(report) == intervals(reference)
+    assert {reason for _, _, reason in intervals(report)} == {"crash"}
+    assert report.degraded_packets > 0
+    assert_accounting(report, len(objects))
+    assert mp.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +420,10 @@ def test_garbage_frames_never_escape_the_pipeline(frames):
 @given(data=st.binary(min_size=0, max_size=80))
 @settings(max_examples=120, deadline=None)
 def test_single_frame_decode_is_total(data):
-    """decode_packets is total over bytes: yield or quarantine, never raise."""
+    """The intake is total over bytes: a row or a quarantine, never a raise."""
     quarantine = Quarantine()
-    out = list(decode_packets([data], quarantine))
-    assert len(out) + quarantine.total == 1
+    rows = sum(len(batch) for batch in iter_feed([data], 1, quarantine))
+    assert rows + quarantine.total == 1
     if quarantine.total:
         ((cause, count),) = quarantine.counts.items()
         assert count == 1

@@ -34,7 +34,14 @@ from repro.runtime.report import ShardReport
 from repro.signatures import SplitPolicy
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
-from helpers import ATTACK_SIGNATURE, SIGNATURE_OFFSET, attack_payload, attack_ruleset
+from helpers import (
+    ATTACK_SIGNATURE,
+    SIGNATURE_OFFSET,
+    as_batch,
+    attack_payload,
+    attack_ruleset,
+    per_packet_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +98,17 @@ def test_golden_assignments_are_platform_stable():
     assert [tuple_router.shard_of_flow(f) for f in flows] == [0, 2, 2, 2, 3]
 
 
+def shards_of(router: ShardRouter, packets: list[IPv4Packet]) -> list[int]:
+    """Each packet's shard, as the runners route it: off the batch columns."""
+    batch = as_batch([TimedPacket(0.0, packet) for packet in packets])
+    shard_by_row = {
+        row: shard
+        for shard, rows in enumerate(batch.shard_rows(router))
+        for row in rows
+    }
+    return [shard_by_row[row] for row in range(len(packets))]
+
+
 def test_shard_key_bytes_is_canonical():
     flow = FlowKey("9.9.9.9", "1.1.1.1", 5555, 80, 6)
     for with_ports in (False, True):
@@ -115,8 +133,9 @@ def test_fragments_colocate_with_their_connection_under_flow_policy():
     )
     frags = fragment(whole, 600)
     assert len(frags) > 2
-    shards = {router.shard_of(TimedPacket(0.0, p)) for p in [whole, *frags]}
-    assert len(shards) == 1
+    shards = shards_of(router, [whole, *frags])
+    assert len(set(shards)) == 1
+    assert shards[0] == router.shard_of_flow(FlowKey("10.1.2.3", "10.4.5.6", 1234, 80, 6))
 
 
 def test_tuple5_fragments_fall_back_to_address_pair():
@@ -132,13 +151,17 @@ def test_tuple5_fragments_fall_back_to_address_pair():
     expected = router.shard_of_flow(
         FlowKey("10.1.2.3", "10.4.5.6", 0, 0, 6), fragment=True
     )
-    assert all(router.shard_of(TimedPacket(0.0, f)) == expected for f in frags)
+    assert shards_of(router, frags) == [expected] * len(frags)
+    # ...while the unfragmented connection hashes its ports too.
+    assert shards_of(router, [whole]) == [
+        router.shard_of_flow(FlowKey("10.1.2.3", "10.4.5.6", 1234, 80, 6))
+    ]
 
 
 def test_non_tcp_udp_goes_to_shard_zero():
     router = ShardRouter(8)
     icmp = IPv4Packet(src="1.2.3.4", dst="5.6.7.8", protocol=1, payload=b"ping")
-    assert router.shard_of(TimedPacket(0.0, icmp)) == 0
+    assert shards_of(router, [icmp]) == [0]
 
 
 def test_router_rejects_bad_shard_count():
@@ -223,14 +246,12 @@ def benign_only_trace() -> list[TimedPacket]:
 
 
 def run_unsharded(trace: list[TimedPacket]):
-    """The reference: one engine, same batch boundaries as the runners."""
+    """The reference: one engine, one packet at a time -- no batching and
+    no encoder, so it shares nothing with the route under test."""
     ips = SplitDetectIPS(
         attack_ruleset(), split_policy=SplitPolicy(piece_length=8)
     )
-    alerts = []
-    for batch in iter_batches(trace, BATCH):
-        alerts.extend(ips.process_batch(batch))
-    return alerts, ips.stats
+    return per_packet_oracle(ips, trace), ips.stats
 
 
 @pytest.mark.parametrize("make_trace", [gauntlet_trace, benign_only_trace])
@@ -314,7 +335,7 @@ def test_evict_interval_triggers_sweeps():
     late = build_attack("plain", b"B" * 400, src="10.71.0.1", dst_port=80, seed=99)
     late = [TimedPacket(p.timestamp + 3600.0, p.ip) for p in late]
     for batch in iter_batches(early + late, 4):
-        processor.feed(batch)
+        processor.feed(as_batch(batch))
     report = processor.finish()
     assert report.evictions > 0
 

@@ -24,16 +24,31 @@ import urllib.request
 
 import pytest
 
-from repro.packet import TcpSegment, TimedPacket, build_tcp_packet, flow_key_of
+from repro.packet import (
+    IPv4Packet,
+    ip_u32_to_str,
+    TcpSegment,
+    TimedPacket,
+    build_tcp_packet,
+    flow_key_of,
+    fragment,
+)
 from repro.runtime import (
     ControlMessage,
     EngineSpec,
     ParallelRunner,
     RunnerConfig,
     SerialRunner,
+    equivalence_digest,
 )
 from repro.evasion import build_attack
-from repro.pcap import read_records, write_trace
+from repro.pcap import (
+    PcapWriter,
+    read_column_batches,
+    read_records,
+    read_trace,
+    write_trace,
+)
 from repro.service import (
     DEFAULT_TENANT,
     FRAME_MAGIC,
@@ -56,7 +71,14 @@ from repro.telemetry import trace_id_of
 from repro.telemetry.serve import TelemetryPublisher, TelemetryServer, TelemetrySession
 from repro.traffic import TrafficProfile, generate_trace
 
-from helpers import ATTACK_SIGNATURE, SIGNATURE_OFFSET, attack_payload, attack_ruleset
+from helpers import (
+    ATTACK_SIGNATURE,
+    SIGNATURE_OFFSET,
+    as_batch,
+    attack_payload,
+    attack_ruleset,
+    per_packet_oracle,
+)
 
 # A second signature that only exists in the post-reload rule set.
 SECOND_SIGNATURE = b"SECOND-WAVE/exploit\xde\xad\xbe\xef:trigger"
@@ -471,19 +493,22 @@ class TestTenantTable:
 class TestHotReload:
     def test_runner_reload_mid_stream_yields_alert_union(self):
         """Both runners: old-rule alerts before, new-rule alerts after."""
-        stream = (
-            first_wave()
-            + [ControlMessage(op="reload", payload={"rules": second_ruleset()}, seq=1)]
-            + second_wave()
-        )
+        reload = ControlMessage(op="reload", payload={"rules": second_ruleset()}, seq=1)
+        as_objects = first_wave() + [reload] + second_wave()
+        # The same two waves already encoded: the batch route carries the
+        # command between batches just as it does between packets.
+        as_batches = [as_batch(first_wave()), reload, as_batch(second_wave())]
         config = RunnerConfig(batch_size=16)
         spec = make_spec()
-        serial = SerialRunner(spec, shards=2, config=config).run(list(stream))
-        parallel = ParallelRunner(spec, workers=2, config=config).run(list(stream))
-        for report in (serial, parallel):
-            sids = alert_sids(report.alerts)
-            assert 5001 in sids  # seed signature, sent before the swap
-            assert SECOND_SID in sids  # only the new rule set knows this
+        for stream in (as_objects, as_batches):
+            serial = SerialRunner(spec, shards=2, config=config).run(list(stream))
+            parallel = ParallelRunner(spec, workers=2, config=config).run_columnar(
+                list(stream)
+            )
+            for report in (serial, parallel):
+                sids = alert_sids(report.alerts)
+                assert 5001 in sids  # seed signature, sent before the swap
+                assert SECOND_SID in sids  # only the new rule set knows this
 
     def test_without_reload_second_wave_is_invisible(self):
         """The control above is doing the work: no swap, no 6001."""
@@ -508,7 +533,7 @@ class TestHotReload:
         processor = table.processor(DEFAULT_TENANT)
         engine = processor.engine
 
-        processor.feed(benign + attack[:mid])
+        processor.feed(as_batch(benign + attack[:mid]))
         before = (
             engine.fast_path.live_flows(),
             engine.fast_path.tracked_flows,
@@ -527,7 +552,7 @@ class TestHotReload:
         )
         assert after == before, "a reload must not touch flow state"
 
-        processor.feed(attack[mid:] + second_wave())
+        processor.feed(as_batch(attack[mid:] + second_wave()))
         report = processor.finish()
         sids = alert_sids(report.alerts)
         assert 5001 in sids, "in-flight diverted flow lost across reload"
@@ -784,6 +809,147 @@ class TestServeEquivalence:
         assert (
             report.runtime.stats.diversions == batch.stats.diversions
         )
+
+    def test_serve_is_the_batch_pipeline(self, tmp_path):
+        """serve == batch runner == per-packet reference, malformed frames included."""
+        trace = generate_trace(TrafficProfile(flows=30), seed=5)
+        trace = sorted(
+            trace + first_wave() + second_wave(), key=lambda p: p.timestamp
+        )
+        path = tmp_path / "mixed.pcap"
+        write_trace(path, trace)
+        good = list(read_records(path))
+        # Malformed frames spliced in mid-stream: truncated header, wrong
+        # IP version, snaplen-clipped payload.
+        bad = [(good[40][0], good[40][1][:9]), (good[90][0], b"\x65" + good[90][1][1:]),
+               (good[140][0], good[140][1][:-3])]
+        records = good[:40] + bad[:1] + good[40:90] + bad[1:2] + good[90:140] + bad[2:] + good[140:]
+        hostile = tmp_path / "hostile.pcap"
+        with PcapWriter(hostile) as writer:
+            for timestamp, frame in records:
+                writer.write_record(timestamp, frame)
+
+        ips = make_spec().build()
+        oracle = equivalence_digest(
+            per_packet_oracle(ips, read_trace(path)), ips.stats
+        )
+        config = RunnerConfig(batch_size=32)
+        batch = SerialRunner(make_spec(), shards=1, config=config).run_columnar(
+            read_column_batches(hostile, batch_size=32)
+        )
+        _service, served = run_service(
+            ReplaySource(read_records(hostile)), runner_config=config
+        )
+        assert served.runtime.digest() == batch.digest() == oracle
+        assert served.quarantined_packets == batch.quarantined_packets == len(bad)
+        assert served.runtime.quarantined == batch.quarantined
+        assert served.examined_packets == len(good)
+        assert served.accounting_closed
+        # The daemon's memory policy: no per-flow intern cache outlives a poll.
+        assert not _service.table.processor(DEFAULT_TENANT).engine._flow_intern
+        assert ip_u32_to_str.cache_info().currsize == 0
+
+    def test_dst_port_tenants_route_on_columns_as_per_packet(self):
+        tenants = [
+            TenantSpec("acme", ("8080",), attack_ruleset()),
+            TenantSpec("globex", ("9090", "0"), second_ruleset()),
+        ]
+        whole = build_tcp_packet(
+            "10.9.9.9", "10.0.0.2",
+            TcpSegment(src_port=40000, dst_port=8080, seq=1, payload=b"x" * 64),
+            dont_fragment=False,
+        )
+        packets = [
+            tcp_packet("10.9.9.9", "10.0.0.2", 8080),
+            tcp_packet("10.9.9.9", "10.0.0.2", 9090),
+            tcp_packet("10.9.9.9", "10.0.0.2", 80),
+            tcp_packet("10.9.9.9", "10.0.0.2", 0),  # a real port 0: globex selects it
+            # fewer than 4 transport bytes: no port to read, default tenant
+            TimedPacket(1.0, IPv4Packet("10.9.9.9", "10.0.0.2", 6, b"\x1f\x90\x1f")),
+            TimedPacket(1.0, IPv4Packet("10.9.9.9", "10.0.0.2", 1, b"\x08\x00\x00\x00")),
+            *[TimedPacket(1.0, piece) for piece in fragment(whole, 44)],
+        ]
+        assert any(p.ip.fragment_offset > 0 for p in packets)
+        table = TenantTable(make_spec(), tenants, keyer="dst-port")
+        expected: dict[str, list[int]] = {}
+        for row, packet in enumerate(packets):
+            expected.setdefault(table.tenant_of(packet), []).append(row)
+        assert table.tenant_rows(as_batch(packets)) == expected
+        assert set(expected) == {"acme", "globex", DEFAULT_TENANT}
+        # ...and through the service each tenant's engine sees its share.
+        _service, report = run_service(
+            ReplaySource(records_of(packets)), tenants=tenants, keyer="dst-port"
+        )
+        assert {
+            name: entry["packets"] for name, entry in report.tenants["tenants"].items()
+        } == {name: len(rows) for name, rows in expected.items()}
+
+    def test_ip_tenants_route_on_columns_as_per_packet(self):
+        tenants = [
+            TenantSpec("narrow", ("10.1.2.0/24",), attack_ruleset()),
+            TenantSpec("wide", ("10.1.0.0/16", "10.2.0.7"), attack_ruleset()),
+        ]
+        packets = [
+            tcp_packet("10.9.9.9", dst)
+            for dst in ("10.1.2.3", "10.1.44.5", "10.2.0.7", "10.2.0.8", "192.168.0.1")
+        ]
+        for keyer in ("dst-ip", "src-ip"):
+            table = TenantTable(make_spec(), tenants, keyer=keyer)
+            expected: dict[str, list[int]] = {}
+            for row, packet in enumerate(packets):
+                expected.setdefault(table.tenant_of(packet), []).append(row)
+            assert table.tenant_rows(as_batch(packets)) == expected
+
+    def test_shed_rows_never_sheds_a_protected_flow(self):
+        """Column shedding == per-flow shedding, protections included."""
+        packets = [tcp_packet(f"10.50.0.{host}", "10.0.0.2") for host in range(1, 120)]
+        whole = build_tcp_packet(
+            "10.50.0.1", "10.0.0.2",
+            TcpSegment(src_port=40000, dst_port=80, seq=1, payload=b"x" * 64),
+            dont_fragment=False,
+        )
+        packets += [TimedPacket(1.0, piece) for piece in fragment(whole, 44)]
+        packets.append(
+            TimedPacket(1.0, IPv4Packet("10.50.0.9", "10.0.0.2", 1, b"\x08\x00\x00\x00"))
+        )
+        batch = as_batch(packets)
+        flows = [
+            None if p.ip.fragment_offset else flow_key_of(p.ip) for p in packets
+        ]
+        sheddable = [
+            flow for flow in flows
+            if flow is not None and _shed_slot(flow) < 0.5 * _SHED_SCALE
+        ]
+        diverted = {flow.canonical() for flow in sheddable[0::3]}
+        forced = {flow.canonical() for flow in sheddable[1::3]}
+        assert diverted and forced and len(sheddable) > len(diverted) + len(forced)
+
+        def shedder_at_level_two() -> LoadShedder:
+            shedder = LoadShedder(ShedPolicy(levels=(0.0, 0.25, 0.5)))
+            shedder.level = 2
+            return shedder
+
+        by_rows = shedder_at_level_two()
+        kept, shed = by_rows.shed_rows(
+            batch,
+            list(range(len(batch))),
+            engine=FakeEngine(diverted),
+            tracer=FakeTracer(forced),
+        )
+        by_flow = shedder_at_level_two()
+        expected_shed = [
+            (row, flow)
+            for row, flow in enumerate(flows)
+            if flow is not None
+            and by_flow.should_shed(
+                flow, engine=FakeEngine(diverted), tracer=FakeTracer(forced)
+            )
+        ]
+        assert shed == expected_shed and shed
+        assert kept == [row for row in range(len(batch)) if row not in dict(shed)]
+        assert by_rows.shed_packets == by_flow.shed_packets == len(shed)
+        assert by_rows.protected_packets == by_flow.protected_packets > 0
+        assert not {flow.canonical() for _, flow in shed} & (diverted | forced)
 
     def test_max_packets_stop(self):
         records = records_of(first_wave() + second_wave())

@@ -794,7 +794,7 @@ class SplitDetectIPS:
                 )
         if flow is not None:
             canonical = flow.canonical()
-            if canonical in self._diverted and canonical not in self.slow_path.normalizer.live_flows():
+            if canonical in self._diverted and not self.slow_path.normalizer.is_live(canonical):
                 # The connection ended on the slow path; a future flow with
                 # the same five-tuple starts fresh on the fast path.
                 self._diverted.discard(canonical)

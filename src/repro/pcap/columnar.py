@@ -2,7 +2,7 @@
 
 The one place frames become :class:`~repro.packet.batch.PacketBatch`
 columns -- parallel arrays of fast-path-relevant fields over one shared
-buffer.  :func:`read_column_batches` walks a savefile once;
+buffer.  :func:`read_column_batches` streams a savefile once;
 :func:`encode_batches` is the door every other source goes through.
 Both hand offsets into a buffer to the same row decode, so a frame is
 classified one way whichever route carried it.  The engine consumes the
@@ -39,14 +39,22 @@ fully featured.
 A savefile batch carries exactly ``batch_size`` valid rows (skipped and
 quarantined records consume no slots); an encoded batch covers
 ``batch_size`` consecutive source items, so a rejected frame leaves it
-one row short.  The reader holds the whole file in one ``bytes`` buffer
-that all batches share -- the price of zero-copy payload views;
+one row short.
+
+Memory model: the reader streams.  It reads the savefile in windows of
+``_WINDOW_BYTES`` and a batch references only its own window's
+``bytes`` -- zero-copy payload views over a buffer that is freed once
+its batches are consumed.  Resident set = one window + live flow state
++ the intern caches, whatever the capture's size; one reader serves
+every size and source (path, open file, pipe, ``bytes``), and where the
+window edges fall is not observable (:meth:`ColumnarPcapReader.__iter__`).
 ``PacketBatch.compact`` copies slices out before they are pickled to
 workers.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from collections.abc import Iterable, Iterator
@@ -100,17 +108,15 @@ _PORTS = struct.Struct("!HH")
 _TCP_PREFIX = struct.Struct("!HHII")
 
 
-def _read_source(source: str | os.PathLike[str] | bytes | BinaryIO) -> bytes:
-    if isinstance(source, bytes):
-        return source
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as handle:
-            return handle.read()
-    return source.read()
+#: File bytes read per decode window.  Large enough that the per-window
+#: fixed costs (a few dozen numpy calls, one re-decode of the carried
+#: short batch) stay under 1 % of a pass; small enough that the window,
+#: not the capture, bounds what the reader keeps resident.
+_WINDOW_BYTES = 1 << 20
 
 
 class ColumnarPcapReader:
-    """Iterates :class:`PacketBatch` columns out of a pcap savefile."""
+    """Streams :class:`PacketBatch` columns out of a pcap savefile, once."""
 
     def __init__(
         self,
@@ -124,53 +130,126 @@ class ColumnarPcapReader:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if on_invalid not in ("quarantine", "raise"):
             raise ValueError(f"on_invalid must be 'quarantine' or 'raise', got {on_invalid!r}")
-        self.data = _read_source(source)
-        self.header = decode_global_header(self.data[:GLOBAL_HEADER_SIZE])
-        if self.header.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-            raise PcapFormatError(f"unsupported linktype {self.header.linktype}")
-        self.batch_size = batch_size
-        self.on_invalid = on_invalid
         self._numpy = _NUMPY if use_numpy is None else (_NUMPY if use_numpy else None)
         if use_numpy and self._numpy is None:
             raise RuntimeError("numpy requested but not available")
+        self.batch_size = batch_size
+        self.on_invalid = on_invalid
+        if isinstance(source, (str, os.PathLike)):
+            self._stream: BinaryIO = open(source, "rb")
+            self._owns_stream = True
+        else:
+            self._stream = io.BytesIO(source) if isinstance(source, bytes) else source
+            self._owns_stream = False
+        try:
+            self.header = decode_global_header(self._stream.read(GLOBAL_HEADER_SIZE))
+            if self.header.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+                raise PcapFormatError(f"unsupported linktype {self.header.linktype}")
+        except PcapFormatError:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Release the file a path source opened (iteration does, on ending)."""
+        if self._owns_stream:
+            self._stream.close()
 
     # -- record walk ---------------------------------------------------
 
-    def _walk_records(self) -> tuple[list[float], list[int], list[int]]:
-        """Offsets/lengths of every record body, with PcapReader's errors."""
-        data = self.data
+    def _walk_window(
+        self, data: bytes, at_eof: bool
+    ) -> tuple[list[float], list[int], list[int], int, PcapFormatError | None]:
+        """Offsets/lengths of the record bodies wholly inside *data*.
+
+        Also where the last of them ends and, when the walk stopped on
+        damage rather than on the window edge, PcapReader's error for
+        it -- returned, not raised: the records before it come first.
+        A record the window cuts short is damage only at end of file.
+        """
         record = struct.Struct(self.header.byte_order + "IIII")
         scale = 1_000_000_000 if self.header.nanosecond else 1_000_000
         ts_list: list[float] = []
         off_list: list[int] = []
         cap_list: list[int] = []
-        pos = GLOBAL_HEADER_SIZE
+        error = None
+        pos = 0
         end = len(data)
         while pos < end:
-            if end - pos < RECORD_HEADER_SIZE:
-                raise PcapFormatError(
-                    f"truncated record header: {end - pos} < {RECORD_HEADER_SIZE} bytes"
-                )
+            body = pos + RECORD_HEADER_SIZE
+            if body > end:
+                if at_eof:
+                    error = PcapFormatError(
+                        f"truncated record header: {end - pos} < {RECORD_HEADER_SIZE} bytes"
+                    )
+                break
             sec, frac, captured, _original = record.unpack_from(data, pos)
             if frac >= scale:
-                raise PcapFormatError(f"record sub-second field {frac} out of range")
-            body = pos + RECORD_HEADER_SIZE
+                error = PcapFormatError(f"record sub-second field {frac} out of range")
+                break
             if end - body < captured:
-                raise PcapFormatError(
-                    f"truncated record body: need {captured} bytes, got {end - body}"
-                )
+                if at_eof:
+                    error = PcapFormatError(
+                        f"truncated record body: need {captured} bytes, got {end - body}"
+                    )
+                break
             ts_list.append(sec + frac / scale)
             off_list.append(body)
             cap_list.append(captured)
             pos = body + captured
-        return ts_list, off_list, cap_list
+        return ts_list, off_list, cap_list, pos, error
 
     def __iter__(self) -> Iterator[PacketBatch]:
+        """Decode window by window; batches are those of a one-window decode.
+
+        A batch closes on its ``batch_size``-th row wherever the window
+        edges fall (``ShardProcessor.feed`` keys eviction and sampling on
+        batch boundaries).  What a window leaves undelivered is carried
+        to the head of the next: the bytes of a record the edge split,
+        and the records behind the rows of a trailing short batch, which
+        are decoded again there -- skipped and quarantined records are
+        not, so the carry never exceeds one batch of records.  Their
+        exceptions wait in ``pending`` for the batch they belong to;
+        ``batch_size`` of them are delivered on their own rather than
+        let a capture of garbage accumulate in it.
+        """
         ethernet = self.header.linktype == LINKTYPE_ETHERNET
-        decoder = _RowDecoder(
-            self.data, ethernet, self.batch_size, self.on_invalid, self._numpy
-        )
-        yield from decoder.batches(*self._walk_records())
+        record_shift = RECORD_HEADER_SIZE + (_ETH_HLEN if ethernet else 0)
+        size = self.batch_size
+        carry = b""
+        pending: list[BaseException] = []
+        try:
+            while True:
+                chunk = self._stream.read(_WINDOW_BYTES)
+                data = carry + chunk if carry else chunk
+                ts_list, off_list, cap_list, end, error = self._walk_window(data, not chunk)
+                final = not chunk or error is not None
+                decoder = _RowDecoder(data, ethernet, size, self.on_invalid, self._numpy)
+                short = None
+                for batch in decoder.batches(ts_list, off_list, cap_list):
+                    pending += batch.quarantined
+                    while len(pending) >= size:
+                        yield PacketBatch(b"", {}, pending[:size])
+                        del pending[:size]
+                    if len(batch) == size or (final and len(batch)):
+                        batch.quarantined, pending = pending, []
+                        yield batch
+                    else:
+                        short = batch
+                if final:
+                    if pending:  # rejected frames after the last row
+                        yield PacketBatch(b"", {}, pending)
+                    if error is not None:
+                        raise error
+                    return
+                # A row's offset is its IP header: the record starts one
+                # record (and link) header before it.
+                rows = zip(short.off, short.caplen) if short is not None else ()
+                carry = b"".join(
+                    [data[off - record_shift : off + caplen] for off, caplen in rows]
+                    + [data[end:]]
+                )
+        finally:
+            self.close()
 
 
 @dataclass
@@ -268,7 +347,9 @@ class _RowDecoder:
         except DECODE_ERRORS as exc:
             if self.on_invalid == "raise":
                 raise
-            return exc
+            # Kept as a ledger value: the traceback would pin two frames
+            # and a copy of the record (~2 KB) per quarantined frame.
+            return exc.with_traceback(None)
         return None
 
     def _append_row(

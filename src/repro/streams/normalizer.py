@@ -181,8 +181,12 @@ class StreamNormalizer:
         return output
 
     def live_flows(self) -> set[FlowKey]:
-        """Canonical keys of every currently tracked flow."""
+        """Canonical keys of every currently tracked flow (a fresh set)."""
         return set(self._flows)
+
+    def is_live(self, canonical: FlowKey) -> bool:
+        """Whether one canonical flow key is tracked; O(1), per packet."""
+        return canonical in self._flows
 
     def buffered_bytes_for(self, key: FlowKey) -> int:
         """Out-of-order bytes currently parked for one flow (canonical key)."""

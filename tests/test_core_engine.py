@@ -137,6 +137,26 @@ class TestDiversionPlumbing:
         ips.evict_idle(now=1e9)
         assert ips.diverted_flow_count == 0
 
+    def test_slow_path_packets_do_not_copy_the_flow_set(self, monkeypatch):
+        """``live_flows()`` builds a set of every slow-path flow: fine once
+        per eviction sweep, an attacker-sized cost if paid per packet."""
+        ips = fresh_split_detect()
+        normalizer = ips.slow_path.normalizer
+        copies = []
+        original = normalizer.live_flows
+        monkeypatch.setattr(
+            normalizer, "live_flows", lambda: copies.append(1) or original()
+        )
+        packets = build_attack(
+            "tcp_seg_8", attack_payload(8000), signature_span=signature_span()
+        )
+        run_ips(ips, packets)
+        assert ips.stats.slow_packets >= 100
+        assert copies == []
+        # The sweep is where the copy belongs: once per eviction.
+        ips.evict_idle(now=1e9)
+        assert copies and ips.diverted_flow_count == 0
+
     def test_fragmented_flow_diverts_and_reassembles(self):
         ips = fresh_split_detect()
         packets = build_attack("ip_frag_8", attack_payload())

@@ -55,7 +55,7 @@ def series_rows() -> list[str]:
         f"{'evictions':>10} {'evict/pkt':>10} {'attack':>7}"
     ]
     for buckets, ways in TABLE_SIZES:
-        config = FastPathConfig(table_buckets=buckets, table_ways=ways)
+        config = FastPathConfig(state_backend="table", table_buckets=buckets, table_ways=ways)
         ips = SplitDetectIPS(rules, fast_config=config)
         alerts = []
         for packet in trace:
@@ -76,7 +76,7 @@ def test_fig10_flowtable_sizing(benchmark, capfd):
     trace = mixed()
 
     def run_smallest():
-        config = FastPathConfig(table_buckets=16, table_ways=2)
+        config = FastPathConfig(state_backend="table", table_buckets=16, table_ways=2)
         ips = SplitDetectIPS(rules, fast_config=config)
         alerts = []
         for packet in trace:

@@ -32,7 +32,7 @@ from ..streams import FLOW_OVERHEAD_BYTES, OverlapPolicy
 from ..telemetry import NULL_REGISTRY, NULL_TRACER, StageProfiler
 from .alerts import Alert, AlertKind, Diversion, DivertReason
 from .conventional import PROVISIONED_BUFFER_PER_FLOW
-from .fastpath import FastPath, FastPathConfig
+from .fastpath import FastPath, FastPathConfig, FastPathResult
 from .slowpath import SlowPath
 
 #: Diversion reasons eligible for probation (return to the fast path after
@@ -196,12 +196,13 @@ class SplitDetectIPS:
             "repro_ingest_batches_total",
             "Columnar packet batches processed",
         )
-        self._c_ingest_materialized = tel.counter(
+        self._c_materialized = tel.counter(
             "repro_ingest_materialized_total",
-            "Columnar rows materialized into packet objects, by trigger",
+            "Columnar rows that built a packet object, by what needed it: "
+            "process() (fragment, diverted, decode_error) or the slow path "
+            "for a row that diverted its flow (the divert reason)",
             ("cause",),
         )
-        self._ingest_mat_labels: dict[str, object] = {}
         # Columnar flow interning: numeric five-tuple -> (FlowKey,
         # canonical), so string formatting is paid once per flow.  Bounded
         # like the batch-module caches: cleared wholesale at capacity.
@@ -334,11 +335,7 @@ class SplitDetectIPS:
 
     # -- packet intake ------------------------------------------------------
 
-    def process(
-        self,
-        packet: TimedPacket,
-        _prescanned: list[tuple[int, int]] | None = None,
-    ) -> list[Alert]:
+    def process(self, packet: TimedPacket) -> list[Alert]:
         """Route one packet through the fast or slow path; returns alerts."""
         tel_on = self._tel_on
         t0 = perf_counter_ns() if tel_on else 0
@@ -375,14 +372,9 @@ class SplitDetectIPS:
                         if tel_on:
                             self._c_packets_fast.inc()
                         return self._refusal_alert(frag_flow, packet.timestamp)
-                    # Hand the monitor's stream positions to the slow path,
-                    # exactly as in the TCP divert path -- the SYN (or any
-                    # in-order data) already passed through the fast path.
-                    for direction in (frag_flow, frag_flow.reversed()):
-                        expected = self.fast_path.expected_seq(direction)
-                        if expected is not None:
-                            self._hint_all(direction, expected)
-                    self.fast_path.forget_flow(frag_flow)
+                    # The SYN (or any in-order data) already passed
+                    # through the fast path.
+                    self._hand_over(frag_flow, self.fast_path.expected_seq(frag_flow))
             if tel_on:
                 self._stage_decode.observe(perf_counter_ns() - t0)
             return self._to_slow(packet)
@@ -405,49 +397,67 @@ class SplitDetectIPS:
         if tel_on:
             t1 = perf_counter_ns()
             self._stage_decode.observe(t1 - t0)
-            result = self.fast_path.process(packet, _prescanned)
+        result = self.fast_path.process(packet)
+        scanned = self.fast_path.bytes_scanned - before
+        self.stats.fast_bytes_scanned += scanned
+        if tel_on:
             fast_ns = perf_counter_ns() - t1
             self._stage_fast.observe(fast_ns)
             if self.profiler is not None and flow is not None:
                 self.profiler.note("fast_path", str(flow.canonical()), fast_ns)
             self._c_packets_fast.inc()
-            self._c_bytes_fast.inc(self.fast_path.bytes_scanned - before)
-        else:
-            result = self.fast_path.process(packet, _prescanned)
-        self.stats.fast_bytes_scanned += self.fast_path.bytes_scanned - before
+            self._c_bytes_fast.inc(scanned)
         if result.decode_error is not None:
             self.stats.decode_errors += 1
             if tel_on:
                 self._c_decode_errors.labels(cause=result.decode_error).inc()
-        alerts = list(result.alerts)
-        self.stats.alerts += len(alerts)
-        if alerts and tel_on:
-            self._c_alerts_fast.inc(len(alerts))
-        if alerts and self._trace_enabled and flow is not None:
-            for alert in alerts:
-                self.tracer.record(
-                    flow,
-                    "fast",
-                    "alert",
-                    packet.timestamp,
-                    force=True,
-                    kind=alert.kind.value,
-                    sid=alert.sid,
-                )
-        if result.divert is not None and flow is not None:
-            if not self._divert(flow, result.divert, packet.timestamp, result.detail):
-                alerts.extend(self._refusal_alert(flow, packet.timestamp))
-                return alerts
-            # Anchor the slow path's streams where in-order delivery stopped,
-            # so reordered data below the diverting packet is not mistaken
-            # for retransmission.
-            if result.flow_expected_seq is not None:
-                self._hint_all(flow, result.flow_expected_seq)
-            reverse_expected = self.fast_path.expected_seq(flow.reversed())
-            if reverse_expected is not None:
-                self._hint_all(flow.reversed(), reverse_expected)
-            self.fast_path.forget_flow(flow)
-            alerts.extend(self._to_slow(packet, flow))
+        return self._settle_fast(flow, result, packet.timestamp, packet)
+
+    def _settle_fast(
+        self,
+        flow: FlowKey | None,
+        result: FastPathResult,
+        timestamp: float,
+        packet: TimedPacket | None = None,
+        *,
+        batch: PacketBatch | None = None,
+        row: int = 0,
+    ) -> list[Alert]:
+        """Act on one fast-path result: book its alerts and, when it
+        diverts, move the flow and feed this packet to the slow path.
+
+        The one tail of :meth:`process` and of the batch row loop.  The
+        slow path needs a packet object; a batch row is materialized
+        (``packet`` is None, ``batch``/``row`` name it) only here, once
+        the diversion has actually been admitted.
+        """
+        alerts = result.alerts
+        if alerts:
+            self.stats.alerts += len(alerts)
+            if self._tel_on:
+                self._c_alerts_fast.inc(len(alerts))
+            if self._trace_enabled and flow is not None:
+                for alert in alerts:
+                    self.tracer.record(
+                        flow,
+                        "fast",
+                        "alert",
+                        timestamp,
+                        force=True,
+                        kind=alert.kind.value,
+                        sid=alert.sid,
+                    )
+        if result.divert is None or flow is None:
+            return alerts
+        if not self._divert(flow, result.divert, timestamp, result.detail):
+            alerts.extend(self._refusal_alert(flow, timestamp))
+            return alerts
+        self._hand_over(flow, result.flow_expected_seq)
+        if packet is None:
+            packet = batch.materialize(row)
+            if self._tel_on:
+                self._c_materialized.labels(cause=result.divert.value).inc()
+        alerts.extend(self._to_slow(packet, flow))
         return alerts
 
     def process_batch(self, packets: list[TimedPacket]) -> list[Alert]:
@@ -471,23 +481,22 @@ class SplitDetectIPS:
         """Route one columnar batch; returns all alerts in row order.
 
         Row-for-row identical to materializing every row and calling
-        :meth:`process` (the tested oracle: equal equivalence digests).
-        The strategy is *flag-or-replicate*: each row is classified with
-        side-effect-free column reads (``StateBackend.peek``, precomputed
-        prescan hits); rows that are provably clean are committed inline
-        by :meth:`FastPath.process_columns` with the exact side effects
-        of the object path, and every other row -- fragment, diverted,
-        transport-undecodable, TTL/tiny/order anomaly, automaton hit --
-        is materialized into a real packet and replayed through
-        :meth:`process`, which stays the single authority for diversion,
-        alerting, and error accounting.  Flagging a clean row is merely
-        slow; committing a dirty row is impossible because the commit
-        path handles only the checks' complement.
+        :meth:`process` (the tested oracle: equal equivalence digests),
+        by construction rather than by replication: a decoded,
+        unfragmented TCP/UDP row on a non-diverted flow gets the same
+        :meth:`FastPath.process_columns` call and the same
+        :meth:`_settle_fast` tail a packet object gets, fed from the
+        columns and the batch sweep's hits.  Most rows return ``None``
+        there and cost no allocation; a row is materialized into a
+        packet object only when something needs one -- :meth:`process`
+        for fragments, rows of already-diverted flows and rows whose
+        transport header did not decode (``tok == 0``), and the slow
+        path at the moment a row actually diverts its flow.
 
-        Telemetry deltas: clean rows are not stage-profiled per row (the
-        prescan stage is; materialized rows profile via the object
-        path), and the monitor-occupancy gauge samples once per batch.
-        Both are outside the equivalence digest.
+        Telemetry deltas: the ``fast_path`` stage times only rows that
+        return a result (the sweep has its own stage), and the
+        monitor-occupancy gauge samples once per batch.  Both are
+        outside the equivalence digest.
         """
         fast = self.fast_path
         stats = self.stats
@@ -559,10 +568,9 @@ class SplitDetectIPS:
             if tel_on:
                 self._stage_prescan.observe(perf_counter_ns() - t0)
         alerts: list[Alert] = []
-        # Per-batch stats accumulators: the object path mutates the same
-        # fields inside process(), so these locals are folded in once
-        # after the loop (pure counters -- nothing reads them mid-batch).
-        packets_add = 0
+        # Per-batch stats accumulators: process() mutates the same fields
+        # directly, so these locals are folded in once after the loop
+        # (pure counters -- nothing reads them mid-batch).
         fast_add = 0
         fast_bytes_add = 0
         for row in range(n):
@@ -570,7 +578,6 @@ class SplitDetectIPS:
             if p != IP_PROTO_TCP and p != IP_PROTO_UDP:
                 # process() waves non-TCP/UDP packets through untouched;
                 # commit the counters without building the object.
-                packets_add += 1
                 fast_add += 1
                 fast.commit_passthrough_row()
                 if tel_on:
@@ -582,51 +589,60 @@ class SplitDetectIPS:
                 flow, canonical = flows_by_row[row] or intern_flow(batch, row)
                 if canonical in diverted:
                     cause = "diverted"
+                elif not tok_col[row]:
+                    cause = "decode_error"
                 else:
                     hits = hits_by_row[row]
                     plen = paylen_col[row]
-                    if (
-                        hits is None
-                        and automaton is not None
-                        and tok_col[row]
-                        and plen
-                    ):
-                        # Row not covered by the sweep (single-row batch,
-                        # or its flow was diverted then reinstated
-                        # mid-batch): scan here, as _scan would inline.
-                        start = payoff_col[row]
-                        hits = automaton.find_all(
-                            bytes(view[start : start + plen])
-                        )
-                        hits_by_row[row] = hits
-                    verdict = process_columns(
+                    start = payoff_col[row]
+                    if plen and automaton is not None:
+                        if hits is None:
+                            # Row not covered by the sweep (single-row
+                            # batch, or its flow was diverted then
+                            # reinstated mid-batch): scan here.
+                            hits = automaton.find_all(
+                                bytes(view[start : start + plen])
+                            )
+                        fast_bytes_add += plen
+                        if tel_on:
+                            self._c_bytes_fast.inc(plen)
+                    fast_add += 1
+                    ts = ts_col[row]
+                    if trace_enabled:
+                        tracer.record(flow, "decode", "fast_route", ts)
+                    if tel_on:
+                        self._c_packets_fast.inc()
+                        t1 = perf_counter_ns()
+                    result = process_columns(
                         flow,
                         hits,
                         p,
-                        tok_col[row],
                         plen,
                         flags_col[row],
                         ttl_col[row],
                         seq_col[row],
-                        ts_col[row],
+                        ts,
+                        view[start : start + plen] if hits else None,
                     )
-                    if verdict is None:
-                        packets_add += 1
-                        fast_add += 1
-                        if plen and automaton is not None:
-                            fast_bytes_add += plen
-                            if tel_on:
-                                self._c_bytes_fast.inc(plen)
+                    if result is not None:
                         if tel_on:
-                            self._c_packets_fast.inc()
-                        if trace_enabled:
-                            tracer.record(flow, "decode", "fast_route", ts_col[row])
-                        continue
-                    cause = verdict
-            alerts.extend(self.process(batch.materialize(row), hits_by_row[row]))
+                            fast_ns = perf_counter_ns() - t1
+                            self._stage_fast.observe(fast_ns)
+                            if self.profiler is not None:
+                                self.profiler.note(
+                                    "fast_path", str(canonical), fast_ns
+                                )
+                        alerts.extend(
+                            self._settle_fast(flow, result, ts, batch=batch, row=row)
+                        )
+                    continue
+            # The rows process() still owns: it alone reassembles
+            # fragments, feeds a diverted flow's slow path, and names the
+            # decode error of a transport header the columns only flag.
+            alerts.extend(self.process(batch.materialize(row)))
             if tel_on:
-                self._ingest_materialized(cause).inc()
-        stats.packets_total += packets_add
+                self._c_materialized.labels(cause=cause).inc()
+        stats.packets_total += fast_add
         stats.fast_packets += fast_add
         stats.fast_bytes_scanned += fast_bytes_add
         fast.finish_column_batch()
@@ -660,17 +676,24 @@ class SplitDetectIPS:
             self._flow_intern[key] = entry
         return entry
 
-    def _ingest_materialized(self, cause: str):
-        handle = self._ingest_mat_labels.get(cause)
-        if handle is None:
-            handle = self._c_ingest_materialized.labels(cause=cause)
-            self._ingest_mat_labels[cause] = handle
-        return handle
+    def _hand_over(self, flow: FlowKey, expected: int | None) -> None:
+        """Give a just-diverted flow's stream positions to the slow path
+        and drop its monitor records.
 
-    def _hint_all(self, direction: FlowKey, expected: int) -> None:
-        self.slow_path.hint_stream_start(direction, expected)
-        for path in self.ensemble_paths:
-            path.hint_stream_start(direction, expected)
+        Anchoring the slow path's streams where in-order delivery
+        stopped (``expected`` for ``flow``'s direction, the monitor's
+        record for the reverse) keeps reordered data below the diverting
+        packet from being mistaken for retransmission.
+        """
+        for direction, position in (
+            (flow, expected),
+            (flow.reversed(), self.fast_path.expected_seq(flow.reversed())),
+        ):
+            if position is not None:
+                self.slow_path.hint_stream_start(direction, position)
+                for path in self.ensemble_paths:
+                    path.hint_stream_start(direction, position)
+        self.fast_path.forget_flow(flow)
 
     def _refusal_alert(self, flow: FlowKey, timestamp: float) -> list[Alert]:
         """One RESOURCE alert per refused flow, so overload is visible."""

@@ -23,7 +23,6 @@ from ..packet import (
     TCP_RST,
     TCP_SYN,
     FlowKey,
-    TcpSegment,
     TimedPacket,
     decode_tcp,
     decode_udp,
@@ -85,10 +84,10 @@ class FastPathConfig:
     """Replace the ruleset-derived small-packet threshold B (testing only)."""
 
     table_buckets: int | None = None
-    """When set, flow state lives in a fixed set-associative
-    :class:`~repro.core.flowtable.FlowTable` of this many buckets
-    (power of two) instead of an unbounded map -- the hardware-faithful
-    configuration.  Evicted flows restart in midstream-pickup mode."""
+    """Table backend: bucket count (power of two; 1024 when unset) of
+    the fixed set-associative :class:`~repro.core.flowtable.FlowTable`
+    -- the hardware-faithful configuration.  Evicted flows restart in
+    midstream-pickup mode."""
 
     table_ways: int = 4
     """Associativity of the fixed flow table."""
@@ -97,9 +96,8 @@ class FastPathConfig:
     """Where per-flow monitor records live: ``dict`` (unbounded exact
     map), ``table`` (the fixed set-associative flow table), or
     ``sketch`` (cold slots + count-min anomaly sketch + exact hot set --
-    the 1M-flow configuration).  Setting ``table_buckets`` with the
-    default backend still selects the table, for compatibility with the
-    pre-protocol spelling."""
+    the 1M-flow configuration).  This is the only selector: a
+    ``table_buckets`` given with any backend but ``table`` is an error."""
 
     sketch_slots: int = 1 << 17
     """Sketch backend: cold-slot count (power of two)."""
@@ -132,7 +130,8 @@ FASTPATH_IDLE_TIMEOUT = 300.0
 
 @dataclass
 class FastPathResult:
-    """Outcome of one packet through the fast path."""
+    """Outcome of one packet through the fast path (built only for a
+    packet that alerts, diverts, hits a piece or fails to decode)."""
 
     divert: DivertReason | None = None
     alerts: list[Alert] = field(default_factory=list)
@@ -150,7 +149,12 @@ class FastPathResult:
 
 
 class FastPath:
-    """Stateless-per-packet matcher with a minimal per-flow monitor."""
+    """Stateless-per-packet matcher with a minimal per-flow monitor.
+
+    One fast path: :meth:`process_columns` decides every rule, on
+    scalars, for the batch route and the per-packet route alike;
+    :meth:`process` only decodes a packet object and calls it.
+    """
 
     def __init__(
         self,
@@ -167,8 +171,10 @@ class FastPath:
         """How many :meth:`swap_rules` reloads this path has absorbed."""
         self._compile(split_rules)
         backend = self.config.state_backend
-        if backend == "dict" and self.config.table_buckets is not None:
-            backend = "table"  # pre-protocol spelling of the table backend
+        if self.config.table_buckets is not None and backend != "table":
+            raise ValueError(
+                f"table_buckets is set but state_backend is {backend!r}, not 'table'"
+            )
         if backend == "dict":
             self._flows: StateBackend = DictBackend()
         elif backend == "table":
@@ -374,112 +380,211 @@ class FastPath:
 
     # -- packet intake ------------------------------------------------------
 
-    def process(
+    def process_columns(
         self,
-        packet: TimedPacket,
-        prescanned: list[tuple[int, int]] | None = None,
-    ) -> FastPathResult:
-        """Classify one packet: pass silently, alert, and/or divert its flow.
+        flow: FlowKey,
+        hits: list[tuple[int, int]] | None,
+        proto: int,
+        plen: int,
+        flags: int,
+        ttl: int,
+        seq: int,
+        ts: float,
+        payload: bytes | memoryview | None = None,
+    ) -> FastPathResult | None:
+        """The fast path for one decoded, unfragmented TCP/UDP packet.
 
-        ``prescanned`` carries this packet's payload matches from the
-        engine's per-batch :meth:`~repro.match.DualAutomaton.prescan_batch`
-        sweep; ``None`` means scan here.
+        Scalars in, verdict out: the batch loop passes a row's column
+        values (it already holds the column arrays as locals), and
+        :meth:`process` passes the fields of a decoded packet object.
+        This is the one function where THEORY.md's rules R4 (TTL
+        floor), R1 (size), R2 (order) and R5 (piece) are decided and
+        the only one that advances or retires a monitor record: TTL
+        floor, one ``get``, size/order check, advance, one ``put``, hit
+        resolution, anomaly bookkeeping, RST/FIN teardown.  ``hits`` are
+        the automaton's matches for this payload (``None`` or empty:
+        none); ``payload`` is read only when ``hits`` is non-empty.
+
+        Returns ``None`` for the clean majority -- nothing is allocated
+        for a packet that neither alerts nor diverts -- and a
+        :class:`FastPathResult` for the rest.
         """
-        result = self._process(packet, prescanned)
+        self.packets_processed += 1
+        tel_on = self._tel_on
+        if tel_on:
+            self._c_packets.inc()
+        result: FastPathResult | None = None
+        expected: int | None = None
+        tcp = proto == IP_PROTO_TCP
+        if tcp:
+            config = self.config
+            syn = flags & TCP_SYN
+            fin = 1 if flags & TCP_FIN else 0
+            if config.min_ttl and plen and ttl < config.min_ttl:
+                result = FastPathResult(
+                    divert=DivertReason.TTL_FLOOR,
+                    detail=f"ttl={ttl} < floor={config.min_ttl}",
+                )
+            state = self._flows.get(flow)
+            if state is None and (syn or plen):
+                # (A pure ACK carries no stream evidence worth monitoring;
+                # an entry for it would let the final ACK of a FIN
+                # handshake resurrect an already-closed direction.)
+                state = FlowState()
+            if state is not None:
+                state.last_seen = ts
+                expected = state.expected_seq
+                if syn:
+                    state.expected_seq = seq_add(seq, plen + 1 + fin)
+                elif plen:
+                    if (
+                        result is None
+                        and config.check_tiny
+                        and not fin
+                        and plen < self.threshold
+                    ):
+                        result = FastPathResult(
+                            divert=DivertReason.TINY_SEGMENT,
+                            detail=f"{plen} < B={self.threshold}",
+                        )
+                    if expected is not None and config.check_order and seq != expected:
+                        # Not delivered in order: the record stays where
+                        # in-order delivery stopped.
+                        if result is None:
+                            ahead = seq_diff(seq, expected) > 0
+                            result = FastPathResult(
+                                divert=DivertReason.OUT_OF_ORDER
+                                if ahead
+                                else DivertReason.RETRANSMISSION,
+                                detail=f"seq={seq} expected={expected}",
+                            )
+                    else:
+                        # In order, midstream pickup, or order check off.
+                        state.expected_seq = seq_add(seq, plen + fin)
+                # Write-back completes the read/mutate/write discipline: a
+                # no-op for the dict (same object), the LRU position ``get``
+                # already granted for the table, and the only persistence
+                # point for the sketch backend's cold slots.
+                self._flows.put(flow, state)
+        if plen and self.automaton is not None:
+            self.bytes_scanned += plen
+            if tel_on:
+                self._c_bytes.inc(plen)
+                self._h_payload.observe(plen)
+            if hits:
+                result = self._resolve_hits(flow, hits, payload, ts, result)
+        if result is not None:
+            # Snapshotted before this packet advanced it: where in-order
+            # delivery stood when the decision was made.
+            result.flow_expected_seq = expected
+            if tel_on and result.divert is not None:
+                self._c_anomaly[result.divert].inc()
+        if tcp:
+            if result is not None:
+                if result.divert is not None:
+                    # Feed the per-flow anomaly counters: the sketch backend's
+                    # promotion signal (exact backends ignore this).
+                    self._flows.record_anomaly(flow)
+                if self._trace_enabled:
+                    if result.divert is not None:
+                        # The detail string carries the expected/observed
+                        # seq pair (or the ttl/size bound).
+                        self.tracer.record(
+                            flow,
+                            "fast",
+                            "anomaly",
+                            ts,
+                            force=True,
+                            cause=result.divert.value,
+                            detail=result.detail,
+                        )
+                    if result.piece_hits:
+                        self.tracer.record(
+                            flow,
+                            "fast",
+                            "piece_hit",
+                            ts,
+                            force=True,
+                            pieces=len(result.piece_hits),
+                            sids=sorted({p.signature.sid for p in result.piece_hits}),
+                        )
+            if flags & TCP_RST:
+                # A reset tears down the whole connection: retire the monitor
+                # entries for *both* directions, or the reverse one lives on
+                # forever in the unbounded-table configuration.
+                self._flows.pop(flow, None)
+                self._flows.pop(flow.reversed(), None)
+            elif fin:
+                # A FIN only half-closes: the sender is done sending, so only
+                # the sender's direction entry is retired; the reverse
+                # direction keeps its monitor until its own FIN or RST.
+                self._flows.pop(flow, None)
+        return result
+
+    def process(self, packet: TimedPacket) -> FastPathResult:
+        """Classify one packet object: decode it, scan its payload, and
+        hand the fields to :meth:`process_columns`.
+
+        No rule is decided here.  What never reaches
+        :meth:`process_columns` -- other protocols, fragments (the fast
+        path does not defragment; they only name their flow for
+        diversion), transport headers that fail to decode -- moves the
+        packet counter and nothing else.
+        """
+        ip = packet.ip
+        proto = ip.protocol
+        transport = proto == IP_PROTO_TCP or proto == IP_PROTO_UDP
+        if transport and not ip.is_fragment:
+            try:
+                if proto == IP_PROTO_TCP:
+                    segment = decode_tcp(ip)
+                    payload, flags, seq = segment.payload, segment.flags, segment.seq
+                else:
+                    payload, flags, seq = decode_udp(ip).payload, 0, 0
+            except PacketError as exc:
+                result = FastPathResult(decode_error=type(exc).__name__)
+            except Exception:
+                result = FastPathResult(decode_error="DecodeError")
+            else:
+                hits = None
+                if payload and self.automaton is not None:
+                    hits = self.automaton.find_all(payload)
+                result = self.process_columns(
+                    flow_key_of(ip),
+                    hits,
+                    proto,
+                    len(payload),
+                    flags,
+                    ip.ttl,
+                    seq,
+                    packet.timestamp,
+                    payload,
+                )
+                if self._tel_on:
+                    self._g_monitor.set(len(self._flows))
+                return result or FastPathResult()
+        elif transport and self.config.divert_fragments:
+            result = FastPathResult(divert=DivertReason.IP_FRAGMENT)
+            if self._tel_on:
+                self._c_anomaly[DivertReason.IP_FRAGMENT].inc()
+        else:
+            result = FastPathResult()
+        self.commit_passthrough_row()
+        return result
+
+    def commit_passthrough_row(self) -> None:
+        """Account one packet the fast path waves through unexamined
+        (not TCP/UDP, a fragment, an undecodable transport header): the
+        packet counter moves, nothing else does."""
+        self.packets_processed += 1
         if self._tel_on:
             self._c_packets.inc()
-            if result.divert is not None:
-                self._c_anomaly[result.divert].inc()
-            self._g_monitor.set(len(self._flows))
-        return result
 
-    def _process(
-        self,
-        packet: TimedPacket,
-        prescanned: list[tuple[int, int]] | None = None,
-    ) -> FastPathResult:
-        self.packets_processed += 1
-        result = FastPathResult()
-        ip = packet.ip
-        if ip.protocol not in (IP_PROTO_TCP, IP_PROTO_UDP):
-            return result
-        if ip.is_fragment:
-            if self.config.divert_fragments:
-                result.divert = DivertReason.IP_FRAGMENT
-            return result
-        if ip.protocol == IP_PROTO_UDP:
-            # No stream, no monitor: one stateless scan per datagram.
-            try:
-                datagram = decode_udp(ip)
-            except PacketError as exc:
-                result.decode_error = type(exc).__name__
-                return result
-            except Exception:
-                result.decode_error = "DecodeError"
-                return result
-            if datagram.payload and self.automaton is not None:
-                self._scan(
-                    flow_key_of(ip),
-                    datagram.payload,
-                    packet.timestamp,
-                    result,
-                    prescanned,
-                )
-            return result
-        try:
-            segment = decode_tcp(ip)
-        except PacketError as exc:
-            result.decode_error = type(exc).__name__
-            return result
-        except Exception:
-            result.decode_error = "DecodeError"
-            return result
-        flow = flow_key_of(ip)
-        if self.config.min_ttl and segment.payload and ip.ttl < self.config.min_ttl:
-            result.divert = DivertReason.TTL_FLOOR
-            result.detail = f"ttl={ip.ttl} < floor={self.config.min_ttl}"
-        self._monitor(flow, segment, packet.timestamp, result)
-        if segment.payload and self.automaton is not None:
-            self._scan(flow, segment.payload, packet.timestamp, result, prescanned)
-        if result.divert is not None:
-            # Feed the per-flow anomaly counters: the sketch backend's
-            # promotion signal (exact backends ignore this).
-            self._flows.record_anomaly(flow)
-        if self._trace_enabled:
-            if result.divert is not None:
-                # The detail string carries the expected/observed seq
-                # pair from _check_progression (or the ttl/size bound).
-                self.tracer.record(
-                    flow,
-                    "fast",
-                    "anomaly",
-                    packet.timestamp,
-                    force=True,
-                    cause=result.divert.value,
-                    detail=result.detail,
-                )
-            if result.piece_hits:
-                self.tracer.record(
-                    flow,
-                    "fast",
-                    "piece_hit",
-                    packet.timestamp,
-                    force=True,
-                    pieces=len(result.piece_hits),
-                    sids=sorted({p.signature.sid for p in result.piece_hits}),
-                )
-        if segment.rst:
-            # A reset tears down the whole connection: retire the monitor
-            # entries for *both* directions, or the reverse one lives on
-            # forever in the unbounded-table configuration.
-            self._flows.pop(flow, None)
-            self._flows.pop(flow.reversed(), None)
-        elif segment.fin:
-            # A FIN only half-closes: the sender is done sending, so only
-            # the sender's direction entry is retired; the reverse
-            # direction keeps its monitor until its own FIN or RST.
-            self._flows.pop(flow, None)
-        return result
+    def finish_column_batch(self) -> None:
+        """Batch-end gauge sample (`process` samples per packet; the
+        batch loop samples once, landing on the same final value)."""
+        if self._tel_on:
+            self._g_monitor.set(len(self._flows))
 
     def expected_seq(self, flow: FlowKey) -> int | None:
         """The monitor's next expected sequence number for one direction.
@@ -531,207 +636,25 @@ class FastPath:
         """Canonical keys of flows currently holding monitor entries."""
         return {flow.canonical() for flow, _ in self._flows.items()}
 
-    # -- columnar intake --------------------------------------------------
-
-    def process_columns(
-        self,
-        flow: FlowKey,
-        hits: list[tuple[int, int]] | None,
-        proto: int,
-        tok: int,
-        plen: int,
-        flags: int,
-        ttl: int,
-        seq: int,
-        ts: float,
-    ) -> str | None:
-        """Fast-path verdict for one :class:`~repro.packet.batch.PacketBatch` row.
-
-        The columnar engine loop interleaves its own per-row bookkeeping
-        (diverted-set lookups, diversion side effects) between rows, so
-        this consumes the batch one row at a time -- the caller passes
-        the row's column values as scalars (it already holds the column
-        arrays as locals; re-reading them here would double the hot
-        loop's subscript work).  The contract is *flag-or-replicate*: a
-        row is committed inline -- with exactly the monitor/scan side
-        effects :meth:`process` would produce -- only when it is
-        provably clean (decodes, passes TTL/tiny/order checks, has no
-        automaton hits).  Anything else returns a materialization cause
-        string and is replayed through the object path, which stays the
-        single authority for anomalies, alerts, and error accounting.
-        Over-flagging is therefore safe by construction; only the
-        clean-commit path must (and does) mirror :meth:`_process` side
-        effect for side effect.
-
-        Returns ``None`` when the row was committed clean, else the
-        cause (``decode_error``/``ttl``/``tiny``/``order``/``match``).
-        The caller guarantees the row is non-fragment TCP/UDP on a
-        non-diverted flow.
-        """
-        config = self.config
-        if not tok:
-            return "decode_error"
-        if hits:
-            return "match"
-        tel_on = self._tel_on
-        if proto == IP_PROTO_UDP:
-            # Stateless datagram: no monitor, just scan accounting.
-            self.packets_processed += 1
-            if plen and self.automaton is not None:
-                self.bytes_scanned += plen
-                if tel_on:
-                    self._c_bytes.inc(plen)
-                    self._h_payload.observe(plen)
-            if tel_on:
-                self._c_packets.inc()
-            return None
-        syn = flags & TCP_SYN
-        if config.min_ttl and plen and ttl < config.min_ttl:
-            return "ttl"
-        if not syn and plen:
-            if config.check_tiny and not (flags & TCP_FIN) and plen < self.threshold:
-                return "tiny"
-            if config.check_order:
-                state = self._flows.peek(flow)
-                if (
-                    state is not None
-                    and state.expected_seq is not None
-                    and seq != state.expected_seq
-                ):
-                    return "order"
-        # Clean row: replicate _process/_monitor side effects inline.
-        self.packets_processed += 1
-        state = self._flows.get(flow)
-        if state is None and (syn or plen):
-            state = FlowState()
-        if state is not None:
-            # (A pure ACK with no monitor entry creates none -- the
-            # FIN-handshake resurrection rule in _monitor.)
-            state.last_seen = ts
-            if syn:
-                state.expected_seq = seq_add(
-                    seq, plen + 1 + (1 if flags & TCP_FIN else 0)
-                )
-            elif plen:
-                # In-order, midstream pickup, or order-check disabled:
-                # all advance to this segment's end, as _check_progression
-                # does for every non-diverting data segment.
-                state.expected_seq = seq_add(
-                    seq, plen + (1 if flags & TCP_FIN else 0)
-                )
-            self._flows.put(flow, state)
-        if plen and self.automaton is not None:
-            self.bytes_scanned += plen
-            if tel_on:
-                self._c_bytes.inc(plen)
-                self._h_payload.observe(plen)
-        if flags & TCP_RST:
-            self._flows.pop(flow, None)
-            self._flows.pop(flow.reversed(), None)
-        elif flags & TCP_FIN:
-            self._flows.pop(flow, None)
-        if tel_on:
-            self._c_packets.inc()
-        return None
-
-    def commit_passthrough_row(self) -> None:
-        """Account one non-TCP/UDP row the fast path waves through.
-
-        Mirrors :meth:`process` on a packet :meth:`_process` returns
-        early for: the packet counter moves, nothing else does.
-        """
-        self.packets_processed += 1
-        if self._tel_on:
-            self._c_packets.inc()
-
-    def finish_column_batch(self) -> None:
-        """Batch-end gauge sample (`process` samples per packet; the
-        columnar loop samples once, landing on the same final value)."""
-        if self._tel_on:
-            self._g_monitor.set(len(self._flows))
-
     # -- internals --------------------------------------------------------
 
-    def _monitor(
+    def _resolve_hits(
         self,
         flow: FlowKey,
-        segment: TcpSegment,
+        hits: list[tuple[int, int]],
+        payload: bytes | memoryview,
         timestamp: float,
-        result: FastPathResult,
-    ) -> None:
-        """Sequence-progression and segment-size anomaly checks."""
-        state = self._flows.get(flow)
-        if state is None:
-            if not segment.syn and not segment.payload:
-                # A pure ACK carries no stream evidence worth monitoring;
-                # creating an entry for it would let the final ACK of a
-                # FIN handshake resurrect an already-closed direction.
-                return
-            state = FlowState()
-        state.last_seen = timestamp
-        result.flow_expected_seq = state.expected_seq
-        self._check_progression(segment, state, result)
-        # Write-back completes the read/mutate/write discipline: a no-op
-        # for the dict (same object), the LRU position ``get`` already
-        # granted for the table, and the only persistence point for the
-        # sketch backend's cold slots.
-        self._flows.put(flow, state)
-
-    def _check_progression(
-        self,
-        segment: TcpSegment,
-        state: FlowState,
-        result: FastPathResult,
-    ) -> None:
-        if segment.syn:
-            state.expected_seq = segment.end_seq
-            return
-        if not segment.payload:
-            return
-        if (
-            self.config.check_tiny
-            and not segment.fin
-            and len(segment.payload) < self.threshold
-            and result.divert is None
-        ):
-            result.divert = DivertReason.TINY_SEGMENT
-            result.detail = f"{len(segment.payload)} < B={self.threshold}"
-        if state.expected_seq is None:
-            state.expected_seq = segment.end_seq  # midstream pickup
-            return
-        if self.config.check_order and segment.seq != state.expected_seq:
-            if result.divert is None:
-                ahead = seq_diff(segment.seq, state.expected_seq) > 0
-                result.divert = (
-                    DivertReason.OUT_OF_ORDER if ahead else DivertReason.RETRANSMISSION
-                )
-                result.detail = f"seq={segment.seq} expected={state.expected_seq}"
-            return
-        state.expected_seq = segment.end_seq
-
-    def _scan(
-        self,
-        flow: FlowKey,
-        payload: bytes,
-        timestamp: float,
-        result: FastPathResult,
-        hits: list[tuple[int, int]] | None = None,
-    ) -> None:
-        """One automaton pass over the payload; state resets per packet.
-
-        ``hits`` short-circuits the pass with matches the engine's batch
-        sweep already produced for this payload."""
-        self.bytes_scanned += len(payload)
-        if self._tel_on:
-            self._c_bytes.inc(len(payload))
-            self._h_payload.observe(len(payload))
-        if hits is None:
-            hits = self.automaton.find_all(payload)
+        result: FastPathResult | None,
+    ) -> FastPathResult | None:
+        """Turn one payload's automaton matches into piece hits, alerts
+        and (rule R5) a divert; a hit whose signature does not apply to
+        this flow leaves ``result`` as it came -- ``None`` included."""
         for entry_id, _end in hits:
             entry = self._entries[entry_id]
             if isinstance(entry, Piece):
                 if not entry.signature.applies_to_flow(flow):
                     continue
+                result = result or FastPathResult()
                 result.piece_hits.append(entry)
                 if result.divert is None:
                     result.divert = DivertReason.PIECE_MATCH
@@ -741,20 +664,15 @@ class FastPath:
             else:  # whole signature occurrence within one packet
                 if not entry.applies_to_flow(flow):
                     continue
-                folded = entry.fold(payload)
-                extras_here = all(
-                    extra in folded for extra in entry.match_extras
-                )
-                if extras_here:
+                folded = entry.fold(bytes(payload))
+                if all(extra in folded for extra in entry.match_extras):
                     # Fully confirmed inside one packet: the alert IS the
                     # verdict, for TCP and UDP alike -- no slow-path round
-                    # trip, which is scan_whole_signatures' contract.
-                    # (Historically the TCP case also diverted via a
-                    # SHORT_SIGNATURE fallthrough here, buying nothing:
-                    # the slow path could only re-confirm what the alert
-                    # already states.)  A *split* occurrence of the same
-                    # signature elsewhere in the stream still diverts
-                    # through its own piece hits.
+                    # trip, which is scan_whole_signatures' contract.  A
+                    # *split* occurrence of the same signature elsewhere
+                    # in the stream still diverts through its own piece
+                    # hits.
+                    result = result or FastPathResult()
                     result.alerts.append(
                         Alert(
                             kind=AlertKind.SIGNATURE,
@@ -765,8 +683,12 @@ class FastPath:
                             path="fast",
                         )
                     )
-                elif flow.protocol == IP_PROTO_TCP and result.divert is None:
+                elif flow.protocol == IP_PROTO_TCP and (
+                    result is None or result.divert is None
+                ):
                     # The extra contents may arrive elsewhere in the
                     # stream; let the slow path track completion.
+                    result = result or FastPathResult()
                     result.divert = DivertReason.PIECE_MATCH
                     result.detail = f"sid={entry.sid} awaiting extra contents"
+        return result

@@ -17,10 +17,14 @@ lives is the paper's whole state argument, so the storage is pluggable:
   measures it).
 
 :class:`FastPath` talks to all three through :class:`StateBackend` and
-follows a read/mutate/write-back discipline: ``get`` (or ``peek`` for
-passive probes), mutate the returned :class:`FlowState`, then ``put`` it
-back.  The write-back is a no-op for the dict, an LRU touch for the
-table, and the one chance a compact backend gets to persist the update.
+follows a read/mutate/write-back discipline, all of it inside
+``FastPath.process_columns``: one ``get``, mutate the returned
+:class:`FlowState`, one ``put`` -- two touches per TCP packet, on the
+batch route and the per-packet route alike.  The write-back is a no-op
+for the dict, an LRU touch for the table, and the one chance a compact
+backend gets to persist the update.  ``peek`` is for passive probes
+only; its one product caller is ``FastPath.expected_seq`` (the
+diversion-time snapshot of a direction that did not just send).
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ shared ``bytes`` capture buffer plus parallel ``array`` columns of the
 few fields the fast path actually consults (protocol, fragment bits,
 TTL, addresses/ports, TCP seq/flags, payload offset/length), so the
 clean majority of rows is processed with integer reads and zero-copy
-``memoryview`` slices.  Only rows the engine flags -- fragment,
-diverted, anomalous, matched, or undecodable -- are materialized into
-real packet objects via :meth:`PacketBatch.materialize` and handed to
-the per-packet ``process()`` unchanged.
+``memoryview`` slices.  Only rows that need a packet object -- a
+fragment, a row of a diverted flow, an undecodable transport header
+(all three go to the per-packet ``process()``), or the one row that
+diverts its flow (fed to the slow path) -- are materialized via
+:meth:`PacketBatch.materialize`.
 
 Column schema (one entry per valid row, in capture order):
 

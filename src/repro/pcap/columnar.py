@@ -6,8 +6,9 @@ buffer.  :func:`read_column_batches` streams a savefile once;
 :func:`encode_batches` is the door every other source goes through.
 Both hand offsets into a buffer to the same row decode, so a frame is
 classified one way whichever route carried it.  The engine consumes the
-columns directly and materializes full objects only for the flagged
-minority.
+columns directly and materializes full objects only for the rows that
+need one (fragments, diverted flows, undecodable transport headers, the
+row that diverts a flow).
 
 Parity contract (tested, and the reason this module is careful rather
 than clever):

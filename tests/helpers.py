@@ -51,3 +51,19 @@ def per_packet_oracle(ips: SplitDetectIPS, packets) -> list[Alert]:
     """The reference every batch route is compared against: the engine's
     per-packet ``process()`` loop, no batching, no encoder."""
     return [alert for packet in packets for alert in ips.process(packet)]
+
+
+def counter_state(tel) -> dict:
+    """Every decision counter in a telemetry registry, as comparable
+    plain data.
+
+    ``repro_ingest_*`` counters describe the carrier (rows per batch,
+    rows materialized), not what was decided about the traffic; a
+    per-packet loop has no carrier, so they are left out."""
+    out = {}
+    for metric in tel.metrics():
+        if metric.kind == "counter" and not metric.name.startswith("repro_ingest_"):
+            out[metric.name] = [
+                (labels, value) for labels, value in metric.samples()
+            ]
+    return out

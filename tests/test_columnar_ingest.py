@@ -27,6 +27,8 @@ from repro.packet import (
     IP_PROTO_TCP,
     IP_PROTO_UDP,
     TCP_ACK,
+    TCP_FIN,
+    TCP_RST,
     TCP_SYN,
     IPv4Packet,
     TcpSegment,
@@ -61,6 +63,8 @@ from repro.runtime import (
     equivalence_digest,
     rebatch_columns,
 )
+from repro.signatures import Signature, SplitPolicy, split_ruleset
+from repro.telemetry import TelemetryRegistry
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
 from helpers import (
@@ -68,6 +72,7 @@ from helpers import (
     SIGNATURE_OFFSET,
     attack_payload,
     attack_ruleset,
+    counter_state,
     per_packet_oracle,
 )
 
@@ -117,6 +122,23 @@ def run_columnar_engine(rules, path, use_numpy, **ips_kw):
     return ips, alerts
 
 
+def backend_internals(fast_path) -> dict:
+    """What a state backend ends a run holding, order included."""
+    flows = fast_path._flows
+    return {
+        "items": [
+            (key, state.expected_seq, state.last_seen) for key, state in flows.items()
+        ],
+        "entries": len(flows),
+        "table_evictions": fast_path.table_evictions,
+        "sketch": [
+            getattr(flows, name, None)
+            for name in ("hot_entries", "cold_entries", "promotions", "demotions")
+        ],
+        "table_hits_misses": [getattr(flows, name, None) for name in ("hits", "misses")],
+    }
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
     @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
@@ -143,16 +165,39 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
     def test_table_backend_parity(self, mixed_pcaps, use_numpy):
+        """Every backend, down to its internals: the bounded ones are
+        small enough here to evict, recycle and promote, so a route that
+        touched state in another order would end elsewhere."""
         path = mixed_pcaps[LINKTYPE_RAW_IP]
         rules = attack_ruleset()
-        config = FastPathConfig(state_backend="table")
-        obj, obj_alerts = run_object_engine(rules, path, fast_config=config)
-        col, col_alerts = run_columnar_engine(
-            rules, path, use_numpy, fast_config=config
-        )
-        assert vars(obj.stats) == vars(col.stats)
-        assert obj_alerts == col_alerts
-        assert obj.divert_reasons == col.divert_reasons
+        packets = list(read_trace(path))
+        for config in (
+            FastPathConfig(state_backend="dict"),
+            FastPathConfig(state_backend="table", table_buckets=8, table_ways=2),
+            FastPathConfig(
+                state_backend="sketch", sketch_slots=32, sketch_hot_capacity=1
+            ),
+        ):
+            obj = SplitDetectIPS(rules, fast_config=config)
+            col = SplitDetectIPS(rules, fast_config=config)
+            obj_alerts, col_alerts, done = [], [], 0
+            for batch in read_column_batches(path, batch_size=256, use_numpy=use_numpy):
+                col_alerts.extend(col.process_column_batch(batch))
+                obj_alerts.extend(
+                    per_packet_oracle(obj, packets[done : done + len(batch)])
+                )
+                done += len(batch)
+                # Mid-run, while flows are open: same records, same order.
+                assert backend_internals(obj.fast_path) == backend_internals(
+                    col.fast_path
+                )
+            assert done == len(packets)
+            assert vars(obj.stats) == vars(col.stats)
+            assert obj_alerts == col_alerts
+            assert obj.divert_reasons == col.divert_reasons
+            if config.state_backend != "dict":
+                assert obj.fast_path.table_evictions > 0
+        assert obj.fast_path._flows.promotions > 0  # a reinstated flow came back hot
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not available")
@@ -541,3 +586,156 @@ def mutated_frames(draw) -> bytes:
 def test_encoder_equals_object_parser_on_mutated_frames(frames, batch_size):
     for use_numpy in NUMPY_MODES:
         assert_encoder_agrees(frames, batch_size, use_numpy)
+
+
+# ---------------------------------------------------------------------------
+# Property-based: the batch route decides what the per-packet loop decides
+# ---------------------------------------------------------------------------
+
+_EDGE_RULES = attack_ruleset(
+    extra=[
+        Signature(sid=7001, pattern=b"UDP-EVIL-DATAGRAM-xx", msg="udp", protocol="udp"),
+        Signature(sid=7002, pattern=b"tiny!", msg="unsplittable"),
+        Signature(
+            sid=7003,
+            pattern=b"NEEDS-A-SECOND-CONTENT-x",
+            msg="extras",
+            extra_contents=(b"second",),
+        ),
+    ]
+)
+_EDGE_POLICY = SplitPolicy(piece_length=8)
+_EDGE_SPLIT = split_ruleset(_EDGE_RULES, _EDGE_POLICY)
+_B = _EDGE_SPLIT.small_packet_threshold
+_FLOOR = FastPathConfig().min_ttl
+_CONTENTS = {
+    "filler": b"",
+    "piece": _EDGE_SPLIT.splits[5001].pieces[1].data,
+    "whole": ATTACK_SIGNATURE,
+    "unsplittable": b"a tiny! b",
+    "extras_missing": b"NEEDS-A-SECOND-CONTENT-x",
+    "extras_here": b"NEEDS-A-SECOND-CONTENT-x second",
+    "udp_hit": b"UDP-EVIL-DATAGRAM-xx",
+}
+
+# One step of a flow's program: which flow, then a value at or next to
+# the edge of each rule the fast path decides.
+_STEP = st.tuples(
+    st.integers(0, 2),  # flow
+    st.sampled_from(["tcp", "tcp", "tcp", "udp"]),
+    st.sampled_from([_B - 1, _B, _B + 1, 600, 0]),  # R1: payload size
+    st.sampled_from([0, 0, 0, -1, 1, 5000]),  # R2: seq vs the in-order cursor
+    st.sampled_from([_FLOOR - 1, _FLOOR, 64]),  # R4: TTL
+    st.sampled_from([TCP_ACK, TCP_ACK, TCP_ACK, TCP_SYN, TCP_FIN | TCP_ACK, TCP_RST]),
+    st.sampled_from(sorted(_CONTENTS)),  # R5: what the automaton finds
+)
+
+
+def edge_trace(steps) -> list[TimedPacket]:
+    cursor = {}
+    packets = []
+    for index, (flow, proto, plen, delta, ttl, flags, content) in enumerate(steps):
+        src = f"10.7.0.{flow + 1}"
+        # Right-aligned: a payload view cut one byte short loses the match.
+        payload = (b"z" * plen + _CONTENTS[content])[-plen:] if plen else b""
+        if proto == "udp":
+            ip = build_udp_packet(
+                src, "10.0.0.2", UdpDatagram(src_port=5353, dst_port=53, payload=payload)
+            )
+        else:
+            expected = cursor.get(flow, 1000)
+            segment = TcpSegment(
+                src_port=44000,
+                dst_port=80,
+                seq=(expected + delta) % 2**32,
+                flags=flags,
+                payload=payload,
+            )
+            if delta == 0:
+                cursor[flow] = segment.end_seq
+            ip = build_tcp_packet(src, "10.0.0.2", segment, ttl=ttl)
+        packets.append(TimedPacket(0.01 * index, ip))
+    return packets
+
+
+def decisions(ips, alerts, tel) -> dict:
+    """Everything a run decided, as comparable plain data."""
+    return {
+        "alerts": alerts,
+        "stats": vars(ips.stats),
+        "diversions": [
+            (d.flow, d.reason, d.detail, d.timestamp) for d in ips.diversions
+        ],
+        "divert_reasons": dict(ips.divert_reasons),
+        "diverted": ips._diverted,
+        "refusals": ips.overload_refusals,
+        "reinstated": ips.reinstated_flows,
+        "monitor": backend_internals(ips.fast_path),
+        "counters": counter_state(tel),
+    }
+
+
+def assert_batch_route_decides_as_per_packet(steps, capacity, probation):
+    def engine():
+        tel = TelemetryRegistry()
+        return tel, SplitDetectIPS(
+            _EDGE_RULES,
+            split_policy=_EDGE_POLICY,
+            slow_capacity_flows=capacity,
+            probation_packets=probation,
+            telemetry=tel,
+        )
+
+    packets = edge_trace(steps)
+    tel, ips = engine()
+    reference = decisions(ips, per_packet_oracle(ips, packets), tel)
+    for batch_size in (1, 7, 256):
+        tel, ips = engine()
+        alerts = []
+        for batch in encode_batches(packets, batch_size):
+            assert not batch.quarantined
+            alerts.extend(ips.process_column_batch(batch))
+        assert decisions(ips, alerts, tel) == reference, batch_size
+    return reference
+
+
+@given(
+    steps=st.lists(_STEP, max_size=40),
+    capacity=st.sampled_from([None, 1]),
+    probation=st.sampled_from([8, 1]),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_batch_route_decides_as_per_packet_at_every_rule_edge(steps, capacity, probation):
+    assert_batch_route_decides_as_per_packet(steps, capacity, probation)
+
+
+def test_rule_edge_program_reaches_refusal_and_mid_batch_reinstatement():
+    """The two engine states a random program reaches only by luck, pinned:
+    a divert refused at capacity (the flow stays on the fast path), and a
+    flow that enters a batch diverted -- so the sweep skipped its rows --
+    and is reinstated by that batch's first row (batch size 7)."""
+    data = lambda flow, delta, content="filler", plen=600: (  # noqa: E731
+        flow, "tcp", plen, delta, 64, TCP_ACK, content,
+    )
+    steps = [
+        data(0, 0),
+        data(0, 0, "piece"),  # piece hit: flow 0 diverts, fills the slow path
+        data(1, 0),
+        data(1, 5000),  # out of order on flow 1: refused, stays fast
+        data(1, 0, plen=_B - 1),  # tiny on flow 1: refused again, one alert
+        data(1, 0),
+        data(1, 0),
+        data(0, 0),  # second clean slow-path packet: flow 0 is reinstated
+        data(0, 0, "unsplittable"),  # back on the fast path, scanned there
+        data(0, -1),  # retransmission: diverts again
+        (2, "udp", 600, 0, 64, 0, "udp_hit"),
+        (2, "udp", 600, 0, 64, 0, "filler"),
+    ]
+    reference = assert_batch_route_decides_as_per_packet(steps, 1, 2)
+    assert reference["refusals"] == 2
+    assert reference["reinstated"] == 1
+    assert [a.sid for a in reference["alerts"]] == [None, 7002, 7001]
+    assert [d[1].value for d in reference["diversions"]] == [
+        "piece_match",
+        "retransmission",
+    ]

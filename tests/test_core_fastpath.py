@@ -3,12 +3,21 @@
 import pytest
 
 from helpers import ATTACK_SIGNATURE, attack_ruleset
-from repro.core import FAST_FLOW_STATE_BYTES, DivertReason, FastPath, FastPathConfig
+from repro.core import (
+    FAST_FLOW_STATE_BYTES,
+    DivertReason,
+    FastPath,
+    FastPathConfig,
+    SplitDetectIPS,
+)
+from repro.core.state import DictBackend
 from repro.evasion import build_attack, even_segments, plan_to_packets
 from repro.packet import (
     TCP_ACK,
     TCP_FIN,
     TCP_RST,
+    TCP_SYN,
+    FlowKey,
     TcpSegment,
     TimedPacket,
     build_tcp_packet,
@@ -316,7 +325,7 @@ class TestSeedFlowLifecycle:
     def test_expected_seq_probe_is_passive_on_table_backend(self):
         # The diversion-time snapshot must not promote the probed entry
         # over genuinely active flows in the fixed table.
-        fp = make_fastpath(FastPathConfig(table_buckets=1, table_ways=2))
+        fp = make_fastpath(FastPathConfig(state_backend="table", table_buckets=1, table_ways=2))
         table = fp._flows
         fp.seed_flow(self._flow(), 100, now=0.0)
         other = self._flow().reversed()
@@ -417,3 +426,105 @@ class TestSequenceWraparound:
         result = fp.process(tcp_at(0.1, self.CLIENT, self.SERVER,
                                    self._seg(2**32 - 700, payload=b"x" * 600)))
         assert result.divert == DivertReason.RETRANSMISSION
+
+
+class CountingBackend(DictBackend):
+    """A ``DictBackend`` that logs every state touch, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def get(self, flow, default=None):
+        self.log.append(("get", flow))
+        return super().get(flow, default)
+
+    def peek(self, flow, default=None):
+        self.log.append(("peek", flow))
+        return super().get(flow, default)
+
+    def put(self, flow, state):
+        self.log.append(("put", flow))
+        super().put(flow, state)
+
+    def pop(self, flow, default=None):
+        self.log.append(("pop", flow))
+        return super().pop(flow, default)
+
+    def record_anomaly(self, flow):
+        self.log.append(("record_anomaly", flow))
+
+
+class TestStateTouches:
+    """What a packet costs the state backend is counted, not assumed, and
+    the batch route touches it exactly as the per-packet loop does."""
+
+    CLIENT, SERVER = "10.9.9.9", "10.0.0.2"
+    FLOW = FlowKey(CLIENT, SERVER, 44000, 80)
+
+    def _engine(self, **kw):
+        ips = SplitDetectIPS(
+            attack_ruleset(), split_policy=SplitPolicy(piece_length=8), **kw
+        )
+        ips.fast_path._flows = CountingBackend()
+        return ips
+
+    def _seg(self, ts, seq, payload=b"", flags=TCP_ACK, *, src=CLIENT, ttl=64):
+        segment = TcpSegment(
+            src_port=44000, dst_port=80, seq=seq, flags=flags, payload=payload
+        )
+        return tcp_at(ts, src, self.SERVER, segment, ttl=ttl)
+
+    def _opening(self, src=CLIENT):
+        return [
+            self._seg(0.0, 1000, flags=TCP_SYN, src=src),
+            self._seg(0.1, 1001, b"a" * 600, src=src),
+        ]
+
+    def test_clean_data_segment_is_one_get_one_put_no_peek(self):
+        ips = self._engine()
+        ips.process_batch(self._opening())
+        log = ips.fast_path._flows.log
+        del log[:]
+        ips.process_batch(
+            [self._seg(0.2, 1601, b"b" * 600), self._seg(0.3, 2201, b"c" * 600)]
+        )
+        assert log == [("get", self.FLOW), ("put", self.FLOW)] * 2
+        assert ips.stats.diversions == 0
+
+    ANOMALIES = {
+        "ttl": dict(seq=1601, payload=b"t" * 600, ttl=2),
+        "tiny": dict(seq=1601, payload=b"tiny"),
+        "out_of_order": dict(seq=5000, payload=b"o" * 600),
+        "retransmission": dict(seq=1001, payload=b"a" * 600),
+        "piece_hit": dict(seq=1601, payload=b"x" * 300 + ATTACK_SIGNATURE + b"y" * 300),
+    }
+
+    def _trace(self, kind):
+        if kind == "refused_divert":
+            # Another flow fills the one-flow slow path first.
+            other = "10.9.9.8"
+            head = self._opening(other) + [self._seg(0.15, 1601, b"tiny", src=other)]
+            kind = "out_of_order"
+        else:
+            head = []
+        return (
+            head
+            + self._opening()
+            + [self._seg(0.2, **self.ANOMALIES[kind])]
+            + [self._seg(0.3, 1601, b"n" * 600), self._seg(0.4, 0, flags=TCP_RST)]
+        )
+
+    @pytest.mark.parametrize("kind", [*ANOMALIES, "refused_divert"])
+    def test_anomalous_rows_touch_state_as_the_per_packet_loop_does(self, kind):
+        kw = {"slow_capacity_flows": 1} if kind == "refused_divert" else {}
+        single, batched = self._engine(**kw), self._engine(**kw)
+        trace = self._trace(kind)
+        for packet in trace:
+            single.process(packet)
+        batched.process_batch(trace)
+        log = single.fast_path._flows.log
+        assert ("record_anomaly", self.FLOW) in log
+        assert batched.fast_path._flows.log == log
+        assert single.overload_refusals == (kind == "refused_divert")
+        assert batched.diversions == single.diversions

@@ -142,14 +142,14 @@ class TestFlowTable:
 
 class TestFastPathWithTable:
     def test_state_bytes_is_provisioned_capacity(self):
-        config = FastPathConfig(table_buckets=64, table_ways=2)
+        config = FastPathConfig(state_backend="table", table_buckets=64, table_ways=2)
         ips = SplitDetectIPS(attack_ruleset(), fast_config=config)
         assert ips.fast_path.state_bytes() == 64 * 2 * FAST_FLOW_STATE_BYTES
 
     def test_detection_survives_tiny_table(self):
         """Even a pathologically small table (constant evictions) cannot
         hide the catalog attack: piece matching is stateless."""
-        config = FastPathConfig(table_buckets=2, table_ways=1)
+        config = FastPathConfig(state_backend="table", table_buckets=2, table_ways=1)
         ips = SplitDetectIPS(attack_ruleset(), fast_config=config)
         trace = generate_trace(TrafficProfile(flows=30), seed=5)
         attack = build_attack(
@@ -168,7 +168,7 @@ class TestFastPathWithTable:
         assert ips.fast_path.table_evictions > 0
 
     def test_no_evictions_when_table_ample(self):
-        config = FastPathConfig(table_buckets=4096, table_ways=4)
+        config = FastPathConfig(state_backend="table", table_buckets=4096, table_ways=4)
         ips = SplitDetectIPS(attack_ruleset(), fast_config=config)
         for packet in generate_trace(TrafficProfile(flows=30), seed=5):
             ips.process(packet)
@@ -177,3 +177,11 @@ class TestFastPathWithTable:
     def test_unbounded_default_reports_zero_evictions(self):
         ips = SplitDetectIPS(attack_ruleset())
         assert ips.fast_path.table_evictions == 0
+
+    @pytest.mark.parametrize("backend", ["dict", "sketch"])
+    def test_table_buckets_without_the_table_backend_is_an_error(self, backend):
+        # ``state_backend`` is the only selector: a bucket count must not
+        # quietly pick the table, nor be quietly dropped.
+        config = FastPathConfig(state_backend=backend, table_buckets=64)
+        with pytest.raises(ValueError, match="table_buckets"):
+            SplitDetectIPS(attack_ruleset(), fast_config=config)

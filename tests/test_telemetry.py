@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from helpers import attack_ruleset, signature_span, attack_payload
+from helpers import attack_payload, attack_ruleset, counter_state, signature_span
 from repro.core import ConventionalIPS, NaivePacketIPS, SplitDetectIPS
 from repro.evasion import build_attack
 from repro.signatures import SplitPolicy
@@ -322,21 +322,6 @@ def sample_trace():
     return first + second
 
 
-def counter_state(tel: TelemetryRegistry) -> dict:
-    """Every decision counter in the registry, as comparable plain data.
-
-    ``repro_ingest_*`` counters describe the carrier (rows per batch,
-    rows materialized), not what was decided about the traffic; a
-    per-packet loop has no carrier, so they are left out."""
-    out = {}
-    for metric in tel.metrics():
-        if metric.kind == "counter" and not metric.name.startswith("repro_ingest_"):
-            out[metric.name] = [
-                (labels, value) for labels, value in metric.samples()
-            ]
-    return out
-
-
 class TestEngineTelemetry:
     def test_process_and_process_batch_counters_identical(self):
         trace = sample_trace()
@@ -385,6 +370,34 @@ class TestEngineTelemetry:
         assert observed["ac_prescan"] >= 1
         assert observed["slow_path"] == ips.stats.slow_packets
         assert 0 < observed["decode"] <= ips.stats.packets_total
+        # The fast-path stage keeps its sample: every row that came back
+        # with a result (each diverting row is one) is timed.
+        assert ips.stats.diversions <= observed["fast_path"] <= ips.stats.fast_packets
+
+    def test_materialized_counter_says_what_needed_a_packet_object(self):
+        # A flow to a port the signature does not cover: its rows hit the
+        # automaton but neither alert nor divert, so none builds an object.
+        off_port = build_attack(
+            "plain",
+            attack_payload(),
+            signature_span=signature_span(),
+            src="10.9.9.11",
+            dst_port=8081,
+        )
+        tel = TelemetryRegistry()
+        ips = split_ips(tel)
+        ips.process_batch(sample_trace() + off_port)
+        by_cause = {
+            labels["cause"]: value
+            for labels, value in tel.get("repro_ingest_materialized_total").samples()
+        }
+        diverted_rows = by_cause.pop("diverted")
+        assert by_cause == {
+            reason.value: count for reason, count in ips.divert_reasons.items()
+        }
+        # No fragments here, so the slow path is the only consumer of
+        # objects: the diverting rows plus the rows of diverted flows.
+        assert diverted_rows + ips.stats.diversions == ips.stats.slow_packets
 
     def test_journal_records_diversions_with_packet_time(self):
         tel = TelemetryRegistry()

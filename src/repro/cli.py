@@ -38,6 +38,7 @@ from .runtime import (
     ParallelRunner,
     RunnerConfig,
     ShardPolicy,
+    WorkerFailure,
     iter_batches,
 )
 from .signatures import (
@@ -170,9 +171,13 @@ def _cmd_run_parallel(args: argparse.Namespace, rules: RuleSet) -> int:
         # Decoded straight to columns, malformed frames riding along as
         # quarantine entries: the runner's ledger owns them, so a
         # hostile capture cannot kill the run.
-        report = runner.run(
-            read_column_batches(args.pcap, batch_size=config.batch_size)
-        )
+        try:
+            report = runner.run(
+                read_column_batches(args.pcap, batch_size=config.batch_size)
+            )
+        except WorkerFailure as exc:
+            print(f"worker failure: {exc}", file=sys.stderr)
+            return 1
         session.publish_registry(report.registry)
         session.publish_trace(report.trace)
         session.update_health(
@@ -853,9 +858,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="supervise workers: restart a dead/hung shard up to N times "
-             "with a fresh engine, reporting the gap as a degraded "
-             "interval (default 0: any worker failure aborts the run)",
+        help="per-shard restart budget: a dead/hung/erroring worker is "
+             "replaced up to N times with a fresh engine, the gap "
+             "reported as a degraded interval (default 0: the first "
+             "worker failure ends the run with exit status 1)",
     )
     run.add_argument(
         "--restart-backoff",

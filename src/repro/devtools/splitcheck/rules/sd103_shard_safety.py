@@ -12,7 +12,7 @@ breakage: they import-resolve on fork, then explode on macOS/Windows.
 Flags, inside ``runtime/``:
 
 - a ``lambda`` or locally defined function passed to ``.put(...)`` /
-  ``.put_nowait(...)`` or any ``*_put_blocking`` helper;
+  ``.put_nowait(...)`` or the runner's lossless ``enqueue`` helper;
 - a ``Process(target=...)`` whose target is a lambda, a bound method
   (attribute access), or a locally defined function -- targets must be
   module-level functions;
@@ -29,6 +29,7 @@ from ..engine import FileContext, Rule, register
 __all__ = ["ShardSafetyRule"]
 
 QUEUE_PUT_METHODS = frozenset({"put", "put_nowait"})
+QUEUE_PUT_HELPERS = frozenset({"enqueue"})
 
 
 def _local_function_names(tree: ast.Module) -> frozenset[str]:
@@ -70,7 +71,7 @@ class ShardSafetyRule(Rule):
                 isinstance(func, ast.Attribute) and func.attr in QUEUE_PUT_METHODS
             ) or (
                 isinstance(func, (ast.Attribute, ast.Name))
-                and "put_blocking" in (getattr(func, "attr", None) or getattr(func, "id", ""))
+                and (getattr(func, "attr", None) or getattr(func, "id", "")) in QUEUE_PUT_HELPERS
             )
             if is_put:
                 for arg in node.args:

@@ -56,6 +56,7 @@ from array import array
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ..hashing import fnv1a_64
 from .flows import FlowKey, TimedPacket
 from .ip import IPv4Packet
 
@@ -119,8 +120,6 @@ def portless_flow_hash(src: int, dst: int, proto: int) -> int:
     key = (src, dst, proto)
     cached = _PORTLESS_HASHES.get(key)
     if cached is None:
-        from ..core.flowtable import fnv1a_64
-
         if len(_PORTLESS_HASHES) >= _INTERN_CAP:
             _PORTLESS_HASHES.clear()
         a = ip_u32_to_str(src)
@@ -136,7 +135,6 @@ def _tuple5_flow_hash(src: int, dst: int, sport: int, dport: int, proto: int) ->
     key = (src, dst, sport, dport, proto)
     cached = _TUPLE5_HASHES.get(key)
     if cached is None:
-        from ..core.flowtable import fnv1a_64
         from ..runtime.sharding import shard_key_bytes
 
         if len(_TUPLE5_HASHES) >= _INTERN_CAP:

@@ -22,10 +22,11 @@ Quick tour::
 - :class:`SerialRunner` -- same router + merge, one thread, for tests
   and bit-for-bit comparison against :class:`ParallelRunner`;
 - :class:`ParallelRunner` -- multiprocessing workers behind bounded
-  queues with block/shed backpressure and graceful drain; with
-  ``RunnerConfig(max_restarts=N)`` it supervises workers (heartbeats,
-  restart with fresh engine, explicit :class:`DegradedInterval` loss
-  accounting) instead of failing fast;
+  queues with block/shed backpressure and graceful drain; the feeder
+  supervises them (heartbeats, hang and death detection) and
+  ``RunnerConfig(max_restarts=N)`` is its restart budget: fresh engine
+  plus explicit :class:`DegradedInterval` loss accounting while budget
+  lasts, :class:`WorkerFailure` on the first failure at the default 0;
 - :mod:`~repro.runtime.faults` -- deterministic, seed-driven fault
   injection (``RunnerConfig(faults=...)`` / the CLI ``--inject`` flag);
 - :mod:`~repro.runtime.quarantine` -- malformed frames are counted per

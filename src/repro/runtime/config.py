@@ -76,27 +76,30 @@ class RunnerConfig:
     picks the platform default."""
 
     max_restarts: int = 0
-    """Per-shard restart budget.  0 (default) keeps the historical
-    fail-fast contract: any worker death raises
-    :class:`~repro.runtime.parallel.WorkerFailure`.  A positive value
-    turns on supervision: dead or hung workers are restarted with a
-    fresh engine (exponential backoff), the loss is recorded as a
-    :class:`~repro.runtime.report.DegradedInterval`, and a shard whose
-    budget is exhausted is marked dead -- the run still completes, with
-    that shard's subsequent traffic counted as lost."""
+    """Per-shard restart budget of the parallel runner's supervisor.
+    With budget left, a dead, hung or erroring worker is replaced with
+    a fresh engine (exponential backoff) and the loss is recorded as a
+    :class:`~repro.runtime.report.DegradedInterval`; a shard that spends
+    its budget is marked dead and the run still completes, with that
+    shard's subsequent traffic counted as lost.  With a budget of 0
+    (default) the first failure raises
+    :class:`~repro.runtime.parallel.WorkerFailure` as soon as it is
+    detected."""
 
     restart_backoff: float = 0.05
     """Base seconds of the supervisor's exponential restart backoff
     (the n-th restart of a shard waits ``restart_backoff * 2**n``)."""
 
     heartbeat_interval: float = 0.2
-    """Supervised workers flush a result delta (or an idle heartbeat) at
-    least this often, bounding both failure-detection latency and how
-    much confirmed work a crash can lose."""
+    """Workers flush a result delta (or an idle heartbeat) at least
+    this often, bounding both failure-detection latency and how much
+    confirmed work a crash can lose."""
 
     heartbeat_timeout: float = 5.0
-    """Seconds of heartbeat silence after which a supervised worker that
-    is still alive is declared hung, killed, and restarted."""
+    """Seconds of silence after which a worker that is still alive is
+    declared hung and killed.  The clock starts at a worker's first
+    message (sent once its engine is built), so construction time never
+    counts against it."""
 
     faults: FaultPlan | None = None
     """Deterministic fault-injection plan (tests/chaos CI only); None
@@ -107,11 +110,6 @@ class RunnerConfig:
     survives only because the frozen pipeline ledger still constructs
     ``RunnerConfig(ingest="columnar")``, and goes with the benchmark
     change that drops that spelling."""
-
-    @property
-    def supervised(self) -> bool:
-        """True when worker supervision (restart + degraded mode) is on."""
-        return self.max_restarts > 0
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:

@@ -43,7 +43,7 @@ import os
 import random
 import sys
 import time
-from collections.abc import Sized
+from collections.abc import Callable, Sized
 from dataclasses import dataclass
 
 from ..packet.errors import MalformedPacketError
@@ -243,6 +243,12 @@ class FaultInjector:
         self.clock_skew = 0.0
         """Seconds currently added to the shard's housekeeping clock."""
 
+        self.before_crash: Callable[[], None] | None = None
+        """Run just before an injected crash exits.  The worker sets it
+        to flush its results queue, whose writes happen on a background
+        thread: an injected crash models death *between* queue
+        operations, never one that leaves the shared pipe lock held."""
+
     @property
     def pending(self) -> int:
         return len(self._pending)
@@ -273,6 +279,8 @@ class FaultInjector:
                 f"[fault-injection] shard {self.shard}: crash at packet {spec.at}\n"
             )
             sys.stderr.flush()
+            if self.before_crash is not None:
+                self.before_crash()
             os._exit(CRASH_EXIT_CODE)
         if kind is FaultKind.HANG:
             time.sleep(HANG_SECONDS)

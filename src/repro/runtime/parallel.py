@@ -14,28 +14,32 @@ graceful drain -- a sentinel per queue, workers flush everything already
 enqueued, then report -- so no in-flight batch is ever lost on the
 lossless path.
 
-Two failure regimes, selected by ``RunnerConfig.max_restarts``:
+One failure regime: the feeder doubles as a supervisor.  Workers
+heartbeat and flush result deltas (see :mod:`repro.runtime.worker`), and
+the feeder looks for a dead, hung or erroring worker once per routed
+batch and inside every blocking enqueue.  ``RunnerConfig.max_restarts``
+is the per-shard budget for what happens next:
 
-- **legacy fail-fast** (``max_restarts == 0``, the default): any worker
-  death or engine error raises :class:`WorkerFailure` and the whole run
-  aborts -- appropriate for correctness tests, where a failure must be
-  loud.
-- **supervised** (``max_restarts > 0``): the feeder doubles as a
-  supervisor.  Workers heartbeat and flush result deltas (see
-  :mod:`repro.runtime.worker`); a dead, hung, or erroring worker is
-  replaced with a fresh engine on the *same* input queue (bounded
-  restarts, exponential backoff), so batches enqueued but not yet
-  consumed survive the failure.  Whatever did not survive -- packets
+- **budget left**: the worker is replaced with a fresh engine on the
+  *same* input queue (exponential backoff), so batches enqueued but not
+  yet consumed survive the failure.  Whatever did not survive -- packets
   consumed but never confirmed by a delta, flow state, unflushed alerts
   -- is recorded as a :class:`~repro.runtime.report.DegradedInterval` in
-  the merged report.  Coverage degrades; it never degrades *silently*.
+  the merged report; a shard that spends its budget is buried and its
+  later traffic counted as lost.  Coverage degrades; it never degrades
+  *silently*.
+- **a budget of 0** (the default): the first failure raises
+  :class:`WorkerFailure` with the reason and the worker's traceback or
+  exit code, as soon as it is detected -- appropriate for correctness
+  tests, where a failure must be loud.
 
 Known limitation, accepted and documented: a worker that dies while
 holding a shared queue's internal lock (mid-``get``/``put``) can wedge
-the survivors.  Injected crashes fire between batches, never inside
-queue operations, and real mid-pipe deaths additionally trip the
-heartbeat timeout, whereupon the run ends with loss accounted rather
-than hanging forever (the drain deadline backstops the rest).
+the survivors.  Injected crashes fire between batches and first let the
+worker's results-queue writer thread finish, so they are never inside a
+queue operation; real mid-pipe deaths additionally trip the heartbeat
+timeout, whereupon the run ends with loss accounted rather than hanging
+forever (the drain deadline backstops the rest).
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .worker import DRAIN, shard_worker_main
 
 __all__ = ["ParallelRunner", "WorkerFailure"]
 
-#: Seconds between liveness checks while a blocking put waits on a full
+#: Seconds between supervisor polls while a blocking put waits on a full
 #: queue (a dead worker must not hang the feeder forever).
 _PUT_POLL_SECONDS = 0.5
 
@@ -75,7 +79,8 @@ _DRAIN_POLL_SECONDS = 0.1
 
 
 class WorkerFailure(RuntimeError):
-    """A shard worker died or reported an engine error."""
+    """A shard worker died, hung or reported an engine error, and the
+    restart budget is 0."""
 
 
 class _Seat:
@@ -111,7 +116,10 @@ class _Seat:
         """Alert chunks flushed by the current generation's deltas."""
 
         self.last_delta: ShardDelta | None = None
-        self.last_seen = monotonic()
+        self.last_seen: float | None = None
+        """When the current generation last spoke; ``None`` until its
+        first message (engine construction is not silence)."""
+
         self.reports: list[ShardReport] = []
         """Salvaged partials from failed generations + the final report."""
 
@@ -137,12 +145,18 @@ class ParallelRunner:
         self.config = config or RunnerConfig()
         self.router = ShardRouter(workers, self.config.shard_policy)
 
-    # -- shared plumbing -------------------------------------------------
-
-    def _spawn(self, ctx: Any, shard: int, generation: int, in_queue: Any, out_queue: Any) -> Any:
+    def _spawn(
+        self,
+        ctx: Any,
+        shard: int,
+        generation: int,
+        in_queue: Any,
+        out_queue: Any,
+        controls: tuple[ControlMessage, ...],
+    ) -> Any:
         process = ctx.Process(
             target=shard_worker_main,
-            args=(shard, generation, self.spec, self.config, in_queue, out_queue),
+            args=(shard, generation, self.spec, self.config, in_queue, out_queue, controls),
             daemon=True,
             name=f"repro-shard-{shard}-g{generation}",
         )
@@ -204,26 +218,6 @@ class ParallelRunner:
             if rows:
                 yield index, batch.select(rows).compact()
 
-    # -- legacy fail-fast path -------------------------------------------
-
-    def _put_blocking(
-        self,
-        in_queue: Any,
-        item: "PacketBatch | ControlMessage | None",
-        process: Any,
-        shard: int,
-    ) -> None:
-        """Lossless enqueue: wait for the worker, but notice if it died."""
-        while True:
-            try:
-                in_queue.put(item, timeout=_PUT_POLL_SECONDS)
-                return
-            except queue_mod.Full:
-                if not process.is_alive():
-                    raise WorkerFailure(
-                        f"shard {shard} worker exited with its queue full"
-                    ) from None
-
     def run(self, packets: "PacketSource | Iterable[PacketBatch]") -> RuntimeReport:
         """Route, process in parallel, drain gracefully, merge.
 
@@ -231,106 +225,9 @@ class ParallelRunner:
         intake; malformed frames are quarantined feeder-side rather
         than raised (see :mod:`repro.runtime.quarantine`), and each
         shard's engine consumes its routed column slices directly.
+        Raises :class:`WorkerFailure` on the first worker failure when
+        ``config.max_restarts`` is 0.
         """
-        if self.config.supervised:
-            return self._run_supervised(packets)
-        return self._run_legacy(packets)
-
-    # The name the pipeline ledger binds; one method since every source
-    # is encoded at the door.
-    run_columnar = run
-
-    def _run_legacy(self, packets: Any) -> RuntimeReport:
-        config = self.config
-        ctx = mp.get_context(config.start_method)
-        in_queues = [ctx.Queue(maxsize=config.queue_depth) for _ in range(self.workers)]
-        out_queue = ctx.Queue()
-        start = perf_counter()
-        processes = [
-            self._spawn(ctx, index, 0, in_queues[index], out_queue)
-            for index in range(self.workers)
-        ]
-        quarantine = Quarantine()
-        shed_packets = 0
-        shed_batches = 0
-        batches_routed = 0
-        shed = config.backpressure is Backpressure.SHED
-        interrupted = False
-        try:
-            try:
-                for item in iter_feed(packets, config.batch_size, quarantine):
-                    if isinstance(item, ControlMessage):
-                        # Controls are lossless even under shed: dropping
-                        # a reload would silently split the fleet across
-                        # rule generations.
-                        for index, in_queue in enumerate(in_queues):
-                            self._put_blocking(in_queue, item, processes[index], index)
-                        continue
-                    for index, bucket in self._split_buckets(item):
-                        if shed:
-                            try:
-                                in_queues[index].put_nowait(bucket)
-                                batches_routed += 1
-                            except queue_mod.Full:
-                                shed_packets += len(bucket)
-                                shed_batches += 1
-                        else:
-                            self._put_blocking(
-                                in_queues[index], bucket, processes[index], index
-                            )
-                            batches_routed += 1
-            except KeyboardInterrupt:
-                # First interrupt: stop feeding, fall through to the
-                # normal sentinel drain so every enqueued batch is
-                # flushed and the caller gets a *partial* report instead
-                # of a traceback.  A second interrupt during the drain
-                # propagates (force quit; _reap still runs).
-                interrupted = True
-            # Graceful drain: one sentinel per queue *after* all batches;
-            # workers flush everything already enqueued before reporting.
-            for index, in_queue in enumerate(in_queues):
-                self._put_blocking(in_queue, DRAIN, processes[index], index)
-            reports: dict[int, Any] = {}
-            errors: dict[int, str] = {}
-            deadline = monotonic() + config.drain_timeout
-            for _ in range(self.workers):
-                remaining = deadline - monotonic()
-                if remaining <= 0:
-                    raise WorkerFailure(
-                        f"drain timed out; shards reporting: {sorted(reports)}"
-                    )
-                try:
-                    status, shard, _generation, payload = out_queue.get(timeout=remaining)
-                except queue_mod.Empty:
-                    raise WorkerFailure(
-                        f"drain timed out; shards reporting: {sorted(reports)}"
-                    ) from None
-                if status == "ok":
-                    reports[shard] = payload
-                else:
-                    errors[shard] = payload
-            if errors:
-                detail = "\n".join(
-                    f"--- shard {shard} ---\n{tb}" for shard, tb in sorted(errors.items())
-                )
-                raise WorkerFailure(f"{len(errors)} shard worker(s) failed:\n{detail}")
-        finally:
-            self._reap(processes, in_queues, out_queue)
-        return merge_shard_reports(
-            list(reports.values()),
-            mode="parallel",
-            workers=self.workers,
-            wall_seconds=perf_counter() - start,
-            batches_routed=batches_routed,
-            shed_packets=shed_packets,
-            shed_batches=shed_batches,
-            quarantined=dict(quarantine.counts),
-            interrupted=interrupted,
-        )
-
-    # -- supervised path --------------------------------------------------
-
-    def _run_supervised(self, packets: Any) -> RuntimeReport:
         config = self.config
         ctx = mp.get_context(config.start_method)
         out_queue = ctx.Queue()
@@ -338,7 +235,7 @@ class ParallelRunner:
         for index in range(self.workers):
             in_queue = ctx.Queue(maxsize=config.queue_depth)
             seats.append(
-                _Seat(index, in_queue, self._spawn(ctx, index, 0, in_queue, out_queue))
+                _Seat(index, in_queue, self._spawn(ctx, index, 0, in_queue, out_queue, ()))
             )
         quarantine = Quarantine()
         degraded: list[DegradedInterval] = []
@@ -348,12 +245,17 @@ class ParallelRunner:
         batches_routed = 0
         shed = config.backpressure is Backpressure.SHED
         start = perf_counter()
-        drain_started = False
+        # Set when the drain starts; past it, unfinished seats fail.
+        drain_deadline: float | None = None
         last_controls: dict[str, ControlMessage] = {}
 
         def fail_seat(seat: _Seat, reason: str, detail: str) -> None:
             """Salvage the dying generation, then restart or bury the seat."""
             nonlocal restarts
+            if config.max_restarts == 0:
+                # No budget: the first failure is the run's failure
+                # (``_reap`` collects the fleet on the way out).
+                raise WorkerFailure(f"shard {seat.index} {reason}: {detail}")
             delta = seat.last_delta
             salvaged_alerts = list(seat.chunks)
             start_ts: float | None = None
@@ -400,24 +302,23 @@ class ParallelRunner:
             seat.restarts_used += 1
             restarts += 1
             seat.generation += 1
+            # A replacement builds a fresh engine from the original spec;
+            # it is handed the latest control per op so it rejoins the
+            # fleet's current rule generation, not the seed's.
             seat.process = self._spawn(
-                ctx, seat.index, seat.generation, seat.in_queue, out_queue
+                ctx,
+                seat.index,
+                seat.generation,
+                seat.in_queue,
+                out_queue,
+                tuple(last_controls[op] for op in sorted(last_controls)),
             )
-            seat.last_seen = monotonic()
-            for op in sorted(last_controls):
-                # A replacement builds a fresh engine from the original
-                # spec; replay the latest control per op so it rejoins
-                # the fleet's current rule generation, not the seed's.
-                try:
-                    seat.in_queue.put(last_controls[op], timeout=_PUT_POLL_SECONDS)
-                except queue_mod.Full:
-                    pass  # queue is saturated with pre-reload batches; the
-                    # coverage gap is already recorded on this interval
-            if drain_started:
+            seat.last_seen = None
+            if drain_deadline is not None:
                 # The original sentinel may have died with the old
                 # worker; a duplicate is harmless (the replacement stops
                 # at the first one it sees).
-                seat.in_queue.put(DRAIN)
+                enqueue(seat, DRAIN)
 
         def handle_message(kind: str, shard: int, generation: int, payload: Any) -> None:
             seat = seats[shard]
@@ -442,67 +343,76 @@ class ParallelRunner:
                 seat.last_delta = None
                 seat.finished = True
 
-        def poll() -> None:
-            """Drain pending worker messages, then sweep for the dead."""
+        def read_messages() -> None:
+            """Handle everything the workers have already said."""
             while True:
                 try:
                     kind, shard, generation, payload = out_queue.get_nowait()
                 except queue_mod.Empty:
-                    break
+                    return
                 handle_message(kind, shard, generation, payload)
+
+        def poll() -> None:
+            """Read pending worker messages, then sweep for the dead,
+            the hung and -- once draining -- the overdue."""
+            read_messages()
             now = monotonic()
             for seat in seats:
                 if seat.dead or seat.finished or seat.process is None:
                     continue
                 if not seat.process.is_alive():
-                    # One last sweep: the worker may have reported (an
+                    # One last read: the worker may have reported (an
                     # error, or even its final ok) and exited cleanly
                     # between our reads.
                     exitcode = seat.process.exitcode
-                    drained = True
-                    while drained:
-                        try:
-                            kind, shard, generation, payload = out_queue.get_nowait()
-                        except queue_mod.Empty:
-                            drained = False
-                            break
-                        handle_message(kind, shard, generation, payload)
+                    read_messages()
                     if seat.finished or seat.dead or seat.process is None:
                         continue
                     if seat.process.is_alive():
                         continue  # a restart replaced it mid-sweep
                     fail_seat(seat, "crash", f"exit code {exitcode}")
-                elif now - seat.last_seen > config.heartbeat_timeout:
+                elif (
+                    seat.last_seen is not None
+                    and now - seat.last_seen > config.heartbeat_timeout
+                ):
                     fail_seat(
                         seat,
                         "hang",
                         f"no heartbeat for {config.heartbeat_timeout:g}s",
                     )
+                elif drain_deadline is not None and now > drain_deadline:
+                    seat.restarts_used = config.max_restarts  # no respawn
+                    fail_seat(seat, "drain_loss", "drain deadline passed")
+
+        def enqueue(seat: _Seat, item: "PacketBatch | ControlMessage | None") -> bool:
+            """The lossless put: wait for the worker, supervising while
+            waiting.  A consumer that dies is replaced right here and
+            the put retries against the replacement on the same queue;
+            returns False only once the seat is buried, so no enqueue
+            can either lose its item to a live seat or hang on a dead one.
+            """
+            while not seat.dead:
+                try:
+                    seat.in_queue.put(item, timeout=_PUT_POLL_SECONDS)
+                    return True
+                except queue_mod.Full:
+                    poll()
+            return False
 
         def route(seat: _Seat, bucket: PacketBatch) -> None:
             nonlocal shed_packets, shed_batches, batches_routed
-            if seat.dead:
-                seat.dead_dropped_packets += len(bucket)
-                seat.dead_dropped_batches += 1
-                return
-            if shed:
+            if shed and not seat.dead:
                 try:
                     seat.in_queue.put_nowait(bucket)
                 except queue_mod.Full:
                     shed_packets += len(bucket)
                     shed_batches += 1
                     return
-            else:
-                while True:
-                    try:
-                        seat.in_queue.put(bucket, timeout=_PUT_POLL_SECONDS)
-                        break
-                    except queue_mod.Full:
-                        poll()  # a dead consumer gets replaced right here
-                        if seat.dead:
-                            seat.dead_dropped_packets += len(bucket)
-                            seat.dead_dropped_batches += 1
-                            return
+            elif not enqueue(seat, bucket):
+                # Traffic for a buried seat is counted, never queued.
+                seat.dead_dropped_packets += len(bucket)
+                seat.dead_dropped_batches += 1
+                return
             seat.routed_packets += len(bucket)
             seat.routed_batches += 1
             batches_routed += 1
@@ -513,35 +423,19 @@ class ParallelRunner:
                 interval.end_ts = bucket.first_ts
                 seat.open_interval = None
 
-        def broadcast_control(message: ControlMessage) -> None:
-            """Lossless control delivery to every live seat.
-
-            Controls bypass the shed policy: dropping a reload would
-            silently split the fleet across rule generations.  A seat
-            that dies mid-put gets replaced by ``poll`` and the put
-            retries against the replacement on the same queue; a buried
-            seat is skipped (its traffic is already accounted as lost).
-            """
-            last_controls[message.op] = message
-            for seat in seats:
-                if seat.dead:
-                    continue
-                while True:
-                    try:
-                        seat.in_queue.put(message, timeout=_PUT_POLL_SECONDS)
-                        break
-                    except queue_mod.Full:
-                        poll()
-                        if seat.dead:
-                            break
-
         interrupted = False
         try:
             try:
                 for item in iter_feed(packets, config.batch_size, quarantine):
                     poll()
                     if isinstance(item, ControlMessage):
-                        broadcast_control(item)
+                        # Controls bypass the shed policy: dropping a
+                        # reload would silently split the fleet across
+                        # rule generations.  A buried seat is skipped
+                        # (its traffic is already accounted as lost).
+                        last_controls[item.op] = item
+                        for seat in seats:
+                            enqueue(seat, item)
                         continue
                     for index, bucket in self._split_buckets(item):
                         route(seats[index], bucket)
@@ -550,34 +444,20 @@ class ParallelRunner:
                 # sentinel drain for a partial (but loss-accounted)
                 # report.  A second interrupt propagates; _reap runs.
                 interrupted = True
-            drain_started = True
+            # Graceful drain: one sentinel per queue *after* all batches;
+            # workers flush everything already enqueued before reporting.
+            drain_deadline = monotonic() + config.drain_timeout
             for seat in seats:
-                if seat.dead:
-                    continue
-                while True:
-                    try:
-                        seat.in_queue.put(DRAIN, timeout=_PUT_POLL_SECONDS)
-                        break
-                    except queue_mod.Full:
-                        poll()
-                        if seat.dead:
-                            break
-            deadline = monotonic() + config.drain_timeout
+                enqueue(seat, DRAIN)
             while any(not (seat.finished or seat.dead) for seat in seats):
-                if monotonic() > deadline:
-                    for seat in seats:
-                        if not (seat.finished or seat.dead):
-                            seat.restarts_used = config.max_restarts  # no respawn
-                            fail_seat(seat, "drain_loss", "drain deadline passed")
-                    break
                 try:
                     kind, shard, generation, payload = out_queue.get(
                         timeout=_DRAIN_POLL_SECONDS
                     )
                 except queue_mod.Empty:
-                    poll()
-                    continue
-                handle_message(kind, shard, generation, payload)
+                    pass
+                else:
+                    handle_message(kind, shard, generation, payload)
                 poll()
         finally:
             self._reap(
@@ -625,3 +505,7 @@ class ParallelRunner:
             quarantined=dict(quarantine.counts),
             interrupted=interrupted,
         )
+
+    # The name the pipeline ledger binds; one method since every source
+    # is encoded at the door.
+    run_columnar = run

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 
-from ..core.flowtable import fnv1a_64
+from ..hashing import fnv1a_64
 from ..packet import FlowKey
 
 __all__ = ["ShardPolicy", "ShardRouter", "shard_key_bytes"]

@@ -9,19 +9,21 @@ identical code behind a queue, and both see the same batch boundaries
 state sampling and eviction ticks land at the same packet positions.
 
 Worker wire protocol (every message on the results queue is a 4-tuple
-``(kind, shard, generation, payload)``):
+``(kind, shard, generation, payload)``; a worker is started with the
+fleet's latest control per op and applies them before reading its queue):
 
-- ``("hb", s, g, None)``       -- supervised worker with an empty queue,
-  proving liveness once per heartbeat interval;
-- ``("delta", s, g, ShardDelta)`` -- supervised periodic result flush:
-  cumulative counters plus the alerts raised since the previous flush;
-- ``("ok", s, g, ShardReport)``   -- final report at drain.  Supervised
-  workers send only the unflushed alert tail (the parent reassembles the
-  full list from delta chunks); legacy workers send everything;
-- ``("error", s, g, traceback)``  -- the engine raised.  A supervised
-  worker reports *immediately* and exits (the supervisor restarts it); a
-  legacy worker keeps consuming to the sentinel first so the feeder can
-  never deadlock against a full queue whose consumer died silently.
+- ``("hb", s, g, None)``       -- liveness: once when the engine is built
+  (the supervisor's hang clock for a generation starts at its first
+  message, so construction time is never mistaken for a hang), then once
+  per heartbeat interval while the queue is empty;
+- ``("delta", s, g, ShardDelta)`` -- periodic result flush: cumulative
+  counters plus the alerts raised since the previous flush;
+- ``("ok", s, g, ShardReport)``   -- final report at drain, carrying only
+  the unflushed alert tail (the parent reassembles the full list from
+  delta chunks);
+- ``("error", s, g, traceback)``  -- the engine raised (at build or on a
+  batch).  The worker reports *immediately* and exits; the supervisor
+  restarts it or fails the run.
 
 Every worker exit path must put a status message first -- enforced
 statically by splitcheck rule SD106.  The one exception is an injected
@@ -197,7 +199,7 @@ class ShardProcessor:
     def control(self, message: ControlMessage) -> None:
         """Apply one out-of-band command between batches.
 
-        Called by the worker loops (and directly by in-process drivers
+        Called by the worker loop (and directly by in-process drivers
         like the service pipeline) strictly *between* :meth:`feed`
         calls, which is what makes a ``reload`` atomic per shard: no
         batch ever sees two rule generations.  Unknown ops are counted
@@ -289,71 +291,6 @@ class ShardProcessor:
         return report
 
 
-def _supervised_loop(
-    processor: ShardProcessor,
-    config: RunnerConfig,
-    in_queue: Any,
-    out_queue: Any,
-) -> None:
-    """Consume batches with heartbeats and periodic delta flushes."""
-    shard = processor.shard
-    generation = processor.generation
-    interval = config.heartbeat_interval
-    last_flush = monotonic()
-    while True:
-        try:
-            batch = in_queue.get(timeout=interval)
-        except queue_mod.Empty:
-            # Idle but alive.  A worker busy inside feed() proves
-            # liveness through its delta flushes instead; one stalled
-            # longer than the heartbeat timeout is indistinguishable
-            # from hung, and restarting it is the correct response.
-            out_queue.put(("hb", shard, generation, None))
-            continue
-        if batch is DRAIN:
-            break
-        if isinstance(batch, ControlMessage):
-            processor.control(batch)
-            continue
-        processor.feed(batch)
-        now = monotonic()
-        if now - last_flush >= interval:
-            out_queue.put(("delta", shard, generation, processor.flush_delta()))
-            last_flush = now
-    report = processor.finish()
-    # The parent already holds every flushed chunk; ship only the tail.
-    report.alerts = processor.alerts[processor.alerts_flushed :]
-    out_queue.put(("ok", shard, generation, report))
-
-
-def _legacy_loop(
-    processor: ShardProcessor | None,
-    failure: str | None,
-    shard: int,
-    in_queue: Any,
-    out_queue: Any,
-) -> None:
-    """Historical fail-fast contract: report errors only at drain time."""
-    while True:
-        batch = in_queue.get()
-        if batch is DRAIN:
-            break
-        if failure is None:
-            assert processor is not None  # no failure implies construction worked
-            try:
-                if isinstance(batch, ControlMessage):
-                    processor.control(batch)
-                else:
-                    processor.feed(batch)
-            except Exception:
-                failure = traceback.format_exc()
-    if failure is not None:
-        out_queue.put(("error", shard, 0, failure))
-    else:
-        assert processor is not None
-        out_queue.put(("ok", shard, 0, processor.finish()))
-
-
 def shard_worker_main(
     shard: int,
     generation: int,
@@ -361,31 +298,59 @@ def shard_worker_main(
     config: RunnerConfig,
     in_queue: Any,
     out_queue: Any,
+    controls: tuple[ControlMessage, ...],
 ) -> None:
     """Process entry point: drain batches until the sentinel, then report.
 
-    Supervised workers (``config.supervised``) heartbeat, flush deltas,
-    and report engine errors immediately; legacy workers keep the
-    original consume-to-sentinel, report-once contract.  Either way the
-    worker's last act before any exit is a status message on
-    ``out_queue`` (SD106) -- the supervisor treats silence as death.
+    ``controls`` is the fleet's latest control per op at spawn time; a
+    replacement applies them to its fresh engine before its first
+    ``get``, so it rejoins at the current rule generation whatever is
+    still queued ahead of it.  The worker's last act before any exit is
+    a status message on ``out_queue`` (SD106) -- the supervisor treats
+    silence as death.
     """
+    interval = config.heartbeat_interval
+
+    def flush_status() -> None:
+        """Everything already put is in the pipe when this returns."""
+        out_queue.close()
+        out_queue.join_thread()
+
     try:
-        processor: ShardProcessor | None = ShardProcessor(
+        processor = ShardProcessor(
             shard, spec, config, generation=generation, allow_process_faults=True
         )
-        failure: str | None = None
-    except Exception:
-        processor = None
-        failure = traceback.format_exc()
-    if not config.supervised:
-        _legacy_loop(processor, failure, shard, in_queue, out_queue)
-        return
-    if failure is not None or processor is None:
-        out_queue.put(("error", shard, generation, failure or "engine build failed"))
-        return
-    try:
-        _supervised_loop(processor, config, in_queue, out_queue)
+        if processor.injector is not None:
+            processor.injector.before_crash = flush_status
+        for message in controls:
+            processor.control(message)
+        # Built: the supervisor's hang clock starts at this message.
+        out_queue.put(("hb", shard, generation, None))
+        last_flush = monotonic()
+        while True:
+            try:
+                batch = in_queue.get(timeout=interval)
+            except queue_mod.Empty:
+                # Idle but alive.  A worker busy inside feed() proves
+                # liveness through its delta flushes instead; one stalled
+                # longer than the heartbeat timeout is indistinguishable
+                # from hung, and failing it is the correct response.
+                out_queue.put(("hb", shard, generation, None))
+                continue
+            if batch is DRAIN:
+                break
+            if isinstance(batch, ControlMessage):
+                processor.control(batch)
+                continue
+            processor.feed(batch)
+            now = monotonic()
+            if now - last_flush >= interval:
+                out_queue.put(("delta", shard, generation, processor.flush_delta()))
+                last_flush = now
+        report = processor.finish()
+        # The parent already holds every flushed chunk; ship only the tail.
+        report.alerts = processor.alerts[processor.alerts_flushed :]
+        out_queue.put(("ok", shard, generation, report))
     except Exception:
         out_queue.put(("error", shard, generation, traceback.format_exc()))
         return

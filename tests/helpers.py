@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
+
 from repro.core import Alert, SplitDetectIPS
 from repro.packet import FlowKey, PacketBatch, TimedPacket
 from repro.pcap.columnar import encode_batches
+from repro.runtime import EngineSpec
 from repro.signatures import RuleSet, Signature
 
 ATTACK_SIGNATURE = b"EVIL/shellcode\x90\x90\x90:run/bin/sh"  # 31 bytes
@@ -67,3 +71,33 @@ def counter_state(tel) -> dict:
                 (labels, value) for labels, value in metric.samples()
             ]
     return out
+
+
+# Worker-process specs live here, at module level of an importable
+# module, so a ``spawn`` worker can unpickle them.
+
+
+@dataclass(frozen=True)
+class SlowBuildSpec(EngineSpec):
+    """An engine that takes ``build_seconds`` to construct, like the
+    bundled corpus does -- on every generation, replacements included."""
+
+    build_seconds: float = 0.6
+
+    def build(self, telemetry=None, tracer=None) -> SplitDetectIPS:
+        time.sleep(self.build_seconds)
+        return super().build(telemetry=telemetry, tracer=tracer)
+
+
+def _explode(batch: PacketBatch) -> list[Alert]:
+    raise RuntimeError("engine exploded")
+
+
+@dataclass(frozen=True)
+class ExplodingSpec(EngineSpec):
+    """An engine that builds fine and raises on its first batch."""
+
+    def build(self, telemetry=None, tracer=None) -> SplitDetectIPS:
+        engine = super().build(telemetry=telemetry, tracer=tracer)
+        engine.process_column_batch = _explode
+        return engine

@@ -370,6 +370,16 @@ class TestParallelRun:
         snapshot = json.loads(out.read_text())
         assert "repro_runtime_workers" in snapshot["gauges"]
 
+    def test_worker_failure_is_a_message_not_a_traceback(
+        self, attack_pcap, small_rules, capsys
+    ):
+        """No restart budget: the first failure ends the run, readably."""
+        code = main(["run", str(attack_pcap), "--workers", "2",
+                     "--rules", str(small_rules),
+                     "--inject", "crash:shard=0,at=0"])
+        assert code == 1
+        assert "worker failure: shard 0 crash: exit code 73" in capsys.readouterr().err
+
     def test_workers_requires_split_engine(self, attack_pcap, capsys):
         code = main(["run", str(attack_pcap), "--workers", "2",
                      "--engine", "naive"])

@@ -9,6 +9,7 @@ the serial reference.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 
 import pytest
@@ -19,6 +20,8 @@ from repro.packet.errors import MalformedPacketError
 from repro.pcap import read_column_batches, read_records, read_trace, write_trace
 from repro.runtime import (
     DECODE_ERRORS,
+    Backpressure,
+    ControlMessage,
     EngineSpec,
     FaultInjector,
     FaultKind,
@@ -31,10 +34,17 @@ from repro.runtime import (
     WorkerFailure,
 )
 from repro.runtime.batching import iter_feed
-from repro.signatures import SplitPolicy
+from repro.signatures import RuleSet, Signature, SplitPolicy
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
-from helpers import ATTACK_SIGNATURE, SIGNATURE_OFFSET, attack_payload, attack_ruleset
+from helpers import (
+    ATTACK_SIGNATURE,
+    SIGNATURE_OFFSET,
+    ExplodingSpec,
+    SlowBuildSpec,
+    attack_payload,
+    attack_ruleset,
+)
 
 
 def make_spec() -> EngineSpec:
@@ -348,17 +358,108 @@ def test_supervised_budget_exhaustion_completes_degraded():
     assert mp.active_children() == []
 
 
-def test_legacy_mode_still_fails_fast():
-    """max_restarts=0 preserves the historical fail-fast contract."""
+def test_restarted_worker_rejoins_at_current_rule_generation():
+    """A replacement is born with the fleet's latest reload applied: a
+    full queue and a slow engine build must not leave it on the seed's
+    rules for the rest of the run."""
+    seed_rules = RuleSet()
+    seed_rules.add(Signature(sid=5002, pattern=b"OTHER-SIGNATURE-NOT-PRESENT-xx", msg="decoy"))
+    spec = SlowBuildSpec(rules=seed_rules, split_policy=SplitPolicy(piece_length=8))
+    benign = generate_trace(TrafficProfile(flows=30), seed=7)[:48]
+    assert len(benign) == 48
+    reload = ControlMessage(op="reload", payload={"rules": attack_ruleset()}, seq=1)
+    attack = build_attack(
+        "plain",
+        attack_payload(),
+        signature_span=(SIGNATURE_OFFSET, len(ATTACK_SIGNATURE)),
+        src="10.66.0.9",
+        dst_port=80,
+        seed=9,
+    )
+    assert len(attack) < 44  # the replacement never re-reaches the crash index
+    config = supervised_config(
+        batch_size=8,
+        queue_depth=1,
+        backpressure=Backpressure.BLOCK,
+        max_restarts=1,
+        # The slowdown keeps the feeder ahead of the worker, so the
+        # queue is full when the crash (after the reload) is noticed.
+        faults=FaultPlan.parse(
+            ["slowdown:shard=0,at=0,seconds=0.03", "crash:shard=0,at=44"]
+        ),
+    )
+    report = ParallelRunner(spec, workers=1, config=config).run(
+        benign[:40] + [reload] + benign[40:] + attack
+    )
+    assert report.worker_restarts == 1
+    assert [iv.reason for iv in report.degraded] == ["crash"]
+    alerting = [s.generation for s in report.shards if any(a.sid == 5001 for a in s.alerts)]
+    assert alerting and min(alerting) >= 1
+    assert_accounting(report, 48 + len(attack))
+    assert mp.active_children() == []
+
+
+def test_engine_build_time_is_not_a_hang():
+    """The hang clock starts at a generation's first message, not at
+    spawn: a build longer than ``heartbeat_timeout`` is not silence."""
+    trace = gauntlet_trace(flows=5)
+    spec = SlowBuildSpec(rules=attack_ruleset(), split_policy=SplitPolicy(piece_length=8))
+    config = supervised_config(heartbeat_timeout=0.4)
+    serial = SerialRunner(make_spec(), shards=2, config=config).run(trace)
+    parallel = ParallelRunner(spec, workers=2, config=config).run(trace)
+    assert parallel.degraded == []
+    assert parallel.worker_restarts == 0
+    assert parallel.digest() == serial.digest()
+    assert mp.active_children() == []
+
+
+def test_stall_shorter_than_timeout_is_not_a_failure():
+    """Every run is watched now, budget or not: a pause under the
+    heartbeat timeout must not fail a ``max_restarts=0`` run."""
+    trace = gauntlet_trace(flows=5)
+    config = RunnerConfig(
+        batch_size=32,
+        heartbeat_interval=0.05,
+        heartbeat_timeout=1.0,
+        faults=FaultPlan.parse(["stall:shard=0,at=10,seconds=0.3"]),
+    )
+    serial = SerialRunner(make_spec(), shards=2, config=config).run(trace)
+    parallel = ParallelRunner(make_spec(), workers=2, config=config).run(trace)
+    assert parallel.digest() == serial.digest()
+    assert parallel.degraded == []
+
+
+def test_zero_restart_budget_fails_fast():
+    """max_restarts=0: the first worker failure is the run's failure."""
     trace = gauntlet_trace(flows=3)
     config = RunnerConfig(batch_size=32, faults=FaultPlan.parse(["crash:shard=0,at=0"]))
-    assert not config.supervised
-    with pytest.raises(WorkerFailure):
+    assert config.max_restarts == 0
+    with pytest.raises(WorkerFailure, match="shard 0 crash: exit code 73"):
         ParallelRunner(make_spec(), workers=2, config=config).run(trace)
     assert mp.active_children() == []
 
 
-def test_no_zombies_after_legacy_failure():
+def test_fail_fast_is_prompt_and_carries_the_traceback():
+    """Default config: an engine error surfaces when it happens, with the
+    worker's traceback, not after the whole source has been fed."""
+    consumed = 0
+
+    def source():
+        nonlocal consumed
+        for packet in itertools.islice(itertools.cycle(gauntlet_trace(flows=5)), 20_000):
+            consumed += 1
+            yield packet
+
+    spec = ExplodingSpec(rules=attack_ruleset(), split_policy=SplitPolicy(piece_length=8))
+    with pytest.raises(WorkerFailure) as excinfo:
+        ParallelRunner(spec, workers=2).run(source())
+    message = str(excinfo.value)
+    assert "Traceback" in message and "RuntimeError: engine exploded" in message
+    assert consumed < 20_000
+    assert mp.active_children() == []
+
+
+def test_no_zombies_after_worker_failure():
     """The finally-block audit: an induced failure leaves no child
     processes (and no stuck queue feeder threads keeping them alive)."""
     spec = EngineSpec(rules=None)  # construction fails in every worker

@@ -331,6 +331,14 @@ class TestSD103:
         )
         assert rule_ids(findings) == {"SD103"}
 
+    def test_lambda_through_enqueue_helper_flags(self, tmp_path):
+        findings = run_rules(
+            tmp_path,
+            "runtime/parallel.py",
+            "def feed(enqueue, seat):\n    enqueue(seat, lambda b: b)\n",
+        )
+        assert rule_ids(findings) == {"SD103"}
+
     def test_lambda_process_target_flags(self, tmp_path):
         findings = run_rules(
             tmp_path,

@@ -17,7 +17,10 @@ full piece set it also times the batch entry point
 (``DualAutomaton.scan_many`` over MTU-sized slices of the same payload):
 with numpy the q-gram sweep must make that >= 2x the compiled walk
 (ROADMAP item 2's gate) with identical output; without numpy the sweep
-is recorded as disabled and only the identity is required.
+is recorded as disabled and only the identity is required.  A last row,
+``stream_bundled``, sends the same payload as an MTU-chunked stream
+through the slow path's matcher set (full + suffix automata, one union
+sweep): swept must be >= 2x the never-swept walk, alerts identical.
 """
 
 import json
@@ -25,10 +28,13 @@ import random
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from exp_common import bundled_rules, emit
+from repro.core import slowpath
 from repro.match import AhoCorasick, BoyerMooreHorspool, DualAutomaton, naive_find_all
 from repro.optional_numpy import numpy_available
+from repro.packet import FlowKey
 from repro.signatures import split_ruleset
 from repro.traffic import benign_payload
 
@@ -44,6 +50,9 @@ REQUIRED_SPEEDUP = 2.0
 #: ... and the batch q-gram sweep must beat the compiled walk by this
 #: factor on the same piece set (ROADMAP item 2's gate).
 REQUIRED_SWEEP_SPEEDUP = 2.0
+
+#: ... and the slow path's swept stream matcher its never-swept walk.
+REQUIRED_STREAM_SWEEP_SPEEDUP = 2.0
 
 
 def payload() -> bytes:
@@ -79,6 +88,58 @@ def best_rate_mbps(fn, data, *, repeats: int = 5, min_rep_s: float = 0.05) -> fl
 
 def pieceset_patterns() -> list[bytes]:
     return [piece.data for piece in split_ruleset(bundled_rules()).all_pieces()]
+
+
+def stream_bundled_row(data: bytes) -> dict:
+    """The benign payload as one diverted flow's reassembled stream, in
+    MTU chunks, with one bundled signature planted across a chunk
+    boundary: the slow path's matcher set swept vs never swept."""
+    split_rules = split_ruleset(bundled_rules())
+    planted = next(
+        sig for sig in bundled_rules() if sig.protocol_number == 6 and len(sig.pattern) > 40
+    )
+    flow = FlowKey("10.0.0.1", "10.0.0.2", 40000, planted.dst_port or 80)
+    cut = 10 * MTU_PAYLOAD - 20
+    stream = data[:cut] + planted.pattern + data[cut:]
+    chunks = [stream[i : i + MTU_PAYLOAD] for i in range(0, len(stream), MTU_PAYLOAD)]
+
+    def one_pass(slow):
+        alerts = [slow._match(flow, chunk, 0.0) for chunk in chunks]
+        slow.release_flow(flow)
+        return alerts
+
+    swept = slowpath.SlowPath(split_rules)
+    with mock.patch.object(slowpath, "build_stream_sweep", lambda automata: None):
+        walked = slowpath.SlowPath(split_rules)
+    assert (swept._current.sweep is not None) == numpy_available()
+    assert walked._current.sweep is None
+    expected = one_pass(walked)
+    assert any(alert.sid == planted.sid for alerts in expected for alert in alerts)
+    identical = one_pass(swept) == expected
+    walked_mbps = best_rate_mbps(lambda _: one_pass(walked), stream)
+    swept_mbps = best_rate_mbps(lambda _: one_pass(swept), stream)
+    current = swept._current
+    sides = [
+        stats
+        for dual in (current.matcher.automaton, current.suffix_automaton)
+        for _, stats in dual.side_stats()
+    ]
+    skipped = sum(stats["swept_chunks"] for stats in sides)
+    return {
+        "workload": "stream_bundled",
+        "patterns": sum(len(dual.sweep_patterns()) for dual in (
+            current.matcher.automaton, current.suffix_automaton)),
+        "chunks": len(chunks),
+        "engines": sorted({stats["engine"] for stats in sides}),
+        "sweep": "enabled" if numpy_available() else "disabled",
+        "walked_mbps": round(walked_mbps, 3),
+        "swept_mbps": round(swept_mbps, 3),
+        "swept_speedup": round(swept_mbps / walked_mbps, 3),
+        "sweep_skip_rate": round(
+            skipped / (skipped + sum(stats["walked_chunks"] for stats in sides)), 4
+        ),
+        "identical_output": identical,
+    }
 
 
 def test_fig9_compiled_vs_reference(capfd):
@@ -132,11 +193,14 @@ def test_fig9_compiled_vs_reference(capfd):
                 "scan_stats": scan_stats,
             }
         )
+    stream = stream_bundled_row(data)
+    engines.append(stream)
     result = {
         "benchmark": "fig9_matchers",
         "payload_bytes": PAYLOAD_SIZE,
         "required_speedup_full_pieceset": REQUIRED_SPEEDUP,
         "required_sweep_speedup_full_pieceset": REQUIRED_SWEEP_SPEEDUP,
+        "required_stream_sweep_speedup": REQUIRED_STREAM_SWEEP_SPEEDUP,
         "engines": engines,
     }
     (REPO_ROOT / "BENCH_matchers.json").write_text(
@@ -150,15 +214,21 @@ def test_fig9_compiled_vs_reference(capfd):
             if "sweep" in e
             else ""
         )
-        for e in engines
+        for e in engines[:-1]
+    ] + [
+        f"{stream['workload']:<20} walked={stream['walked_mbps']:>6.2f} MB/s  "
+        f"swept={stream['swept_mbps']:>9.2f} MB/s ({stream['sweep']})  "
+        f"skip rate={stream['sweep_skip_rate']:.3f}"
     ]
     emit("fig9_compiled_vs_reference", lines, capfd)
     by_name = {e["workload"]: e for e in engines}
-    for e in engines:
+    for e in engines[:-1]:
         assert e["speedup"] >= 1.0, f"{e['workload']}: compiled slower than reference"
     assert by_name["ac_full_pieceset"]["speedup"] >= REQUIRED_SPEEDUP
+    assert stream["identical_output"]
     if numpy_available():
         assert by_name["ac_full_pieceset"]["swept_speedup"] >= REQUIRED_SWEEP_SPEEDUP
+        assert stream["swept_speedup"] >= REQUIRED_STREAM_SWEEP_SPEEDUP
 
 
 def test_fig9_ac_full_pieceset_compiled(benchmark, capfd):

@@ -70,9 +70,10 @@ class SignatureMatcher:
     def empty(self) -> bool:
         return self.automaton is None
 
-    def new_stream_state(self) -> StreamMatchState:
+    def new_stream_state(self, carry: int = 0) -> StreamMatchState:
+        """Fresh per-direction state; ``carry`` as in :class:`DualStreamMatcher`."""
         assert self.automaton is not None
-        return StreamMatchState(matcher=DualStreamMatcher(self.automaton))
+        return StreamMatchState(matcher=DualStreamMatcher(self.automaton, carry=carry))
 
     # -- core completion logic ---------------------------------------------
 
@@ -107,10 +108,15 @@ class SignatureMatcher:
         return out
 
     def match_chunk(
-        self, state: StreamMatchState, chunk: bytes, flow: FlowKey | None
+        self,
+        state: StreamMatchState,
+        chunk: bytes,
+        flow: FlowKey | None,
+        dirty: int = DualStreamMatcher.WALK_BOTH,
     ) -> list[SignatureHit]:
-        """Feed the next stream chunk; returns newly completed rules."""
-        hits = [(m.pattern_id, m.end_offset) for m in state.matcher.feed(chunk)]
+        """Feed the next stream chunk (``dirty``: a sweep's verdict, see
+        :meth:`DualStreamMatcher.feed`); returns newly completed rules."""
+        hits = [(m.pattern_id, m.end_offset) for m in state.matcher.feed(chunk, dirty)]
         return self._complete(hits, flow, state.extras_seen, state.pending_primaries)
 
     def match_buffer(

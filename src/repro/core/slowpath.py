@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..match import DualAutomaton, DualStreamMatcher
+from ..match import DualAutomaton, DualStreamMatcher, build_stream_sweep
+from ..match.sweep import GramSweep
 from ..packet import IP_PROTO_UDP, FlowKey, TimedPacket, decode_udp
 from ..signatures import SplitRuleSet
 from ..streams import OverlapPolicy, StreamEvent, StreamNormalizer
@@ -59,12 +60,18 @@ class _MatcherSet:
     in one assignment, but every flow whose streaming state was created
     under an older set keeps a reference to that set: a
     :class:`~repro.core.matching.StreamMatchState` embeds automaton
-    state ids that only mean something against the automaton that built
+    state ids (or, under a sweep, a carry sized to this set's longest
+    pattern) that only mean something against the automaton that built
     them, so swapping the matcher under a live stream would corrupt its
     open prefixes.  In-flight diverted flows therefore finish under the
     rules they started with; flows diverted after the swap compile-in
     the new set.  The old set is garbage-collected when its last flow
     closes.
+
+    ``sweep`` is the one q-gram sweep over the union of the full and
+    suffix pattern sets (``None`` for small sets or without numpy): each
+    delivered chunk is swept once, and only the automaton sides it could
+    not prove match-free walk it (DESIGN.md, "Slow path").
     """
 
     matcher: SignatureMatcher
@@ -72,6 +79,7 @@ class _MatcherSet:
     suffix_automaton: DualAutomaton | None
     max_prefix_len: int
     generation: int = 0
+    sweep: GramSweep | None = None
 
 
 def _compile_matcher_set(split_rules: SplitRuleSet, generation: int = 0) -> _MatcherSet:
@@ -104,13 +112,21 @@ def _compile_matcher_set(split_rules: SplitRuleSet, generation: int = 0) -> _Mat
         if suffixes
         else None
     )
+    matcher = SignatureMatcher(signatures)
     return _MatcherSet(
-        matcher=SignatureMatcher(signatures),
+        matcher=matcher,
         suffixes=tuple(suffixes),
         suffix_automaton=suffix_automaton,
         max_prefix_len=max((e.prefix_len for e in suffixes), default=0),
         generation=generation,
+        sweep=build_stream_sweep((matcher.automaton, suffix_automaton)),
     )
+
+
+def _held(entry: tuple) -> int:
+    """Matcher bytes one ``SlowPath._matchers`` entry holds (control + carry)."""
+    _, full, suffix = entry
+    return full.matcher.state_bytes + (suffix.state_bytes if suffix is not None else 0)
 
 
 class SlowPath:
@@ -132,6 +148,7 @@ class SlowPath:
         self._matchers: dict[
             FlowKey, tuple[_MatcherSet, StreamMatchState, DualStreamMatcher | None]
         ] = {}
+        self._matcher_bytes = 0  # running sum of the entries' state_bytes
         self.packets_processed = 0
         self.bytes_normalized = 0
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
@@ -163,17 +180,21 @@ class SlowPath:
             "Out-of-order bytes currently buffered by reassembly",
             merge="sum",
         )
+        self._g_match = tel.gauge(
+            "repro_slowpath_match",
+            "Stream automata of the current rule generation: states, chunks "
+            "a sweep skipped, chunks walked, bytes stepped (engine=reference "
+            "is the sparse fallback above the dense state limit)",
+            ("matcher", "side", "engine", "stat"),
+            merge="sum",
+        )
 
     # -- accounting ------------------------------------------------------
 
     def state_bytes(self) -> int:
-        """Reassembly state plus per-direction matcher state."""
-        per_matcher = DualStreamMatcher.STATE_BYTES
-        matcher_bytes = sum(
-            per_matcher * (1 if suffix is None else 2)
-            for _, _, suffix in self._matchers.values()
-        )
-        return self.normalizer.state_bytes() + matcher_bytes
+        """Reassembly state plus per-direction matcher state as held:
+        control words and, under a sweep, the carried stream tail."""
+        return self.normalizer.state_bytes() + self._matcher_bytes
 
     @property
     def rules_generation(self) -> int:
@@ -214,6 +235,16 @@ class SlowPath:
         self._g_flows.set(self.active_flows)
         self._g_state.set(self.state_bytes())
         self._g_buffered.set(self.normalizer.buffered_bytes)
+        current = self._current
+        for matcher, dual in (
+            ("full", current.matcher.automaton),
+            ("suffix", current.suffix_automaton),
+        ):
+            for side, stats in dual.side_stats() if dual is not None else ():
+                for stat in ("states", "swept_chunks", "walked_chunks", "walked_bytes"):
+                    self._g_match.labels(
+                        matcher=matcher, side=side, engine=stats["engine"], stat=stat
+                    ).set(stats[stat])
 
     # -- packet intake ------------------------------------------------------
 
@@ -300,17 +331,27 @@ class SlowPath:
             matchers = self._current
             if matchers.matcher.empty:
                 return []
-            full = matchers.matcher.new_stream_state()
+            carry = matchers.sweep.max_pattern_len if matchers.sweep is not None else 0
+            full = matchers.matcher.new_stream_state(carry)
             suffix = (
-                DualStreamMatcher(matchers.suffix_automaton)
+                DualStreamMatcher(matchers.suffix_automaton, carry=carry)
                 if matchers.suffix_automaton is not None
                 else None
             )
-            self._matchers[flow] = (matchers, full, suffix)
+            entry = self._matchers[flow] = (matchers, full, suffix)
+            self._matcher_bytes += _held(entry)
         else:
             matchers, full, suffix = entry
+        # One sweep of carry + chunk serves every automaton side: bits
+        # 0-1 are the full matcher's verdict, bits 2-3 the suffix one's.
+        sweep = matchers.sweep
+        if sweep is None:
+            dirty = -1  # no sweep, no carry: every side walks
+        else:
+            carried = full.matcher.carry
+            dirty = sweep.dirty_sides(carried, chunk)
         alerts: list[Alert] = []
-        for hit in matchers.matcher.match_chunk(full, chunk, flow):
+        for hit in matchers.matcher.match_chunk(full, chunk, flow, dirty):
             alerts.append(
                 Alert(
                     kind=AlertKind.SIGNATURE,
@@ -322,7 +363,7 @@ class SlowPath:
                 )
             )
         if suffix is not None:
-            for match in suffix.feed(chunk):
+            for match in suffix.feed(chunk, dirty >> 2):
                 tail = matchers.suffixes[match.pattern_id]
                 if not tail.applies_to_flow(flow):
                     continue
@@ -340,6 +381,9 @@ class SlowPath:
                         timestamp=timestamp,
                     )
                 )
+        if sweep is not None:  # both matchers' carries grew by the same bytes
+            grown = len(full.matcher.carry) - len(carried)
+            self._matcher_bytes += grown if suffix is None else 2 * grown
         return alerts
 
     def safe_to_release(self, flow: FlowKey) -> bool:
@@ -392,8 +436,10 @@ class SlowPath:
         return positions
 
     def _forget(self, flow: FlowKey) -> None:
-        self._matchers.pop(flow, None)
-        self._matchers.pop(flow.reversed(), None)
+        for direction in (flow, flow.reversed()):
+            entry = self._matchers.pop(direction, None)
+            if entry is not None:
+                self._matcher_bytes -= _held(entry)
 
     def evict_idle(self, now: float) -> int:
         """Expire idle flows in the underlying normalizer."""
@@ -402,7 +448,7 @@ class SlowPath:
             live = self.normalizer.live_flows()
             for key in list(self._matchers):
                 if key.canonical() not in live:
-                    del self._matchers[key]
+                    self._matcher_bytes -= _held(self._matchers.pop(key))
             if self._tel_on:
                 self._c_evictions.inc(evicted)
         return evicted

@@ -1,7 +1,7 @@
 """String-matching engines: Aho-Corasick, Boyer-Moore-Horspool, naive."""
 
 from .aho_corasick import DENSE_STATE_LIMIT, ROOT_STATE, AhoCorasick
-from .dual import DualAutomaton, DualStreamMatcher
+from .dual import DualAutomaton, DualStreamMatcher, build_stream_sweep
 from .single import BoyerMooreHorspool, naive_find_all
 from .streaming import StreamMatch, StreamMatcher
 
@@ -14,5 +14,6 @@ __all__ = [
     "DualStreamMatcher",
     "StreamMatch",
     "StreamMatcher",
+    "build_stream_sweep",
     "naive_find_all",
 ]

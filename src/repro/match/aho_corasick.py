@@ -120,6 +120,12 @@ class AhoCorasick:
         self.scanned_bytes = 0
         self.matches_emitted = 0
         self.prefilter_skips = 0
+        # Streaming accounting, booked by ``StreamMatcher``: chunks a
+        # sweep let it skip, chunks it walked, and bytes it stepped
+        # through this automaton (walked chunks plus resync tails).
+        self.stream_swept_chunks = 0
+        self.stream_walked_chunks = 0
+        self.stream_walked_bytes = 0
         #: Footprint of a batch sweep an owning ``DualAutomaton`` built
         #: over these patterns; reported by :meth:`compiled_table_bytes`.
         self.sweep_table_bytes = 0
@@ -243,6 +249,10 @@ class AhoCorasick:
         """Cumulative scan accounting (``scan``/``find_all``/``scan_many``)."""
         return {
             "engine": "compiled" if self.compiled else "reference",
+            "states": self.state_count,
+            "swept_chunks": self.stream_swept_chunks,
+            "walked_chunks": self.stream_walked_chunks,
+            "walked_bytes": self.stream_walked_bytes,
             "scans": self.scans,
             "scanned_bytes": self.scanned_bytes,
             "matches_emitted": self.matches_emitted,

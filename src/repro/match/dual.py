@@ -16,17 +16,21 @@ batch prefilters, chosen by the pattern set: small sets (both sides
 within ``PIECE_PREFILTER_MAX_PATTERNS``) keep the literal sweep
 (``range_clear`` plus the per-payload alternation regex); larger sets
 get the q-gram sweep of :mod:`repro.match.sweep`, which serves both
-sides from one pass over the joined, case-folded batch.
+sides from one pass over the joined, case-folded batch.  Streams get the
+same sweep one chunk at a time (:func:`build_stream_sweep`, one sweep
+for every automaton watching the stream; :class:`DualStreamMatcher`
+keeps the stream tail that makes skipping a chunk sound).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 from typing import Any
 
 from .aho_corasick import DENSE_STATE_LIMIT, PIECE_PREFILTER_MAX_PATTERNS, AhoCorasick
 from .streaming import StreamMatch, StreamMatcher
-from .sweep import build_sweep
+from .sweep import GramSweep, build_sweep
 
 
 class DualAutomaton:
@@ -64,20 +68,41 @@ class DualAutomaton:
             else None
         )
         self.pattern_count = len(patterns)
-        # The literal sweep is faster where it exists (a few finds per
-        # batch against ~0.4 ms of numpy), so the q-gram sweep is built
-        # only for sets it cannot serve.
-        self._sweep = (
-            build_sweep(
-                [(pattern, False) for pattern in sensitive]
-                + [(pattern, True) for pattern in folded]
+        #: Per side: (automaton, global pattern ids, fold before
+        #: scanning?, verdict bit) -- what a stream matcher iterates.
+        self.sides = tuple(
+            (side, ids, fold, 2 if fold else 1)
+            for side, ids, fold in (
+                (self.sensitive, self._sensitive_ids, False),
+                (self.folded, self._folded_ids, True),
             )
-            if max(len(sensitive), len(folded)) > PIECE_PREFILTER_MAX_PATTERNS
-            else None
+            if side is not None
         )
-        if self._sweep is not None:
+
+    def sweep_patterns(self) -> list[tuple[bytes, bool]]:
+        """The ``(pattern, nocase)`` pairs a q-gram sweep is built from."""
+        return [(p, fold) for side, _, fold, _ in self.sides for p in side.patterns]
+
+    @property
+    def wants_sweep(self) -> bool:
+        """The literal sweep is faster where it exists (a few finds per
+        batch against ~0.4 ms of numpy), so a q-gram sweep is built only
+        for sets it cannot serve."""
+        return any(
+            len(side.patterns) > PIECE_PREFILTER_MAX_PATTERNS for side, *_ in self.sides
+        )
+
+    @cached_property
+    def _sweep(self) -> GramSweep | None:
+        """The batch sweep, built by the first :meth:`scan_many`: an
+        automaton that only ever matches streams (the slow path's, which
+        share one union sweep -- :func:`build_stream_sweep`) never pays
+        for one."""
+        sweep = build_sweep(self.sweep_patterns()) if self.wants_sweep else None
+        if sweep is not None:
             # Booked on one side so per-side table sums see it once.
-            (self.sensitive or self.folded).sweep_table_bytes = self._sweep.table_bytes()
+            (self.sensitive or self.folded).sweep_table_bytes = sweep.table_bytes()
+        return sweep
 
     @property
     def needs_folding(self) -> bool:
@@ -92,11 +117,7 @@ class DualAutomaton:
         ``scanned_bytes`` reflects that honestly -- it is work done, not
         wire bytes.
         """
-        sides = [
-            side.scan_stats()
-            for side in (self.sensitive, self.folded)
-            if side is not None
-        ]
+        sides = [stats for _, stats in self.side_stats()]
         scans = sum(s["scans"] for s in sides)
         skips = sum(s["prefilter_skips"] for s in sides)
         return {
@@ -108,6 +129,14 @@ class DualAutomaton:
             "prefilter_skip_rate": skips / scans if scans else 0.0,
             "sweep_verifies": self._sweep.verifies if self._sweep is not None else 0,
         }
+
+    def side_stats(self) -> list[tuple[str, dict[str, int | float | str]]]:
+        """Each side's own ``scan_stats`` (engine, states, stream
+        counters), named ``"sensitive"`` / ``"folded"``."""
+        return [
+            ("folded" if fold else "sensitive", side.scan_stats())
+            for side, _, fold, _ in self.sides
+        ]
 
     def find_all(self, data: bytes) -> list[tuple[int, int]]:
         """All matches as (global_pattern_id, end_offset)."""
@@ -195,51 +224,101 @@ class DualAutomaton:
             self.folded.account_prefilter_skips(count, nbytes)
 
 
-class DualStreamMatcher:
-    """Streaming matcher over a :class:`DualAutomaton`."""
+def build_stream_sweep(automata: Sequence[DualAutomaton | None]) -> GramSweep | None:
+    """One sweep over the union of several automata's patterns, for
+    matchers fed the same stream: ``automata[i]`` is group ``i`` of
+    :meth:`GramSweep.dirty_sides`.  ``None`` when no member is large
+    enough to want a sweep, or a sweep cannot be built."""
+    patterns: list[tuple[bytes, bool]] = []
+    groups: list[int] = []
+    for group, automaton in enumerate(automata):
+        if automaton is not None:
+            mine = automaton.sweep_patterns()
+            patterns += mine
+            groups += [group] * len(mine)
+    if not any(a is not None and a.wants_sweep for a in automata):
+        return None
+    return build_sweep(patterns, groups)
 
-    #: Per-flow control state: two automaton state ids + offset.
+
+class DualStreamMatcher:
+    """Streaming matcher over a :class:`DualAutomaton`.
+
+    With ``carry=0`` the two sides carry their automaton state ids from
+    chunk to chunk and every chunk is walked.  With ``carry=n`` (``n`` at
+    least the longest pattern) the matcher keeps the last ``n`` delivered
+    bytes instead, and :meth:`feed` takes a sweep verdict: a side the
+    sweep cleared skips the chunk and goes stale, a side it could not
+    clear is resynced from the carry if stale and walks the chunk on the
+    same automaton.  The sweep selects, the walk decides: match tuples,
+    offsets and :attr:`open_prefix_len` are those of the ``carry=0``
+    matcher.
+    """
+
+    #: Per-flow control state a hardware implementation spends: two
+    #: automaton state ids + offset.  This is what the cost model
+    #: (:mod:`repro.metrics.cost`) charges; the software additionally
+    #: holds the carry bytes, which :attr:`state_bytes` counts.
     STATE_BYTES = 12
 
-    def __init__(self, automaton: DualAutomaton) -> None:
+    #: ``feed``'s default verdict: walk both sides.
+    WALK_BOTH = 3
+
+    __slots__ = ("automaton", "_sides", "_offset", "_carry_len", "_carry")
+
+    def __init__(self, automaton: DualAutomaton, *, carry: int = 0) -> None:
         self.automaton = automaton
-        self._sensitive = (
-            StreamMatcher(automaton.sensitive) if automaton.sensitive else None
-        )
-        self._folded = StreamMatcher(automaton.folded) if automaton.folded else None
+        self._sides = tuple(StreamMatcher(side) for side, _, _, _ in automaton.sides)
         self._offset = 0
+        self._carry_len = carry
+        self._carry = b""
 
     @property
     def stream_offset(self) -> int:
         return self._offset
 
     @property
+    def carry(self) -> bytes:
+        """The last ``carry`` delivered bytes (empty when ``carry=0``)."""
+        return self._carry
+
+    @property
+    def state_bytes(self) -> int:
+        """Bytes this object actually holds: control state plus carry."""
+        return self.STATE_BYTES + len(self._carry)
+
+    @property
     def open_prefix_len(self) -> int:
-        """Longest open pattern prefix across both sides (release safety)."""
+        """Longest open pattern prefix across both sides (release safety).
+        Resyncs a stale side first: the answer needs its real state."""
         depth = 0
-        if self._sensitive is not None:
-            depth = max(depth, self._sensitive.open_prefix_len)
-        if self._folded is not None:
-            depth = max(depth, self._folded.open_prefix_len)
+        for side, (_, _, fold, _) in zip(self._sides, self.automaton.sides):
+            if side.stale:
+                side.resync(self._carry.lower() if fold else self._carry)
+            depth = max(depth, side.open_prefix_len)
         return depth
 
-    def feed(self, chunk: bytes) -> list[StreamMatch]:
+    def feed(self, chunk: bytes, dirty: int = WALK_BOTH) -> list[StreamMatch]:
+        """Consume the next chunk.  ``dirty`` is a sweep's verdict on
+        ``carry + chunk`` (bit 0: the case-sensitive side may hold an
+        occurrence ending in this chunk, bit 1: the folded side may;
+        higher bits are another matcher's and ignored); a matcher
+        without a carry cannot skip, and walks regardless."""
         out: list[StreamMatch] = []
-        if self._sensitive is not None:
-            out.extend(
-                StreamMatch(self.automaton._sensitive_ids[m.pattern_id], m.end_offset)
-                for m in self._sensitive.feed(chunk)
-            )
-        if self._folded is not None:
-            out.extend(
-                StreamMatch(self.automaton._folded_ids[m.pattern_id], m.end_offset)
-                for m in self._folded.feed(chunk.lower())
-            )
+        carry = self._carry
+        keep = self._carry_len
+        if not keep:
+            dirty = self.WALK_BOTH
+        for side, (_, ids, fold, bit) in zip(self._sides, self.automaton.sides):
+            if not dirty & bit:
+                side.skip(len(chunk))
+                continue
+            if side.stale:
+                side.resync(carry.lower() if fold else carry)
+            found = side.feed(chunk.lower() if fold else chunk)
+            if found:
+                out.extend(StreamMatch(ids[m.pattern_id], m.end_offset) for m in found)
+        if keep:
+            self._carry = chunk[-keep:] if len(chunk) >= keep else (carry + chunk)[-keep:]
         self._offset += len(chunk)
         return out
-
-    def scan_many(self, chunks: Sequence[bytes]) -> list[list[StreamMatch]]:
-        """Batched :meth:`feed`: consume consecutive stream chunks,
-        carrying automaton state across them; one result list per chunk."""
-        feed = self.feed
-        return [feed(chunk) for chunk in chunks]

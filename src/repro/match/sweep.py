@@ -54,6 +54,18 @@ TABLE_BITS = 18
 #: below ``GRAM``: the lane views need one whole gram.
 MIN_SWEEP_BYTES = 2048
 
+#: The same break-even for one stream chunk (:meth:`GramSweep.dirty_sides`).
+#: Measured on the bundled slow-path set (four automaton sides, one of
+#: them the sparse reference engine; CPython 3.11, numpy 2.4): walking a
+#: chunk costs ~10 us + 330 ns/byte, the one-text sweep ~20 us + 9
+#: ns/byte -- break-even near 30 bytes.  But a chunk swept clean leaves
+#: its sides stale, and the next chunk that must be walked then pays a
+#: resync walk of the carry first: 64 us for four sides of 175 bytes.
+#: A chunk is swept only when sweep + that resync still undercut its own
+#: walk (22 + 64 <= 92 us at 256 bytes), so even a stream alternating
+#: swept and walked chunks never costs more than the unswept matcher.
+MIN_STREAM_SWEEP_BYTES = 256
+
 # Worst-case bound.  Measured on the bundled piece set (CPython 3.11,
 # numpy 2.4): the table walk costs ~35 ns per payload byte, the stage-3
 # prefix filter ~40 ns per stage-2 candidate, a stage-4 verify ~400 ns
@@ -72,15 +84,21 @@ _MULTIPLIER = 0x9E3779B1  # 2**32 / golden ratio: Knuth's multiplicative hash
 _PAD = bytes(GRAM)  # keeps stage 3's read of the second gram inside the buffer
 
 
-def build_sweep(patterns: Sequence[tuple[bytes, bool]]) -> GramSweep | None:
+def build_sweep(
+    patterns: Sequence[tuple[bytes, bool]], groups: Sequence[int] | None = None
+) -> GramSweep | None:
     """A sweep over ``(pattern, nocase)`` pairs (nocase ones already
     folded), or ``None`` when it cannot be sound or cannot run: numpy
-    absent or disabled, or a pattern shorter than one gram."""
+    absent or disabled, or a pattern shorter than one gram.
+
+    ``groups`` (parallel to ``patterns``, default all 0) says which
+    automaton of a union each pattern belongs to; see
+    :meth:`GramSweep.dirty_sides`."""
     if NUMPY is None or not patterns:
         return None
     if min(len(pattern) for pattern, _ in patterns) < GRAM:
         return None
-    return GramSweep(patterns)
+    return GramSweep(patterns, groups)
 
 
 class GramSweep:
@@ -89,16 +107,28 @@ class GramSweep:
     Built through :func:`build_sweep`, which checks the preconditions.
     """
 
-    def __init__(self, patterns: Sequence[tuple[bytes, bool]]) -> None:
+    def __init__(
+        self,
+        patterns: Sequence[tuple[bytes, bool]],
+        groups: Sequence[int] | None = None,
+    ) -> None:
         np = NUMPY
         self._fold = any(nocase for _, nocase in patterns)
-        by_gram: dict[int, list[tuple[bytes, bool]]] = {}
+        #: Longest pattern: the stream carry that makes a state (and a
+        #: straddling occurrence) a function of ``carry + chunk``.
+        self.max_pattern_len = max(len(pattern) for pattern, _ in patterns)
+        #: Every side bit of :meth:`dirty_sides` ("walk everything").
+        self.all_sides = 0
+        by_gram: dict[int, list[tuple[bytes, bool, int]]] = {}
         short: set[int] = set()
         prefixes: set[int] = set()
-        for pattern, nocase in dict.fromkeys(patterns):
+        sided = zip(patterns, groups if groups is not None else [0] * len(patterns))
+        for (pattern, nocase), group in dict.fromkeys(sided):
+            side = 1 << (2 * group + nocase)
+            self.all_sides |= side
             key = pattern.lower() if self._fold else pattern
             gram = int.from_bytes(key[:GRAM], "little")
-            by_gram.setdefault(gram, []).append((pattern, nocase))
+            by_gram.setdefault(gram, []).append((pattern, nocase, side))
             if len(key) < 2 * GRAM:
                 short.add(gram)
             else:
@@ -152,9 +182,7 @@ class GramSweep:
         positions, rows = positions[keep], rows[keep]
         # Stage 3: exact eight-byte prefix membership.
         every_gram = np.ndarray((total + 1,), "<u4", text, 0, (1,))
-        first = every_gram[positions]
-        prefix = first.astype(np.uint64) << np.uint64(32) | every_gram[positions + GRAM]
-        keep = _member(np, self._prefixes, prefix) | _member(np, self._short, first)
+        first, keep = self._prefix_cut(every_gram, positions)
         positions, rows, first = positions[keep], rows[keep], first[keep]
         hotter = _hot_rows(np, rows, lengths, VERIFY_BYTES_PER_CANDIDATE)
         keep = ~hotter[rows]
@@ -169,13 +197,64 @@ class GramSweep:
         for position, gram, row, end in zip(
             positions.tolist(), first.tolist(), rows.tolist(), ends[rows].tolist()
         ):
-            for pattern, nocase in by_gram[gram]:
+            for pattern, nocase, _ in by_gram[gram]:
                 if nocase:
                     if text_startswith(pattern, position, end):
                         folded.add(row)
                 elif raw_startswith(pattern, position, end):
                     sensitive.add(row)
         return sorted(sensitive), sorted(folded)
+
+    def _prefix_cut(self, every_gram: Any, positions: Any) -> tuple[Any, Any]:
+        """Stage 3 for both entry points: each candidate's gram, and
+        whether its first eight bytes are some pattern's (or its gram a
+        short pattern's) -- exact membership."""
+        np = NUMPY
+        first = every_gram[positions]
+        prefix = first.astype(np.uint64) << np.uint64(32) | every_gram[positions + GRAM]
+        return first, _member(np, self._prefixes, prefix) | _member(np, self._short, first)
+
+    def dirty_sides(self, carry: bytes, chunk: bytes) -> int:
+        """Which sides may hold an occurrence *ending inside* ``chunk``,
+        given the ``carry`` (stream tail, at least ``max_pattern_len - 1``
+        bytes or the whole stream so far) before it: the OR of
+        ``1 << (2 * group + nocase)`` over the patterns found.  A clear
+        bit proves that side's automaton would report nothing on this
+        chunk.  Too-small and candidate-dense chunks answer
+        :attr:`all_sides` unexamined, as hot rows do in
+        :meth:`dirty_rows`.
+
+        The one-text form of :meth:`dirty_rows`: one strided gram view
+        instead of four lanes, no row bookkeeping.
+        """
+        if len(chunk) < MIN_STREAM_SWEEP_BYTES:
+            return self.all_sides
+        np = NUMPY
+        start = len(carry)
+        total = start + len(chunk)
+        raw = b"".join((carry, chunk, _PAD))
+        text = raw.lower() if self._fold else raw
+        every_gram = np.ndarray((total + 1,), "<u4", text, 0, (1,))
+        hashed = (every_gram[: total - GRAM + 1] * self._multiplier) >> self._shift
+        positions = np.flatnonzero(self._table[hashed])
+        if len(positions) * FILTER_BYTES_PER_CANDIDATE > total:
+            return self.all_sides
+        first, keep = self._prefix_cut(every_gram, positions)
+        positions, first = positions[keep], first[keep]
+        if len(positions) * VERIFY_BYTES_PER_CANDIDATE > total:
+            return self.all_sides
+        self.verifies += len(positions)
+        dirty = 0
+        by_gram = self._by_gram
+        for position, gram in zip(positions.tolist(), first.tolist()):
+            for pattern, nocase, side in by_gram[gram]:
+                if (
+                    not dirty & side
+                    and position + len(pattern) > start
+                    and (text if nocase else raw).startswith(pattern, position, total)
+                ):
+                    dirty |= side
+        return dirty
 
 
 def _hot_rows(np: Any, rows: Any, lengths: Any, bytes_per_candidate: int) -> Any:

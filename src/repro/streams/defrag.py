@@ -69,6 +69,7 @@ class IpDefragmenter:
         self.timeout = timeout
         self.tiny_threshold = tiny_threshold
         self._partials: dict[tuple, _PartialDatagram] = {}
+        self._buffered = 0  # running sum of the partials' buffered_bytes
         self.evicted_total = 0
         self.reassembled_total = 0
 
@@ -80,7 +81,9 @@ class IpDefragmenter:
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(p.buffered_bytes for p in self._partials.values())
+        """Fragment payload bytes held across all pending datagrams (a
+        running counter, updated where fragments are merged or dropped)."""
+        return self._buffered
 
     # -- fragment intake ---------------------------------------------------
 
@@ -130,7 +133,9 @@ class IpDefragmenter:
                     )
                 )
             partial.total_length = end
+        before = partial.buffered_bytes
         self._merge(partial, offset, bytearray(packet.payload), result)
+        self._buffered += partial.buffered_bytes - before
         if self._complete(partial):
             result.packet = self._finish(key, partial)
             self.reassembled_total += 1
@@ -144,7 +149,7 @@ class IpDefragmenter:
             if now - partial.arrival > self.timeout
         ]
         for key in stale:
-            del self._partials[key]
+            self._buffered -= self._partials.pop(key).buffered_bytes
         self.evicted_total += len(stale)
         return len(stale)
 
@@ -217,6 +222,7 @@ class IpDefragmenter:
 
     def _finish(self, key: tuple, partial: _PartialDatagram) -> IPv4Packet:
         del self._partials[key]
+        self._buffered -= partial.buffered_bytes
         assert partial.total_length is not None
         payload = bytes(partial.pieces[0][1][: partial.total_length])
         return partial.first_fragment.copy(

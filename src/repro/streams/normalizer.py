@@ -79,6 +79,7 @@ class StreamNormalizer:
         )
         self._flows: dict[FlowKey, _FlowState] = {}
         self._start_hints: dict[FlowKey, int] = {}
+        self._buffered = 0  # running sum of every reassembler's buffered_bytes
         self.flows_created = 0
         self.flows_closed = 0
 
@@ -103,11 +104,9 @@ class StreamNormalizer:
 
     @property
     def buffered_bytes(self) -> int:
-        """Payload bytes currently parked in reassembly buffers."""
-        total = self.defragmenter.buffered_bytes
-        for state in self._flows.values():
-            total += sum(r.buffered_bytes for r in state.directions.values())
-        return total
+        """Payload bytes currently parked in reassembly buffers (running
+        counters at both layers: O(1), whatever the flow count)."""
+        return self.defragmenter.buffered_bytes + self._buffered
 
     def state_bytes(self) -> int:
         """Total state footprint: fixed per-flow overhead plus buffers."""
@@ -167,9 +166,11 @@ class StreamNormalizer:
                 **self._reassembler_kwargs,
             )
             state.directions[direction] = reassembler
+        parked = reassembler.buffered_bytes
         result = reassembler.add(
             segment.seq, segment.payload, syn=segment.syn, fin=segment.fin
         )
+        self._buffered += reassembler.buffered_bytes - parked
         output.events.extend(result.events)
         if result.delivered:
             output.chunks.append(result.delivered)
@@ -223,6 +224,7 @@ class StreamNormalizer:
         return len(stale)
 
     def _close(self, key: FlowKey) -> None:
-        if key in self._flows:
-            del self._flows[key]
+        state = self._flows.pop(key, None)
+        if state is not None:
+            self._buffered -= sum(r.buffered_bytes for r in state.directions.values())
             self.flows_closed += 1

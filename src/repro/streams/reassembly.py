@@ -84,6 +84,7 @@ class TcpReassembler:
         self._next = 0  # stream offset of the next byte to deliver
         self._starts: list[int] = []  # sorted chunk start offsets
         self._chunks: list[bytearray] = []  # parallel payloads, disjoint
+        self._buffered = 0  # running sum of len(chunk) over _chunks
         self._history = bytearray()  # tail of the delivered stream
         self._fin_offset: int | None = None
         self.delivered_total = 0
@@ -93,8 +94,9 @@ class TcpReassembler:
 
     @property
     def buffered_bytes(self) -> int:
-        """Bytes currently held in the out-of-order buffer."""
-        return sum(len(c) for c in self._chunks)
+        """Bytes currently held in the out-of-order buffer (a running
+        counter: sampled per batch for every flow, so never a re-sum)."""
+        return self._buffered
 
     @property
     def buffered_chunks(self) -> int:
@@ -264,6 +266,7 @@ class TcpReassembler:
         if lo == hi:
             self._starts.insert(lo, rel)
             self._chunks.insert(lo, data)
+            self._buffered += len(data)
             return
         # Build the merged region spanning new data and all intersecting chunks.
         merged_start = min(rel, self._starts[lo])
@@ -303,6 +306,7 @@ class TcpReassembler:
                 merged[at] = data[i]
                 have[at] = 1
         # Replace the intersected chunks with the merged one.
+        self._buffered += len(merged) - sum(len(c) for c in self._chunks[lo:hi])
         del self._starts[lo:hi]
         del self._chunks[lo:hi]
         self._starts.insert(lo, merged_start)
@@ -316,6 +320,7 @@ class TcpReassembler:
             self._starts.pop(0)
             delivered += chunk
             self._next += len(chunk)
+            self._buffered -= len(chunk)
         if delivered:
             self.delivered_total += len(delivered)
             self._history += delivered

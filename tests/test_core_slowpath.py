@@ -1,0 +1,216 @@
+"""The slow path's swept stream matching and its O(1) state accounting.
+
+Under the bundled corpus the slow path sweeps each delivered chunk once
+(``_MatcherSet.sweep``) and walks only the automaton sides the sweep could
+not clear; these tests hold that route to the never-swept one at engine
+level, pin the carry's lifetime to its ``_matchers`` entry, and check the
+running byte counters against a recount after every packet.
+"""
+
+import pytest
+
+from helpers import ATTACK_SIGNATURE, SIGNATURE_OFFSET, attack_payload
+from repro.core import AlertKind, SplitDetectIPS, slowpath
+from repro.core.slowpath import SlowPath
+from repro.evasion import STRATEGIES, build_attack
+from repro.match import DualStreamMatcher
+from repro.optional_numpy import numpy_available
+from repro.signatures import Signature, load_bundled_rules, split_ruleset
+from repro.telemetry import TelemetryRegistry
+from repro.traffic import TrafficProfile, generate_trace, inject_attacks
+
+SID = 3001
+REORDER_HEAVY = TrafficProfile(
+    flows=60, reorder_rate=0.05, retransmit_rate=0.03, fragment_rate=0.02, tiny_rate=0.02
+)
+
+
+def bundled_rules():
+    rules = load_bundled_rules()
+    rules.add(Signature(sid=SID, pattern=ATTACK_SIGNATURE, msg="catalog target"))
+    return rules
+
+
+def catalog_trace():
+    """Every catalog strategy once, inside a reorder-heavy benign trace."""
+    attacks = [
+        build_attack(
+            name,
+            attack_payload(),
+            signature_span=(SIGNATURE_OFFSET, len(ATTACK_SIGNATURE)),
+            src=f"10.66.0.{i + 1}",
+            seed=i,
+        )
+        for i, name in enumerate(STRATEGIES)
+    ]
+    return inject_attacks(generate_trace(REORDER_HEAVY, seed=2006), attacks)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return catalog_trace()
+
+
+def recount(slow: SlowPath) -> dict:
+    """Every running counter, recomputed from what is actually held."""
+    normalizer = slow.normalizer
+    reassemblers = [
+        r for state in normalizer._flows.values() for r in state.directions.values()
+    ]
+    for reassembler in reassemblers:
+        assert reassembler.buffered_bytes == sum(map(len, reassembler._chunks))
+    partials = normalizer.defragmenter._partials.values()
+    matchers = [
+        m
+        for _, full, suffix in slow._matchers.values()
+        for m in (full.matcher, suffix)
+        if m is not None
+    ]
+    return {
+        "defrag": sum(len(piece) for p in partials for _, piece in p.pieces),
+        "reassembly": sum(r.buffered_bytes for r in reassemblers),
+        "matchers": sum(m.STATE_BYTES + len(m.carry) for m in matchers),
+    }
+
+
+def check_counters(slow: SlowPath) -> None:
+    held = recount(slow)
+    normalizer = slow.normalizer
+    assert normalizer.defragmenter.buffered_bytes == held["defrag"]
+    assert normalizer.buffered_bytes == held["defrag"] + held["reassembly"]
+    assert slow.state_bytes() == normalizer.state_bytes() + held["matchers"]
+
+
+class TestRunningCounters:
+    def test_counters_equal_a_recount_after_every_packet(self, trace):
+        """Catalog evasions (overlaps, fragments, tiny segments) and a
+        reorder-heavy benign trace, all sent straight to the slow path:
+        every park, merge, delivery and flow close keeps the sums exact."""
+        slow = SlowPath(split_ruleset(bundled_rules()))
+        parked = 0
+        for packet in trace:
+            slow.process(packet)
+            check_counters(slow)
+            parked = max(parked, slow.normalizer.buffered_bytes)
+        assert parked > 0 and slow._matchers
+        some_flow = next(iter(slow._matchers))
+        slow.release_flow(some_flow)
+        check_counters(slow)
+        slow.evict_idle(trace[-1].timestamp + 1e6)
+        check_counters(slow)
+        assert not slow._matchers and slow.normalizer.buffered_bytes == 0
+        # Nothing outlives its flow: only expired fragments can remain.
+        assert slow.state_bytes() == slow.normalizer.defragmenter.buffered_bytes
+
+    def test_carry_is_counted_and_dies_with_the_entry(self, trace):
+        slow = SlowPath(split_ruleset(bundled_rules()))
+        for packet in build_attack("tcp_seg_8", attack_payload()):
+            slow.process(packet)
+            check_counters(slow)
+        sweep = slow._current.sweep
+        if sweep is None:
+            assert not numpy_available()
+            assert slow._matcher_bytes in (0, 2 * DualStreamMatcher.STATE_BYTES)
+        elif slow._matchers:
+            (_, full, suffix) = next(iter(slow._matchers.values()))
+            assert len(full.matcher.carry) == len(suffix.carry) == sweep.max_pattern_len
+        slow.evict_idle(1e9)
+        assert slow._matcher_bytes == 0
+
+
+def run_engine(trace, monkeypatch=None):
+    """Alerts, every ``safe_to_release`` answer and the reinstatement
+    count of a bundled-corpus engine (swept unless *monkeypatch* turns
+    the union sweep off)."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(slowpath, "build_stream_sweep", lambda automata: None)
+    ips = SplitDetectIPS(bundled_rules())
+    assert (ips.slow_path._current.sweep is not None) == (
+        monkeypatch is None and numpy_available()
+    )
+    answers = []
+    certify = ips.slow_path.safe_to_release
+
+    def recording(flow):
+        answer = certify(flow)
+        answers.append((flow, answer))
+        return answer
+
+    ips.slow_path.safe_to_release = recording
+    alerts = [alert for packet in trace for alert in ips.process(packet)]
+    return ips, alerts, answers, ips.reinstated_flows
+
+
+class TestSweptEngineEqualsUnswept:
+    def test_same_alerts_release_answers_and_reinstatements(self, trace, monkeypatch):
+        swept_ips, alerts, answers, reinstated = run_engine(trace)
+        _, plain_alerts, plain_answers, plain_reinstated = run_engine(trace, monkeypatch)
+        assert alerts == plain_alerts
+        assert answers == plain_answers
+        assert reinstated == plain_reinstated > 0
+        caught = {
+            a.flow.src for a in alerts if a.sid == SID or a.kind is AlertKind.AMBIGUITY
+        }
+        assert caught >= {f"10.66.0.{i + 1}" for i in range(len(STRATEGIES))}
+        assert {answer for _, answer in answers} == {True, False}  # both arms seen
+        if numpy_available():
+            full = swept_ips.slow_path._current.matcher.automaton.sensitive
+            assert full.stream_swept_chunks > 0 and full.stream_walked_chunks > 0
+
+    def test_hot_reload_keeps_the_old_carry_with_the_old_set(self):
+        """A stream that began under generation 0 keeps that set's
+        automata, sweep and carry length; flows diverted after the swap
+        get the new set's."""
+        ips = SplitDetectIPS(bundled_rules())
+        slow = ips.slow_path
+        attack = build_attack(
+            "tcp_seg_8",
+            attack_payload(),
+            signature_span=(SIGNATURE_OFFSET, len(ATTACK_SIGNATURE)),
+        )
+        packets = iter(attack)
+        for packet in packets:
+            ips.process(packet)
+            if slow._matchers:  # diverted, first chunk matched: mid-stream
+                break
+        (direction,) = slow._matchers
+        old_set, full, _ = slow._matchers[direction]
+        long_rules = bundled_rules()
+        long_rules.add(Signature(sid=4000, pattern=b"Z" * 400, msg="longer than any"))
+        ips.swap_rules(long_rules)
+        assert slow._current is not old_set and slow._matchers[direction][0] is old_set
+        alerts = [alert for packet in packets for alert in ips.process(packet)]
+        assert SID in {alert.sid for alert in alerts}  # confirmed under the old set
+        late = build_attack("tcp_seg_8", attack_payload(), src="10.66.1.1")
+        for packet in late:
+            ips.process(packet)
+        new_entries = [e for e in slow._matchers.values() if e[0] is slow._current]
+        if numpy_available():
+            assert len(full.matcher.carry) <= old_set.sweep.max_pattern_len < 400
+            assert slow._current.sweep.max_pattern_len == 400
+            assert any(e[1].matcher._carry_len == 400 for e in new_entries)
+        check_counters(slow)
+
+
+def test_sparse_fallback_and_sweep_counts_are_exported(trace):
+    """`repro_slowpath_match` names each stream automaton's engine: the
+    bundled suffix set is above the dense limit and must say so."""
+    tel = TelemetryRegistry()
+    ips = SplitDetectIPS(bundled_rules(), telemetry=tel)
+    for packet in trace[:4000]:
+        ips.process(packet)
+    gauges = ips.telemetry_snapshot()["gauges"]["repro_slowpath_match"]
+    samples = {
+        (s["labels"]["matcher"], s["labels"]["side"], s["labels"]["stat"]): (
+            s["labels"]["engine"],
+            s["value"],
+        )
+        for s in gauges["values"]
+    }
+    assert samples[("suffix", "sensitive", "states")][0] == "reference"
+    assert samples[("suffix", "sensitive", "states")][1] > 16384
+    assert samples[("full", "sensitive", "states")][0] == "compiled"
+    walked = samples[("full", "sensitive", "walked_chunks")][1]
+    swept = samples[("full", "sensitive", "swept_chunks")][1]
+    assert walked > 0 and samples[("full", "sensitive", "walked_bytes")][1] > 0
+    assert (swept > 0) == numpy_available()

@@ -10,7 +10,9 @@ from repro.match import (
     AhoCorasick,
     BoyerMooreHorspool,
     DualAutomaton,
+    DualStreamMatcher,
     StreamMatcher,
+    build_stream_sweep,
     naive_find_all,
     sweep,
 )
@@ -360,11 +362,17 @@ def test_sweep_skips_clean_payloads_and_books_its_tables():
         AhoCorasick(side.patterns).compiled_table_bytes()
         for side in (automaton.sensitive, automaton.folded)
     )
-    booked = sum(
-        side.compiled_table_bytes() for side in (automaton.sensitive, automaton.folded)
-    )
+
+    def booked_bytes():
+        return sum(
+            side.compiled_table_bytes()
+            for side in (automaton.sensitive, automaton.folded)
+        )
+
+    assert booked_bytes() == bare  # built by the first scan_many, not before
     payloads = [b"x" * 1500, b"..PATTERN-004..pattern-005", b"y" * 1500]
     assert automaton.scan_many(payloads) == [[], [(5, 26), (4, 13)], []]
+    booked = booked_bytes()
     stats = automaton.scan_stats()
     assert stats["scans"] == 6
     if numpy_available():
@@ -396,3 +404,148 @@ def test_sweep_hostile_density_falls_back_to_the_walk():
         assert stats["prefilter_skips"] == len(sparse)
     else:
         assert stats["sweep_verifies"] == 0
+
+
+# -- the carried stream matcher: one union sweep, stale sides, lazy resync ----
+
+_FILLER = st.integers(min_value=1, max_value=3000).map(lambda n: b"." * n)
+
+
+@st.composite
+def carried_stream_cases(draw):
+    """(patterns, tails, chunks, probes): a swept-size pattern set, a
+    second set made of its tails (as the slow path's suffix matcher is),
+    a stream cut into chunks with occurrences implanted across the cuts,
+    and which chunks are followed by an ``open_prefix_len`` probe."""
+    big_nocase = draw(st.booleans())
+    patterns = [
+        (pattern, big_nocase)
+        for pattern in draw(st.lists(_sweep_pattern, min_size=65, max_size=70))
+    ] + [
+        (pattern, not big_nocase)
+        for pattern in draw(st.lists(_sweep_pattern, max_size=6))
+    ]
+    head = draw(st.sampled_from(patterns))[0]
+    patterns.append((head[:5] + draw(_sweep_pattern), draw(st.booleans())))  # shared prefix
+    patterns.append(draw(st.sampled_from(patterns)))  # a duplicate
+    longest = b"".join(draw(st.lists(_sweep_pattern, min_size=4, max_size=6)))
+    patterns.append((longest, draw(st.booleans())))  # exactly max_pattern_len
+    patterns = draw(st.permutations(patterns))
+    tails = [(pattern[2:], nocase) for pattern, nocase in patterns if len(pattern) >= 6]
+
+    def implant():
+        pattern, nocase = draw(st.sampled_from([(longest, True), *patterns]))
+        return pattern.swapcase() if nocase and draw(st.booleans()) else pattern
+
+    segment = st.one_of(_FILLER, _sweep_bytes, st.builds(implant))
+    stream = b"".join(draw(st.lists(segment, min_size=1, max_size=12)))
+    size = st.one_of(
+        st.just(1),
+        st.integers(min_value=2, max_value=sweep.MIN_STREAM_SWEEP_BYTES - 1),
+        st.integers(min_value=sweep.MIN_STREAM_SWEEP_BYTES, max_value=4000),
+    )
+    chunks = []
+    while stream:
+        cut = draw(size)
+        chunks.append(stream[:cut])
+        stream = stream[cut:]
+    probes = draw(st.lists(st.booleans(), min_size=len(chunks), max_size=len(chunks)))
+    return patterns, tails, chunks, probes
+
+
+@given(carried_stream_cases())
+@settings(max_examples=60, deadline=None)
+def test_carried_swept_stream_equals_state_carrying_reference(case):
+    """The sweep selects, the walk decides: chunk by chunk the carried
+    matchers report the reference's tuples, offsets and open prefix."""
+    patterns, tails, chunks, probes = case
+    automata = [DualAutomaton(patterns), DualAutomaton(tails)]
+    union = build_stream_sweep(automata)
+    assert (union is not None) == numpy_available()
+    carry = union.max_pattern_len if union is not None else 0
+    assert carry in (0, max(len(pattern) for pattern, _ in patterns))
+    carried = [DualStreamMatcher(automaton, carry=carry) for automaton in automata]
+    references = [
+        DualStreamMatcher(DualAutomaton(group, dense_state_limit=0))
+        for group in (patterns, tails)
+    ]
+    for chunk, probe in zip(chunks, probes):
+        tail = carried[0].carry
+        dirty = union.dirty_sides(tail, chunk) if union is not None else -1
+        for group, (matcher, reference) in enumerate(zip(carried, references)):
+            assert matcher.carry == tail  # same stream, same carry length
+            got = matcher.feed(chunk, dirty >> 2 * group)
+            assert got == reference.feed(chunk)
+            assert matcher.stream_offset == reference.stream_offset
+            if probe:  # unprobed chunks leave a skipped side stale for the next feed
+                assert matcher.open_prefix_len == reference.open_prefix_len
+    for matcher, reference in zip(carried, references):
+        assert matcher.open_prefix_len == reference.open_prefix_len
+        assert matcher.state_bytes == matcher.STATE_BYTES + min(
+            carry, sum(map(len, chunks))
+        )
+
+
+def _stream_counts(automaton):
+    return {name: stats for name, stats in automaton.side_stats()}
+
+
+@pytest.mark.skipif(not numpy_available(), reason="no sweep without numpy")
+class TestCarriedStreamWorstCase:
+    """Counted, not timed: whatever the stream's shape, a chunk costs a
+    side at most one sweep plus one walk of ``carry + chunk``."""
+
+    LONG = b"L" + bytes(range(60, 233)) + b"!"  # 175 bytes, the carry's length
+    PATTERNS = [(b"%04d-suffix-%04d" % (i, i), i % 2 == 1) for i in range(130)] + [
+        (LONG, False)
+    ]
+
+    def matcher(self):
+        automaton = DualAutomaton(self.PATTERNS)
+        union = build_stream_sweep([automaton])
+        return automaton, union, DualStreamMatcher(automaton, carry=union.max_pattern_len)
+
+    def feed(self, union, matcher, chunk):
+        return matcher.feed(chunk, union.dirty_sides(matcher.carry, chunk))
+
+    def test_alternating_swept_and_one_byte_chunks(self):
+        automaton, union, matcher = self.matcher()
+        pairs = 40
+        for _ in range(pairs):
+            assert self.feed(union, matcher, b"x" * 1448) == []
+            assert self.feed(union, matcher, b"y") == []
+        assert union.verifies == 0
+        for stats in _stream_counts(automaton).values():
+            assert stats["swept_chunks"] == pairs
+            assert stats["walked_chunks"] == pairs
+            # Each one-byte chunk: a resync walk of the carry, then the byte.
+            assert stats["walked_bytes"] == pairs * (len(self.LONG) + 1)
+            assert stats["walked_bytes"] < pairs * 1449  # the unswept matcher's bill
+            assert stats["scanned_bytes"] == stats["walked_bytes"] + pairs * 1448
+
+    def test_all_candidate_chunk_goes_straight_to_the_walk(self):
+        automaton, union, matcher = self.matcher()
+        dense = self.PATTERNS[3][0][:4] * 400
+        reference = DualStreamMatcher(DualAutomaton(self.PATTERNS, dense_state_limit=0))
+        assert self.feed(union, matcher, dense) == reference.feed(dense)
+        assert union.verifies == 0
+        for stats in _stream_counts(automaton).values():
+            assert stats["swept_chunks"] == 0
+            assert stats["walked_bytes"] == len(dense)  # once, never stale
+
+    def test_chunk_ending_one_byte_short_of_the_longest_pattern(self):
+        automaton, union, matcher = self.matcher()
+        first = b"." * 1000 + self.LONG[:-1]
+        second = self.LONG[-1:] + b"." * 999
+        assert self.feed(union, matcher, first) == []  # verified: does not fit
+        assert union.verifies == 1
+        assert _stream_counts(automaton)["sensitive"]["walked_bytes"] == 0
+        assert matcher.carry == first[-len(self.LONG) :]
+        (match,) = self.feed(union, matcher, second)  # starts in the carry
+        assert (match.pattern_id, match.end_offset) == (130, 1000 + len(self.LONG))
+        assert union.verifies == 2
+        counts = _stream_counts(automaton)
+        assert counts["sensitive"]["walked_bytes"] == len(self.LONG) + len(second)
+        assert counts["folded"]["walked_bytes"] == 0  # cleared on both chunks
+        assert matcher.open_prefix_len == 0  # resyncs the folded side to answer
+        assert _stream_counts(automaton)["folded"]["walked_bytes"] == len(self.LONG)

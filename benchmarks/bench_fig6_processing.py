@@ -25,7 +25,6 @@ from repro.metrics import (
     state_bytes_ratio,
     throughput_comparison,
 )
-from repro.optional_numpy import numpy_available
 from repro.telemetry import TelemetryRegistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -140,10 +139,8 @@ def test_fig6_cost_model(benchmark, capfd):
     )
     # One prescan sweep per batch used to be *slower* than per-packet
     # scans (5.9 vs 6.2 MB/s: the same table walk plus list shuffling).
-    # With the batch q-gram sweep the batch form must win; without numpy
-    # there is no sweep and the old ordering is merely recorded.
-    if numpy_available():
-        assert batched_mbps > per_packet_mbps, (batched_mbps, per_packet_mbps)
+    # With the batch q-gram sweep the batch form must win.
+    assert batched_mbps > per_packet_mbps, (batched_mbps, per_packet_mbps)
     result = {
         "benchmark": "fig6_processing",
         "byte_split": {

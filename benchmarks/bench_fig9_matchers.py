@@ -15,9 +15,8 @@ writes the machine-readable comparison to ``BENCH_matchers.json`` at
 the repo root (CI's perf smoke job runs exactly this test).  On the
 full piece set it also times the batch entry point
 (``DualAutomaton.scan_many`` over MTU-sized slices of the same payload):
-with numpy the q-gram sweep must make that >= 2x the compiled walk
-(ROADMAP item 2's gate) with identical output; without numpy the sweep
-is recorded as disabled and only the identity is required.  A last row,
+the q-gram sweep must make that >= 2x the compiled walk (ROADMAP item
+2's gate) with identical output.  A last row,
 ``stream_bundled``, sends the same payload as an MTU-chunked stream
 through the slow path's matcher set (full + suffix automata, one union
 sweep): swept must be >= 2x the never-swept walk, alerts identical.
@@ -33,7 +32,6 @@ from unittest import mock
 from exp_common import bundled_rules, emit
 from repro.core import slowpath
 from repro.match import AhoCorasick, BoyerMooreHorspool, DualAutomaton, naive_find_all
-from repro.optional_numpy import numpy_available
 from repro.packet import FlowKey
 from repro.signatures import split_ruleset
 from repro.traffic import benign_payload
@@ -111,7 +109,7 @@ def stream_bundled_row(data: bytes) -> dict:
     swept = slowpath.SlowPath(split_rules)
     with mock.patch.object(slowpath, "build_stream_sweep", lambda automata: None):
         walked = slowpath.SlowPath(split_rules)
-    assert (swept._current.sweep is not None) == numpy_available()
+    assert swept._current.sweep is not None
     assert walked._current.sweep is None
     expected = one_pass(walked)
     assert any(alert.sid == planted.sid for alerts in expected for alert in alerts)
@@ -131,7 +129,7 @@ def stream_bundled_row(data: bytes) -> dict:
             current.matcher.automaton, current.suffix_automaton)),
         "chunks": len(chunks),
         "engines": sorted({stats["engine"] for stats in sides}),
-        "sweep": "enabled" if numpy_available() else "disabled",
+        "sweep": "enabled",
         "walked_mbps": round(walked_mbps, 3),
         "swept_mbps": round(swept_mbps, 3),
         "swept_speedup": round(swept_mbps / walked_mbps, 3),
@@ -174,7 +172,7 @@ def test_fig9_compiled_vs_reference(capfd):
             assert dual.scan_many(batch) == [compiled.find_all(piece) for piece in batch]
             swept_mbps = best_rate_mbps(dual.scan_many, batch)
             swept = {
-                "sweep": "enabled" if numpy_available() else "disabled",
+                "sweep": "enabled",
                 "swept_mbps": round(swept_mbps, 3),
                 "swept_speedup": round(swept_mbps / compiled_mbps, 3),
             }
@@ -226,9 +224,8 @@ def test_fig9_compiled_vs_reference(capfd):
         assert e["speedup"] >= 1.0, f"{e['workload']}: compiled slower than reference"
     assert by_name["ac_full_pieceset"]["speedup"] >= REQUIRED_SPEEDUP
     assert stream["identical_output"]
-    if numpy_available():
-        assert by_name["ac_full_pieceset"]["swept_speedup"] >= REQUIRED_SWEEP_SPEEDUP
-        assert stream["swept_speedup"] >= REQUIRED_STREAM_SWEEP_SPEEDUP
+    assert by_name["ac_full_pieceset"]["swept_speedup"] >= REQUIRED_SWEEP_SPEEDUP
+    assert stream["swept_speedup"] >= REQUIRED_STREAM_SWEEP_SPEEDUP
 
 
 def test_fig9_ac_full_pieceset_compiled(benchmark, capfd):

@@ -69,9 +69,10 @@ class _MatcherSet:
     closes.
 
     ``sweep`` is the one q-gram sweep over the union of the full and
-    suffix pattern sets (``None`` for small sets or without numpy): each
-    delivered chunk is swept once, and only the automaton sides it could
-    not prove match-free walk it (DESIGN.md, "Slow path").
+    suffix pattern sets (``None`` when no side has more than 64 patterns
+    or a pattern is shorter than a gram): each delivered chunk is swept
+    once, and only the automaton sides it could not prove match-free
+    walk it (DESIGN.md, "Slow path").
     """
 
     matcher: SignatureMatcher

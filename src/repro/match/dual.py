@@ -228,7 +228,7 @@ def build_stream_sweep(automata: Sequence[DualAutomaton | None]) -> GramSweep | 
     """One sweep over the union of several automata's patterns, for
     matchers fed the same stream: ``automata[i]`` is group ``i`` of
     :meth:`GramSweep.dirty_sides`.  ``None`` when no member is large
-    enough to want a sweep, or a sweep cannot be built."""
+    enough to want a sweep, or a pattern is shorter than a gram."""
     patterns: list[tuple[bytes, bool]] = []
     groups: list[int] = []
     for group, automaton in enumerate(automata):

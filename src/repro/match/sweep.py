@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from ..optional_numpy import NUMPY
+import numpy as np
 
 GRAM = 4
 
@@ -88,13 +88,13 @@ def build_sweep(
     patterns: Sequence[tuple[bytes, bool]], groups: Sequence[int] | None = None
 ) -> GramSweep | None:
     """A sweep over ``(pattern, nocase)`` pairs (nocase ones already
-    folded), or ``None`` when it cannot be sound or cannot run: numpy
-    absent or disabled, or a pattern shorter than one gram.
+    folded), or ``None`` when it cannot be sound: no patterns, or a
+    pattern shorter than one gram.
 
     ``groups`` (parallel to ``patterns``, default all 0) says which
     automaton of a union each pattern belongs to; see
     :meth:`GramSweep.dirty_sides`."""
-    if NUMPY is None or not patterns:
+    if not patterns:
         return None
     if min(len(pattern) for pattern, _ in patterns) < GRAM:
         return None
@@ -112,7 +112,6 @@ class GramSweep:
         patterns: Sequence[tuple[bytes, bool]],
         groups: Sequence[int] | None = None,
     ) -> None:
-        np = NUMPY
         self._fold = any(nocase for _, nocase in patterns)
         #: Longest pattern: the stream carry that makes a state (and a
         #: straddling occurrence) a function of ``carry + chunk``.
@@ -159,7 +158,6 @@ class GramSweep:
         a ``nocase`` occurrence (two ascending lists), every other
         payload being proven match-free on that side.  ``None`` when the
         batch is too small for a sweep to pay."""
-        np = NUMPY
         lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
         ends = np.cumsum(lengths)
         total = int(ends[-1]) if len(payloads) else 0
@@ -209,7 +207,6 @@ class GramSweep:
         """Stage 3 for both entry points: each candidate's gram, and
         whether its first eight bytes are some pattern's (or its gram a
         short pattern's) -- exact membership."""
-        np = NUMPY
         first = every_gram[positions]
         prefix = first.astype(np.uint64) << np.uint64(32) | every_gram[positions + GRAM]
         return first, _member(np, self._prefixes, prefix) | _member(np, self._short, first)
@@ -229,7 +226,6 @@ class GramSweep:
         """
         if len(chunk) < MIN_STREAM_SWEEP_BYTES:
             return self.all_sides
-        np = NUMPY
         start = len(carry)
         total = start + len(chunk)
         raw = b"".join((carry, chunk, _PAD))

@@ -228,6 +228,13 @@ class PacketBatch:
     def last_ts(self) -> float:
         return self.ts[-1]
 
+    @classmethod
+    def from_lists(
+        cls, buffer: bytes, rows: dict[str, Iterable[int | float]]
+    ) -> "PacketBatch":
+        """A batch over *buffer* from pre-decoded column values."""
+        return cls(buffer, {name: array(typecode, rows[name]) for name, typecode in _COLUMNS})
+
     def columns(self) -> dict[str, array]:
         return {name: getattr(self, name) for name in _COLUMN_NAMES}
 
@@ -339,66 +346,3 @@ class PacketBatch:
             else:
                 buckets[flow_hash[row] % shards].append(row)
         return buckets
-
-
-class PacketBatchBuilder:
-    """Append-oriented accumulator the columnar reader fills row by row."""
-
-    __slots__ = ("columns", "quarantined")
-
-    def __init__(self) -> None:
-        self.columns: dict[str, array] = {
-            name: array(typecode) for name, typecode in _COLUMNS
-        }
-        self.quarantined: list[BaseException] = []
-
-    def __len__(self) -> int:
-        return len(self.columns["ts"])
-
-    def append(
-        self,
-        ts: float,
-        off: int,
-        caplen: int,
-        proto: int,
-        fragflags: int,
-        ttl: int,
-        src: int,
-        dst: int,
-        sport: int,
-        dport: int,
-        seq: int,
-        tcpflags: int,
-        pay_off: int,
-        pay_len: int,
-        tok: int,
-        flow_hash: int,
-    ) -> None:
-        columns = self.columns
-        columns["ts"].append(ts)
-        columns["off"].append(off)
-        columns["caplen"].append(caplen)
-        columns["proto"].append(proto)
-        columns["fragflags"].append(fragflags)
-        columns["ttl"].append(ttl)
-        columns["src"].append(src)
-        columns["dst"].append(dst)
-        columns["sport"].append(sport)
-        columns["dport"].append(dport)
-        columns["seq"].append(seq)
-        columns["tcpflags"].append(tcpflags)
-        columns["pay_off"].append(pay_off)
-        columns["pay_len"].append(pay_len)
-        columns["tok"].append(tok)
-        columns["flow_hash"].append(flow_hash)
-
-    def extend_lists(self, rows: dict[str, Iterable[int | float]]) -> None:
-        """Bulk-append pre-decoded column slices (the numpy path)."""
-        for name, values in rows.items():
-            self.columns[name].extend(values)  # type: ignore[arg-type]
-
-    def build(self, buffer: bytes) -> PacketBatch:
-        batch = PacketBatch(buffer, self.columns, self.quarantined)
-        self.columns = {name: array(typecode) for name, typecode in _COLUMNS}
-        self.quarantined = []
-        return batch

@@ -30,12 +30,12 @@ than clever):
   materialized by the engine, so the per-packet path produces the
   authoritative decode-error accounting.
 
-The optional numpy path (probed once, in :mod:`repro.optional_numpy`;
-disabled when the environment variable ``REPRO_COLUMNAR_NUMPY=0``)
-vectorizes field extraction and validity checks; rows it cannot prove
-clean fall back to the stdlib row decoder, so both paths produce
-identical columns by construction.  The stdlib path is mandatory and
-fully featured.
+Decode is vectorized (numpy, a dependency): field extraction and the
+validity checks run over a whole window of records at once.  A record
+the checks reject -- an Ethernet record shorter than its link header,
+or one failing the IPv4 header checks, which are exactly
+``IPv4Packet.parse``'s own -- is only classified, through the object
+parsers; there is no second field extractor.
 
 A savefile batch carries exactly ``batch_size`` valid rows (skipped and
 quarantined records consume no slots); an encoded batch covers
@@ -61,12 +61,12 @@ import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
-from types import ModuleType
 from typing import TYPE_CHECKING, BinaryIO
 
-from ..optional_numpy import NUMPY as _NUMPY, numpy_available
+import numpy as np
+
 from ..packet import EthernetFrame, IPv4Packet, PacketError, TimedPacket
-from ..packet.batch import PacketBatch, PacketBatchBuilder, portless_flow_hash
+from ..packet.batch import PacketBatch, portless_flow_hash
 from .format import (
     GLOBAL_HEADER_SIZE,
     LINKTYPE_ETHERNET,
@@ -84,7 +84,6 @@ __all__ = [
     "DECODE_ERRORS",
     "ColumnarPcapReader",
     "encode_batches",
-    "numpy_available",
     "read_column_batches",
 ]
 
@@ -101,12 +100,6 @@ IP_PROTO_UDP = 17
 
 ETHERTYPE_IPV4 = 0x0800
 _ETH_HLEN = 14
-
-# One unpack per row for the fixed IPv4 header prefix; src/dst decoded
-# as integers (the columns are numeric, strings are interned lazily).
-_IP_FIXED = struct.Struct("!BBHHHBBHII")
-_PORTS = struct.Struct("!HH")
-_TCP_PREFIX = struct.Struct("!HHII")
 
 
 #: File bytes read per decode window.  Large enough that the per-window
@@ -125,15 +118,11 @@ class ColumnarPcapReader:
         *,
         batch_size: int = 256,
         on_invalid: str = "quarantine",
-        use_numpy: bool | None = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if on_invalid not in ("quarantine", "raise"):
             raise ValueError(f"on_invalid must be 'quarantine' or 'raise', got {on_invalid!r}")
-        self._numpy = _NUMPY if use_numpy is None else (_NUMPY if use_numpy else None)
-        if use_numpy and self._numpy is None:
-            raise RuntimeError("numpy requested but not available")
         self.batch_size = batch_size
         self.on_invalid = on_invalid
         if isinstance(source, (str, os.PathLike)):
@@ -224,7 +213,7 @@ class ColumnarPcapReader:
                 data = carry + chunk if carry else chunk
                 ts_list, off_list, cap_list, end, error = self._walk_window(data, not chunk)
                 final = not chunk or error is not None
-                decoder = _RowDecoder(data, ethernet, size, self.on_invalid, self._numpy)
+                decoder = _RowDecoder(data, ethernet, size, self.on_invalid)
                 short = None
                 for batch in decoder.batches(ts_list, off_list, cap_list):
                     pending += batch.quarantined
@@ -266,173 +255,48 @@ class _RowDecoder:
     ethernet: bool
     batch_size: int
     on_invalid: str
-    numpy: ModuleType | None
 
-    # -- per-row decode (stdlib; also the fallback for the numpy path) -
+    def _reject(self, off: int, caplen: int) -> BaseException:
+        """The object parsers' exception for a record the predicates rejected.
 
-    def _decode_row(
-        self, builder: PacketBatchBuilder, ts: float, off: int, caplen: int
-    ) -> None:
-        """Decode one record into a row, a silent skip, or a quarantine.
-
-        Any record that fails the cheap field checks is re-parsed with
-        the object-path parsers so the resulting exception (raised or
-        quarantined) is authoritative.
+        Raised under ``on_invalid="raise"``, returned for quarantine.  The
+        predicates are ``IPv4Packet.parse``'s own checks, so a parser that
+        *accepts* the record is a decode-boundary bug and escapes as one.
         """
-        data = self.data
-        ip_off = off
-        ip_len = caplen
-        if self.ethernet:
-            if caplen >= _ETH_HLEN:
-                if data[off + 12] != 0x08 or data[off + 13] != 0x00:
-                    return  # non-IPv4 ethertype: skipped silently
-                ip_off = off + _ETH_HLEN
-                ip_len = caplen - _ETH_HLEN
-            elif self.on_invalid == "raise":
-                # read_trace parses the frame strictly and propagates.
-                EthernetFrame.parse(data[off : off + caplen])
-                raise AssertionError("unreachable: short Ethernet frame parsed")
-            # else: read_records yields the whole record as IP bytes and
-            # lets the decode quarantine classify it below.
-        valid = ip_len >= 20
-        if valid:
-            (
-                ver_ihl,
-                _tos,
-                total,
-                _ident,
-                fragflags,
-                ttl,
-                proto,
-                _checksum,
-                src,
-                dst,
-            ) = _IP_FIXED.unpack_from(data, ip_off)
-            ihl = (ver_ihl & 0x0F) * 4
-            valid = (
-                (ver_ihl >> 4) == 4
-                and ihl >= 20
-                and ip_len >= ihl
-                and total >= ihl
-                and ip_len >= total
-            )
-        if not valid:
-            exc = self._invalid_row(ip_off, ip_len)
-            if exc is not None:
-                builder.quarantined.append(exc)
-                return
-            # Defensive: the object parser accepted what the cheap
-            # checks rejected (should be impossible -- the checks are
-            # the parser's own); trust the parser and unpack the fields.
-            (
-                ver_ihl,
-                _tos,
-                total,
-                _ident,
-                fragflags,
-                ttl,
-                proto,
-                _checksum,
-                src,
-                dst,
-            ) = _IP_FIXED.unpack_from(data, ip_off)
-            ihl = (ver_ihl & 0x0F) * 4
-        self._append_row(
-            builder, ts, ip_off, ip_len, ihl, total, fragflags, ttl, proto, src, dst
-        )
-
-    def _invalid_row(self, ip_off: int, ip_len: int) -> BaseException | None:
-        """Authoritative exception for a malformed IP region (or None)."""
+        record = self.data[off : off + caplen]
         try:
-            IPv4Packet.parse(self.data[ip_off : ip_off + ip_len])
+            if self.ethernet:
+                if caplen >= _ETH_HLEN:
+                    record = record[_ETH_HLEN:]
+                elif self.on_invalid == "raise":
+                    # read_trace parses the frame strictly and propagates.
+                    EthernetFrame.parse(record)
+                # else: read_records takes a short record as raw IP.
+            IPv4Packet.parse(record)
         except DECODE_ERRORS as exc:
             if self.on_invalid == "raise":
                 raise
             # Kept as a ledger value: the traceback would pin two frames
             # and a copy of the record (~2 KB) per quarantined frame.
             return exc.with_traceback(None)
-        return None
-
-    def _append_row(
-        self,
-        builder: PacketBatchBuilder,
-        ts: float,
-        ip_off: int,
-        ip_len: int,
-        ihl: int,
-        total: int,
-        fragflags: int,
-        ttl: int,
-        proto: int,
-        src: int,
-        dst: int,
-    ) -> None:
-        data = self.data
-        p_off = ip_off + ihl
-        p_len = total - ihl
-        sport = dport = seq = tcpflags = tok = 0
-        pay_off = pay_len = 0
-        flow_hash = 0
-        transport = proto == IP_PROTO_TCP or proto == IP_PROTO_UDP
-        if transport:
-            flow_hash = portless_flow_hash(src, dst, proto)
-            if p_len >= 4:
-                sport, dport = _PORTS.unpack_from(data, p_off)
-            if not (fragflags & 0x3FFF):
-                if proto == IP_PROTO_TCP:
-                    if p_len >= 20:
-                        _sp, _dp, seq, _ack = _TCP_PREFIX.unpack_from(data, p_off)
-                        header_len = (data[p_off + 12] >> 4) * 4
-                        tcpflags = data[p_off + 13]
-                        if header_len >= 20 and p_len >= header_len:
-                            tok = 1
-                            pay_off = p_off + header_len
-                            pay_len = p_len - header_len
-                elif p_len >= 8:
-                    length_field = (data[p_off + 4] << 8) | data[p_off + 5]
-                    if length_field >= 8 and p_len >= length_field:
-                        tok = 1
-                        pay_off = p_off + 8
-                        pay_len = length_field - 8
-        builder.append(
-            ts, ip_off, ip_len, proto, fragflags, ttl, src, dst,
-            sport, dport, seq, tcpflags, pay_off, pay_len, tok, flow_hash,
+        raise RuntimeError(
+            f"IPv4Packet.parse accepted the {caplen}-byte record at offset {off} "
+            "that the column predicates rejected"
         )
-
-    # -- iteration -----------------------------------------------------
 
     def batches(
         self, ts_list: list[float], off_list: list[int], cap_list: list[int]
     ) -> Iterator[PacketBatch]:
-        # (An empty buffer has no last byte for the vectorized gathers
-        # to clamp to; the encoder can produce one, the reader cannot.)
-        if self.numpy is not None and ts_list and self.data:
-            yield from self._iter_numpy(ts_list, off_list, cap_list)
-            return
-        builder = PacketBatchBuilder()
-        size = self.batch_size
-        decode = self._decode_row
-        for index in range(len(ts_list)):
-            decode(builder, ts_list[index], off_list[index], cap_list[index])
-            if len(builder) >= size:
-                yield builder.build(self.data)
-        if len(builder) or builder.quarantined:
-            yield builder.build(self.data)
+        """Decode every record at once; classify the rejected few one by one.
 
-    # -- vectorized extraction (optional) ------------------------------
-
-    def _iter_numpy(
-        self, ts_list: list[float], off_list: list[int], cap_list: list[int]
-    ) -> Iterator[PacketBatch]:
-        """Vectorized decode: prove rows clean in bulk, fall back per row.
-
-        Produces byte-identical columns to the stdlib path: every field
-        is extracted with the same arithmetic, and any record that fails
-        a vectorized validity check -- or needs Ethernet/quarantine
-        special-casing -- is routed through :meth:`_decode_row`.
+        A record is a row when it passes the IPv4 validity predicates,
+        skipped silently when its Ethernet type is not IPv4, and otherwise
+        rejected: handed to :meth:`_reject` in capture order, before the
+        batch it falls in is yielded.
         """
-        np = self.numpy
-        buf = np.frombuffer(self.data, dtype=np.uint8)
+        # An empty buffer has no last byte for the gathers to clamp to:
+        # the encoder makes one from all-empty frames, every one rejected.
+        buf = np.frombuffer(self.data or b"\0", dtype=np.uint8)
         limit = len(buf) - 1
         off = np.asarray(off_list, dtype=np.int64)
         cap = np.asarray(cap_list, dtype=np.int64)
@@ -440,23 +304,21 @@ class _RowDecoder:
         def gather(idx):  # type: ignore[no-untyped-def]
             return buf[np.minimum(idx, limit)].astype(np.int64)
 
-        ethernet = self.ethernet
-        if ethernet:
-            eth_ok = cap >= _ETH_HLEN
+        if self.ethernet:
             ethertype = (gather(off + 12) << 8) | gather(off + 13)
-            skip = eth_ok & (ethertype != ETHERTYPE_IPV4)
-            fallback = ~eth_ok
+            skip = (cap >= _ETH_HLEN) & (ethertype != ETHERTYPE_IPV4)
             ip_off = off + _ETH_HLEN
             ip_len = cap - _ETH_HLEN
         else:
             skip = np.zeros(len(off), dtype=bool)
-            fallback = skip.copy()
             ip_off = off
             ip_len = cap
 
         ver_ihl = gather(ip_off)
         ihl = (ver_ihl & 0x0F) * 4
         total = (gather(ip_off + 2) << 8) | gather(ip_off + 3)
+        # IPv4Packet.parse's checks; an Ethernet record shorter than its
+        # link header fails the first one.
         ip_valid = (
             (ip_len >= 20)
             & ((ver_ihl >> 4) == 4)
@@ -465,7 +327,6 @@ class _RowDecoder:
             & (total >= ihl)
             & (ip_len >= total)
         )
-        fallback |= ~skip & ~ip_valid
 
         fragflags = (gather(ip_off + 6) << 8) | gather(ip_off + 7)
         ttl = gather(ip_off + 8)
@@ -511,91 +372,56 @@ class _RowDecoder:
             tcp_ok, p_len - header_len, np.where(udp_ok, length_field - 8, 0)
         )
 
-        special = skip | fallback
-        # Stored offsets cover the IP region, not the raw frame.
-        eth_shift = _ETH_HLEN if ethernet else 0
-        if not special.any():
-            # Every record decoded clean (no quarantine, no ethertype
-            # skip, no stdlib fallback): assemble whole batches with
-            # C-speed column extends instead of a per-row append.  The
-            # flow-hash column is the one per-row computation left, and
-            # it is an intern-cache hit for all but a flow's first
-            # packet.  Values are identical to the row loop below: same
-            # arrays, same arithmetic, same bool->int narrowing.
-            src_l = src.tolist()
-            dst_l = dst.tolist()
-            proto_l = proto.tolist()
-            flow_hash_l = [
-                portless_flow_hash(s, d, p)
-                if p == IP_PROTO_TCP or p == IP_PROTO_UDP
-                else 0
-                for s, d, p in zip(src_l, dst_l, proto_l)
-            ]
-            lists = {
-                "ts": ts_list,
-                "off": (off + eth_shift).tolist() if eth_shift else off_list,
-                "caplen": (cap - eth_shift).tolist() if eth_shift else cap_list,
+        keep = ip_valid & ~skip
+        rejected = np.flatnonzero(~ip_valid & ~skip).tolist()
+        # A rejected record lands in the batch its preceding rows fill.
+        home = (np.cumsum(keep)[rejected] // self.batch_size).tolist()
+        rows = slice(None) if keep.all() else keep
+
+        # Stored offsets cover the IP region, not the raw frame.  The
+        # flow-hash column is the one per-row computation left, and it is
+        # an intern-cache hit for all but a flow's first packet.
+        src_l = src[rows].tolist()
+        dst_l = dst[rows].tolist()
+        proto_l = proto[rows].tolist()
+        window = PacketBatch.from_lists(
+            self.data,
+            {
+                "ts": np.asarray(ts_list, dtype=np.float64)[rows].tolist(),
+                "off": ip_off[rows].tolist(),
+                "caplen": ip_len[rows].tolist(),
                 "proto": proto_l,
-                "fragflags": fragflags.tolist(),
-                "ttl": ttl.tolist(),
+                "fragflags": fragflags[rows].tolist(),
+                "ttl": ttl[rows].tolist(),
                 "src": src_l,
                 "dst": dst_l,
-                "sport": sport.tolist(),
-                "dport": dport.tolist(),
-                "seq": seq.tolist(),
-                "tcpflags": tcpflags.tolist(),
-                "pay_off": pay_off.tolist(),
-                "pay_len": pay_len.tolist(),
-                "tok": tok.astype(np.uint8).tolist(),
-                "flow_hash": flow_hash_l,
-            }
-            builder = PacketBatchBuilder()
-            size = self.batch_size
-            for start in range(0, len(off_list), size):
-                stop = start + size
-                builder.extend_lists(
-                    {name: values[start:stop] for name, values in lists.items()}
-                )
-                yield builder.build(self.data)
-            return
-
-        # Single conversion to python scalars; per-element access on
-        # numpy arrays is slower than list indexing in the assembly loop.
-        columns = [
-            arr.tolist()
-            for arr in (
-                special, fallback, cap, fragflags, ttl, proto, src, dst,
-                sport, dport, seq, tcpflags, pay_off, pay_len, tok,
-            )
-        ]
-        (
-            special_l, fallback_l, cap_l, frag_l, ttl_l, proto_l, src_l, dst_l,
-            sport_l, dport_l, seq_l, flags_l, payoff_l, paylen_l, tok_l,
-        ) = columns
-        off_l = off_list
-
-        builder = PacketBatchBuilder()
+                "sport": sport[rows].tolist(),
+                "dport": dport[rows].tolist(),
+                "seq": seq[rows].tolist(),
+                "tcpflags": tcpflags[rows].tolist(),
+                "pay_off": pay_off[rows].tolist(),
+                "pay_len": pay_len[rows].tolist(),
+                "tok": tok[rows].astype(np.uint8).tolist(),
+                "flow_hash": [
+                    portless_flow_hash(s, d, p)
+                    if p == IP_PROTO_TCP or p == IP_PROTO_UDP
+                    else 0
+                    for s, d, p in zip(src_l, dst_l, proto_l)
+                ],
+            },
+        )
         size = self.batch_size
-        append = builder.append
-        for i in range(len(off_l)):
-            if special_l[i]:
-                if fallback_l[i]:
-                    self._decode_row(builder, ts_list[i], off_l[i], cap_l[i])
-                # else: non-IPv4 ethertype, skipped silently
-            else:
-                p = proto_l[i]
-                transport_row = p == IP_PROTO_TCP or p == IP_PROTO_UDP
-                append(
-                    ts_list[i], off_l[i] + eth_shift, cap_l[i] - eth_shift,
-                    p, frag_l[i], ttl_l[i],
-                    src_l[i], dst_l[i], sport_l[i], dport_l[i], seq_l[i],
-                    flags_l[i], payoff_l[i], paylen_l[i], int(tok_l[i]),
-                    portless_flow_hash(src_l[i], dst_l[i], p) if transport_row else 0,
-                )
-            if len(builder) >= size:
-                yield builder.build(self.data)
-        if len(builder) or builder.quarantined:
-            yield builder.build(self.data)
+        count = -(-len(window) // size)
+        if home:
+            count = max(count, home[-1] + 1)
+        at = 0
+        for index in range(count):
+            batch = window.slice(index * size, (index + 1) * size)
+            while at < len(rejected) and home[at] == index:
+                record = rejected[at]
+                batch.quarantined.append(self._reject(off_list[record], cap_list[record]))
+                at += 1
+            yield batch
 
 
 def read_column_batches(
@@ -603,17 +429,9 @@ def read_column_batches(
     *,
     batch_size: int = 256,
     on_invalid: str = "quarantine",
-    use_numpy: bool | None = None,
 ) -> Iterator[PacketBatch]:
     """Yield columnar packet batches from a savefile (see module docs)."""
-    return iter(
-        ColumnarPcapReader(
-            source,
-            batch_size=batch_size,
-            on_invalid=on_invalid,
-            use_numpy=use_numpy,
-        )
-    )
+    return iter(ColumnarPcapReader(source, batch_size=batch_size, on_invalid=on_invalid))
 
 
 def encode_batches(
@@ -650,9 +468,7 @@ def encode_batches(
             return
         caplens = list(map(len, frames))
         offsets = list(accumulate(caplens, initial=0))[:-1]
-        decoder = _RowDecoder(
-            b"".join(frames), False, len(frames) or 1, "quarantine", _NUMPY
-        )
+        decoder = _RowDecoder(b"".join(frames), False, len(frames) or 1, "quarantine")
         # batch_size covers every frame, so the decode yields one batch
         # -- or none, when no frame was offered at all.
         batch = next(decoder.batches(ts_list, offsets, caplens), None)

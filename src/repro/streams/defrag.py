@@ -70,6 +70,10 @@ class IpDefragmenter:
         self.tiny_threshold = tiny_threshold
         self._partials: dict[tuple, _PartialDatagram] = {}
         self._buffered = 0  # running sum of the partials' buffered_bytes
+        # A lower bound on the partials' arrivals: exact after a scan, and
+        # only conservative once a partial completes.  While it is not
+        # stale, no partial is, and ``expire`` need not scan.
+        self._oldest = float("inf")
         self.evicted_total = 0
         self.reassembled_total = 0
 
@@ -111,6 +115,7 @@ class IpDefragmenter:
         if partial is None:
             partial = _PartialDatagram(first_fragment=packet, arrival=timestamp)
             self._partials[key] = partial
+            self._oldest = min(self._oldest, timestamp)
         if packet.fragment_offset == 0:
             partial.first_fragment = packet
         offset = packet.fragment_offset
@@ -142,7 +147,13 @@ class IpDefragmenter:
         return result
 
     def expire(self, now: float) -> int:
-        """Evict datagrams older than the timeout; returns how many."""
+        """Evict datagrams older than the timeout; returns how many.
+
+        Scans the partials only once the oldest arrival is stale, so a
+        packet costs O(1) however many datagrams an attacker holds open.
+        """
+        if not now - self._oldest > self.timeout:
+            return 0
         stale = [
             key
             for key, partial in self._partials.items()
@@ -150,6 +161,9 @@ class IpDefragmenter:
         ]
         for key in stale:
             self._buffered -= self._partials.pop(key).buffered_bytes
+        self._oldest = min(
+            (partial.arrival for partial in self._partials.values()), default=float("inf")
+        )
         self.evicted_total += len(stale)
         return len(stale)
 

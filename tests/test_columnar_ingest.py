@@ -4,14 +4,15 @@ The contract is byte-identical results: whatever feeds it -- the
 savefile reader or the door encoder -- ``process_column_batch`` must
 produce the same alerts, stats, flow state, and runtime digests as the
 unsharded per-packet ``SplitDetectIPS.process()`` loop on the same
-savefile, with numpy on or off, on both supported linktypes, through
-every runner.  The reference shares no batching and no decode with the
-route under test, so a single drifted field fails loudly; and the one
-decode itself is held to ``IPv4Packet.parse`` record by record.
+savefile, on both supported linktypes, through every runner.  The
+reference shares no batching and no decode with the route under test,
+so a single drifted field fails loudly; and the one decode itself is
+held to ``IPv4Packet.parse`` record by record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import pickle
 import struct
@@ -47,7 +48,7 @@ from repro.pcap import (
     LINKTYPE_RAW_IP,
     ColumnarPcapReader,
     PcapFormatError,
-    numpy_available,
+    PcapWriter,
     read_column_batches,
     read_records,
     read_trace,
@@ -75,8 +76,6 @@ from helpers import (
     counter_state,
     per_packet_oracle,
 )
-
-NUMPY_MODES = [False, True] if numpy_available() else [False]
 
 
 def mixed_trace() -> list[TimedPacket]:
@@ -107,16 +106,24 @@ def mixed_pcaps(tmp_path_factory):
     return paths
 
 
+def decode_windows(small: bool):
+    """The default window (the whole capture fits in one) or a small one
+    that cuts records across window edges; the engine must not tell."""
+    if not small:
+        return contextlib.nullcontext()
+    return mock.patch.object(columnar, "_WINDOW_BYTES", 4093)
+
+
 def run_object_engine(rules, path, **ips_kw):
     """The reference: parsed packet objects, one ``process()`` at a time."""
     ips = SplitDetectIPS(rules, **ips_kw)
     return ips, per_packet_oracle(ips, read_trace(path))
 
 
-def run_columnar_engine(rules, path, use_numpy, **ips_kw):
+def run_columnar_engine(rules, path, **ips_kw):
     ips = SplitDetectIPS(rules, **ips_kw)
     alerts = []
-    for batch in read_column_batches(path, batch_size=256, use_numpy=use_numpy):
+    for batch in read_column_batches(path, batch_size=256):
         assert not batch.quarantined
         alerts.extend(ips.process_column_batch(batch))
     return ips, alerts
@@ -141,12 +148,13 @@ def backend_internals(fast_path) -> dict:
 
 class TestEngineParity:
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_stats_alerts_and_state_identical(self, mixed_pcaps, linktype, use_numpy):
+    @pytest.mark.parametrize("small_windows", [False, True])
+    def test_stats_alerts_and_state_identical(self, mixed_pcaps, linktype, small_windows):
         path = mixed_pcaps[linktype]
         rules = attack_ruleset()
         obj, obj_alerts = run_object_engine(rules, path)
-        col, col_alerts = run_columnar_engine(rules, path, use_numpy)
+        with decode_windows(small_windows):
+            col, col_alerts = run_columnar_engine(rules, path)
         assert vars(obj.stats) == vars(col.stats)
         assert obj_alerts == col_alerts
         assert obj._diverted == col._diverted
@@ -163,8 +171,8 @@ class TestEngineParity:
         }
         assert obj_flows == col_flows
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_table_backend_parity(self, mixed_pcaps, use_numpy):
+    @pytest.mark.parametrize("small_windows", [False, True])
+    def test_table_backend_parity(self, mixed_pcaps, small_windows):
         """Every backend, down to its internals: the bounded ones are
         small enough here to evict, recycle and promote, so a route that
         touched state in another order would end elsewhere."""
@@ -181,7 +189,9 @@ class TestEngineParity:
             obj = SplitDetectIPS(rules, fast_config=config)
             col = SplitDetectIPS(rules, fast_config=config)
             obj_alerts, col_alerts, done = [], [], 0
-            for batch in read_column_batches(path, batch_size=256, use_numpy=use_numpy):
+            with decode_windows(small_windows):
+                batches = list(read_column_batches(path, batch_size=256))
+            for batch in batches:
                 col_alerts.extend(col.process_column_batch(batch))
                 obj_alerts.extend(
                     per_packet_oracle(obj, packets[done : done + len(batch)])
@@ -200,19 +210,20 @@ class TestEngineParity:
         assert obj.fast_path._flows.promotions > 0  # a reinstated flow came back hot
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not available")
-class TestNumpyStdlibEquivalence:
+class TestColumnsEqualObjectDecode:
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
-    def test_columns_byte_identical(self, mixed_pcaps, linktype):
+    def test_every_row_equals_the_object_decode(self, mixed_pcaps, linktype):
+        """Field by field against ``IPv4Packet.parse`` and the transport
+        decoders -- the oracle the vectorized decode must restate."""
         path = mixed_pcaps[linktype]
-        stdlib = list(read_column_batches(path, use_numpy=False))
-        vector = list(read_column_batches(path, use_numpy=True))
-        assert len(stdlib) == len(vector)
-        for a, b in zip(stdlib, vector):
-            assert a.columns() == b.columns()
-            assert [repr(e) for e in a.quarantined] == [
-                repr(e) for e in b.quarantined
-            ]
+        packets = list(read_trace(path))
+        batches = list(read_column_batches(path))
+        rows = [(batch, row) for batch in batches for row in range(len(batch))]
+        assert len(rows) == len(packets)
+        for (batch, row), packet in zip(rows, packets):
+            assert batch.ts[row] == packet.timestamp
+            assert_row_is(batch, row, packet.ip)
+        assert not any(batch.quarantined for batch in batches)
 
 
 class TestRunnerParity:
@@ -336,7 +347,7 @@ class TestEdgeCases:
         assert all(length == 0 for length in batch.pay_len)
         rules = attack_ruleset()
         obj, obj_alerts = run_object_engine(rules, path)
-        col, col_alerts = run_columnar_engine(rules, path, None)
+        col, col_alerts = run_columnar_engine(rules, path)
         assert vars(obj.stats) == vars(col.stats)
         assert obj_alerts == col_alerts == []
 
@@ -419,18 +430,9 @@ def assert_row_is(batch, row: int, ip: IPv4Packet) -> None:
         assert (batch.seq[row], batch.tcpflags[row]) == (transport.seq, transport.flags)
 
 
-def encoded(source, batch_size: int, use_numpy: bool) -> list:
-    """``encode_batches`` drained, with the stdlib row decode forced when
-    asked (the encoder itself has no switch: it uses numpy if importable)."""
-    if use_numpy:
-        return list(encode_batches(source, batch_size))
-    with mock.patch.object(columnar, "_NUMPY", None):
-        return list(encode_batches(source, batch_size))
-
-
-def assert_encoder_agrees(frames, batch_size: int, use_numpy: bool) -> None:
+def assert_encoder_agrees(frames, batch_size: int) -> None:
     reference = parse_reference(frames)
-    batches = encoded(frames, batch_size, use_numpy)
+    batches = list(encode_batches(frames, batch_size))
     rows = [(batch, row) for batch in batches for row in range(len(batch))]
     packets = [entry for entry in reference if isinstance(entry, IPv4Packet)]
     assert len(rows) == len(packets)
@@ -443,11 +445,8 @@ def assert_encoder_agrees(frames, batch_size: int, use_numpy: bool) -> None:
 class TestEncoderDifferential:
     """The door's decode is ``IPv4Packet.parse``, column by column."""
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
     @pytest.mark.parametrize("batch_size", [1, 3, 64])
-    def test_crafted_frames_decode_as_the_object_parser_does(
-        self, use_numpy, batch_size
-    ):
+    def test_crafted_frames_decode_as_the_object_parser_does(self, batch_size):
         frames = crafted_frames()
         reference = dict(zip(frames, parse_reference(frames.values())))
         # The cases must actually land on both sides of the boundary.
@@ -460,10 +459,11 @@ class TestEncoderDifferential:
             "total_length_below_ihl",
             "snaplen_clipped",
         }
-        assert_encoder_agrees(list(frames.values()), batch_size, use_numpy)
+        assert_encoder_agrees(list(frames.values()), batch_size)
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_every_source_shape_gives_the_same_rows(self, use_numpy):
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_every_source_shape_gives_the_same_rows(self, lazy):
+        """Records and objects, as lists or as one-shot generators."""
         frames = [frame for frame in crafted_frames().values()]
         records = [(float(index), frame) for index, frame in enumerate(frames)]
         objects = [
@@ -471,8 +471,9 @@ class TestEncoderDifferential:
             for ts, frame in records
             if isinstance(parse_reference([frame])[0], IPv4Packet)
         ]
-        (from_records,) = encoded(records, len(records), use_numpy)
-        (from_objects,) = encoded(objects, len(objects), use_numpy)
+        shape = (lambda items: (item for item in items)) if lazy else list
+        (from_records,) = encode_batches(shape(records), len(records))
+        (from_objects,) = encode_batches(shape(objects), len(objects))
         assert [
             from_records.materialize(row) for row in range(len(from_records))
         ] == objects
@@ -481,19 +482,18 @@ class TestEncoderDifferential:
         ] == objects
         assert not from_objects.quarantined
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_unserializable_object_is_quarantined_not_raised(self, use_numpy):
+    def test_unserializable_object_is_quarantined_not_raised(self):
         good = TimedPacket(1.0, IPv4Packet.parse(crafted_frames()["valid_tcp"]))
         oversized = TimedPacket(
             2.0, IPv4Packet("10.0.0.1", "10.0.0.2", IP_PROTO_UDP, b"z" * 70000)
         )
         with pytest.raises(DECODE_ERRORS) as serialize_error:
             oversized.ip.serialize()
-        (batch,) = encoded([good, oversized, good], 3, use_numpy)
+        (batch,) = encode_batches([good, oversized, good], 3)
         assert [batch.materialize(row) for row in range(len(batch))] == [good, good]
         assert [type(exc) for exc in batch.quarantined] == [serialize_error.type]
         # ...and alone in its batch it still costs no row and no raise.
-        (alone,) = encoded([oversized], 1, use_numpy)
+        (alone,) = encode_batches([oversized], 1)
         assert len(alone) == 0 and len(alone.quarantined) == 1
 
     def test_control_messages_and_batches_keep_their_stream_position(self):
@@ -584,8 +584,49 @@ def mutated_frames(draw) -> bytes:
 @given(frames=st.lists(mutated_frames(), max_size=24), batch_size=st.integers(1, 8))
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_encoder_equals_object_parser_on_mutated_frames(frames, batch_size):
-    for use_numpy in NUMPY_MODES:
-        assert_encoder_agrees(frames, batch_size, use_numpy)
+    assert_encoder_agrees(frames, batch_size)
+
+
+@st.composite
+def ipv4_headers(draw) -> bytes:
+    """An IPv4 header with any version / IHL / total length, over an
+    80-byte buffer cut anywhere from 0 to 80 bytes."""
+    ver_ihl = draw(st.integers(0, 15)) << 4 | draw(st.integers(0, 15))
+    header = struct.pack(
+        "!BBHHHBBH4s4s",
+        ver_ihl, 0, draw(st.integers(0, 100)), 0, 0, 64,
+        draw(st.sampled_from([IP_PROTO_TCP, IP_PROTO_UDP, 1])), 0,
+        bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]),
+    )
+    buffer = header + draw(st.binary(min_size=60, max_size=60))
+    return buffer[: draw(st.integers(0, len(buffer)))]
+
+
+@given(ip=ipv4_headers(), link=st.sampled_from(["raw", "ethernet", "short_ethernet"]))
+@settings(max_examples=300, deadline=None)
+def test_column_predicates_reject_exactly_what_the_parser_rejects(ip, link):
+    """The vectorized validity checks are ``IPv4Packet.parse``'s own: a
+    record is rejected exactly when the parser raises, and carries the
+    parser's exception -- so no second field extractor is ever needed."""
+    if link == "short_ethernet":  # below the link header: taken as raw IP
+        ip = ip[:13]
+    record = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00" + ip if link == "ethernet" else ip
+    linktype = LINKTYPE_RAW_IP if link == "raw" else LINKTYPE_ETHERNET
+    try:
+        parsed, expected = IPv4Packet.parse(ip), None
+    except DECODE_ERRORS as exc:
+        parsed, expected = None, exc
+    savefile = io.BytesIO()
+    PcapWriter(savefile, linktype=linktype).write_record(1.0, record)
+    (batch,) = read_column_batches(savefile.getvalue(), batch_size=1)
+    (door,) = encode_batches([ip], 1)
+    for decoded in (batch, door):
+        if expected is None:
+            assert len(decoded) == 1 and not decoded.quarantined
+            assert_row_is(decoded, 0, parsed)
+        else:
+            assert len(decoded) == 0
+            assert [repr(exc) for exc in decoded.quarantined] == [repr(expected)]
 
 
 # ---------------------------------------------------------------------------
@@ -739,3 +780,13 @@ def test_rule_edge_program_reaches_refusal_and_mid_batch_reinstatement():
         "piece_match",
         "retransmission",
     ]
+
+
+def test_a_parser_accepting_a_rejected_record_escapes_loudly(monkeypatch):
+    """Agreement is the invariant, not a fallback: were the parser ever
+    to accept a record the predicates rejected, the decode must not
+    quarantine it or extract it a second way."""
+    monkeypatch.setattr(IPv4Packet, "parse", classmethod(lambda cls, data: None))
+    with pytest.raises(RuntimeError, match="accepted") as caught:
+        list(encode_batches([b"\x45\x00"], 1))
+    assert not isinstance(caught.value, DECODE_ERRORS)

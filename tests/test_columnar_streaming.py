@@ -25,7 +25,6 @@ from repro.pcap import (
     LINKTYPE_RAW_IP,
     PcapFormatError,
     PcapWriter,
-    numpy_available,
     read_column_batches,
     read_records,
 )
@@ -36,7 +35,6 @@ from test_columnar_ingest import mixed_trace as _mixed_trace
 
 mixed_trace = functools.cache(_mixed_trace)  # read-only here; built once
 
-NUMPY_MODES = [False, True] if numpy_available() else [False]
 GLOBAL_HEADER = 24
 RECORD_HEADER = 16
 ETH_IPV4 = b"\x02" * 6 + b"\x04" * 6 + b"\x08\x00"
@@ -120,34 +118,29 @@ def captures() -> dict:
 
 class TestWindowIsInvisible:
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
     @pytest.mark.parametrize(
         "name,window", [("prefix", 64), ("full", 1 << 10), ("full", 1 << 16)]
     )
     def test_batches_equal_the_one_window_decode(
-        self, captures, linktype, use_numpy, batch_size, name, window
+        self, captures, linktype, batch_size, name, window
     ):
         data = captures[linktype, name]
-        kwargs = {"batch_size": batch_size, "use_numpy": use_numpy}
-        reference = decode(data, len(data) + 1, **kwargs)
+        reference = decode(data, len(data) + 1, batch_size=batch_size)
         # The capture exercises what it claims to.
         assert sum(len(batch) for batch in reference) > 100
         assert sum(len(batch.quarantined) for batch in reference) > 10
-        assert_same_batches(decode(data, window, **kwargs), reference)
+        assert_same_batches(decode(data, window, batch_size=batch_size), reference)
 
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_raise_mode_stops_at_the_same_record(self, captures, linktype, use_numpy):
+    def test_raise_mode_stops_at_the_same_record(self, captures, linktype):
         data = captures[linktype, "full"]
 
         def until_raise(window: int):
             rows = []
             with mock.patch.object(columnar, "_WINDOW_BYTES", window):
                 with pytest.raises(DECODE_ERRORS) as caught:
-                    for batch in read_column_batches(
-                        data, batch_size=2, on_invalid="raise", use_numpy=use_numpy
-                    ):
+                    for batch in read_column_batches(data, batch_size=2, on_invalid="raise"):
                         rows.extend(content(batch)["frame"])
             return rows, type(caught.value), str(caught.value)
 
@@ -156,20 +149,17 @@ class TestWindowIsInvisible:
         for window in (64, 1 << 10, 1 << 16):
             assert until_raise(window) == reference
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
-    def test_path_open_file_and_bytes_give_equal_output(
-        self, captures, tmp_path, use_numpy
-    ):
+    def test_path_open_file_and_bytes_give_equal_output(self, captures, tmp_path):
         data = captures[LINKTYPE_ETHERNET, "full"]
         path = tmp_path / "spiced.pcap"
         path.write_bytes(data)
-        reference = decode(data, len(data) + 1, use_numpy=use_numpy)
-        assert_same_batches(decode(path, 1 << 12, use_numpy=use_numpy), reference)
-        assert_same_batches(decode(str(path), 1 << 12, use_numpy=use_numpy), reference)
+        reference = decode(data, len(data) + 1)
+        assert_same_batches(decode(path, 1 << 12), reference)
+        assert_same_batches(decode(str(path), 1 << 12), reference)
         with open(path, "rb") as handle:
-            assert_same_batches(decode(handle, 1 << 12, use_numpy=use_numpy), reference)
+            assert_same_batches(decode(handle, 1 << 12), reference)
             assert not handle.closed  # the caller's stream stays the caller's
-        assert_same_batches(decode(io.BytesIO(data), 1 << 12, use_numpy=use_numpy), reference)
+        assert_same_batches(decode(io.BytesIO(data), 1 << 12), reference)
 
     def test_quarantine_beyond_a_batch_is_delivered_on_its_own(self):
         """``batch_size`` rejected frames are a delivery of their own, at
@@ -251,10 +241,9 @@ class TestDamagedSavefiles:
             "sub_second_out_of_range": bytes(bad_fraction),
         }
 
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
     @pytest.mark.parametrize("batch_size", [7, 256])
     def test_every_record_before_the_damage_then_the_same_error(
-        self, plain, tmp_path, use_numpy, batch_size
+        self, plain, tmp_path, batch_size
     ):
         for name, data in self.damaged(plain).items():
             path = tmp_path / f"{name}.pcap"
@@ -262,7 +251,7 @@ class TestDamagedSavefiles:
             records, record_error = until_format_error(read_records(path))
             with mock.patch.object(columnar, "_WINDOW_BYTES", self.WINDOW):
                 batches, batch_error = until_format_error(
-                    read_column_batches(path, batch_size=batch_size, use_numpy=use_numpy)
+                    read_column_batches(path, batch_size=batch_size)
                 )
             rows = [
                 (ts, frame)
@@ -303,7 +292,6 @@ CAPTURES = {
 
 
 class TestMemoryIsBounded:
-    @pytest.mark.parametrize("use_numpy", NUMPY_MODES)
     @pytest.mark.parametrize(
         "kind,window",
         [
@@ -314,7 +302,7 @@ class TestMemoryIsBounded:
         ],
     )
     def test_peak_is_a_multiple_of_the_window_not_the_capture(
-        self, tmp_path, use_numpy, kind, window
+        self, tmp_path, kind, window
     ):
         window = window or columnar._WINDOW_BYTES
         linktype, frame = CAPTURES[kind]
@@ -326,7 +314,7 @@ class TestMemoryIsBounded:
         with mock.patch.object(columnar, "_WINDOW_BYTES", window):
             tracemalloc.start()
             try:
-                for batch in read_column_batches(path, use_numpy=use_numpy):
+                for batch in read_column_batches(path):
                     rows += len(batch)
                     quarantined += len(batch.quarantined)
                     assert len(batch.buffer) <= window + (batch_size + 1) * record
@@ -368,17 +356,16 @@ _SMALL = {
 def test_any_window_decodes_as_one_window(window, batch_size, linktype, on_invalid):
     data = _SMALL[linktype]
 
-    def drained(window_bytes: int, use_numpy: bool) -> tuple[list, str | None]:
+    def drained(window_bytes: int) -> tuple[list, str | None]:
         batches = []
         try:
             with mock.patch.object(columnar, "_WINDOW_BYTES", window_bytes):
                 for batch in read_column_batches(
-                    data, batch_size=batch_size, on_invalid=on_invalid, use_numpy=use_numpy
+                    data, batch_size=batch_size, on_invalid=on_invalid
                 ):
                     batches.append(content(batch))
         except DECODE_ERRORS as exc:
             return batches, repr(exc)
         return batches, None
 
-    for use_numpy in NUMPY_MODES:
-        assert drained(window, use_numpy) == drained(len(data) + 1, use_numpy)
+    assert drained(window) == drained(len(data) + 1)

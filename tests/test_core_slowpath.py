@@ -13,8 +13,6 @@ from helpers import ATTACK_SIGNATURE, SIGNATURE_OFFSET, attack_payload
 from repro.core import AlertKind, SplitDetectIPS, slowpath
 from repro.core.slowpath import SlowPath
 from repro.evasion import STRATEGIES, build_attack
-from repro.match import DualStreamMatcher
-from repro.optional_numpy import numpy_available
 from repro.signatures import Signature, load_bundled_rules, split_ruleset
 from repro.telemetry import TelemetryRegistry
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
@@ -108,10 +106,8 @@ class TestRunningCounters:
             slow.process(packet)
             check_counters(slow)
         sweep = slow._current.sweep
-        if sweep is None:
-            assert not numpy_available()
-            assert slow._matcher_bytes in (0, 2 * DualStreamMatcher.STATE_BYTES)
-        elif slow._matchers:
+        assert sweep is not None
+        if slow._matchers:
             (_, full, suffix) = next(iter(slow._matchers.values()))
             assert len(full.matcher.carry) == len(suffix.carry) == sweep.max_pattern_len
         slow.evict_idle(1e9)
@@ -125,9 +121,7 @@ def run_engine(trace, monkeypatch=None):
     if monkeypatch is not None:
         monkeypatch.setattr(slowpath, "build_stream_sweep", lambda automata: None)
     ips = SplitDetectIPS(bundled_rules())
-    assert (ips.slow_path._current.sweep is not None) == (
-        monkeypatch is None and numpy_available()
-    )
+    assert (ips.slow_path._current.sweep is not None) == (monkeypatch is None)
     answers = []
     certify = ips.slow_path.safe_to_release
 
@@ -153,9 +147,8 @@ class TestSweptEngineEqualsUnswept:
         }
         assert caught >= {f"10.66.0.{i + 1}" for i in range(len(STRATEGIES))}
         assert {answer for _, answer in answers} == {True, False}  # both arms seen
-        if numpy_available():
-            full = swept_ips.slow_path._current.matcher.automaton.sensitive
-            assert full.stream_swept_chunks > 0 and full.stream_walked_chunks > 0
+        full = swept_ips.slow_path._current.matcher.automaton.sensitive
+        assert full.stream_swept_chunks > 0 and full.stream_walked_chunks > 0
 
     def test_hot_reload_keeps_the_old_carry_with_the_old_set(self):
         """A stream that began under generation 0 keeps that set's
@@ -185,10 +178,9 @@ class TestSweptEngineEqualsUnswept:
         for packet in late:
             ips.process(packet)
         new_entries = [e for e in slow._matchers.values() if e[0] is slow._current]
-        if numpy_available():
-            assert len(full.matcher.carry) <= old_set.sweep.max_pattern_len < 400
-            assert slow._current.sweep.max_pattern_len == 400
-            assert any(e[1].matcher._carry_len == 400 for e in new_entries)
+        assert len(full.matcher.carry) <= old_set.sweep.max_pattern_len < 400
+        assert slow._current.sweep.max_pattern_len == 400
+        assert any(e[1].matcher._carry_len == 400 for e in new_entries)
         check_counters(slow)
 
 
@@ -213,4 +205,4 @@ def test_sparse_fallback_and_sweep_counts_are_exported(trace):
     walked = samples[("full", "sensitive", "walked_chunks")][1]
     swept = samples[("full", "sensitive", "swept_chunks")][1]
     assert walked > 0 and samples[("full", "sensitive", "walked_bytes")][1] > 0
-    assert (swept > 0) == numpy_available()
+    assert swept > 0

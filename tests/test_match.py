@@ -16,7 +16,6 @@ from repro.match import (
     naive_find_all,
     sweep,
 )
-from repro.optional_numpy import numpy_available
 
 
 def ac_starts(automaton, data, pattern_id):
@@ -341,7 +340,7 @@ def test_swept_scan_equals_reference_find_all(case):
     with mock.patch.object(sweep, "MIN_SWEEP_BYTES", sweep.GRAM):  # its floor
         for entry, wrap in (("scan_many", bytes), ("prescan_batch", memoryview)):
             swept = DualAutomaton(patterns)
-            assert (swept._sweep is not None) == numpy_available()
+            assert swept._sweep is not None
             assert getattr(swept, entry)([wrap(p) for p in payloads]) == expected
             stats = swept.scan_stats()
             for counter in ("scans", "scanned_bytes", "matches_emitted"):
@@ -352,7 +351,7 @@ def test_sweep_needs_a_large_set_of_gram_sized_patterns():
     many = [(b"pattern-%03d" % i, False) for i in range(65)]
     assert DualAutomaton(many[:64])._sweep is None  # literal sweep serves it
     assert DualAutomaton(many + [(b"abc", False)])._sweep is None  # shorter than a gram
-    assert (DualAutomaton(many)._sweep is not None) == numpy_available()
+    assert DualAutomaton(many)._sweep is not None
 
 
 def test_sweep_skips_clean_payloads_and_books_its_tables():
@@ -375,11 +374,8 @@ def test_sweep_skips_clean_payloads_and_books_its_tables():
     booked = booked_bytes()
     stats = automaton.scan_stats()
     assert stats["scans"] == 6
-    if numpy_available():
-        assert booked - bare == automaton._sweep.table_bytes() > 0
-        assert stats["prefilter_skips"] == 4
-    else:
-        assert booked == bare
+    assert booked - bare == automaton._sweep.table_bytes() > 0
+    assert stats["prefilter_skips"] == 4
 
 
 def test_sweep_hostile_density_falls_back_to_the_walk():
@@ -399,11 +395,8 @@ def test_sweep_hostile_density_falls_back_to_the_walk():
     sparse = [b"." * 700 + patterns[i][0][:8] + b"." * 700 for i in range(8)]
     assert automaton.scan_many(sparse) == [[] for _ in sparse]
     stats = automaton.scan_stats()
-    if numpy_available():
-        assert stats["sweep_verifies"] == len(sparse)
-        assert stats["prefilter_skips"] == len(sparse)
-    else:
-        assert stats["sweep_verifies"] == 0
+    assert stats["sweep_verifies"] == len(sparse)
+    assert stats["prefilter_skips"] == len(sparse)
 
 
 # -- the carried stream matcher: one union sweep, stale sides, lazy resync ----
@@ -461,9 +454,9 @@ def test_carried_swept_stream_equals_state_carrying_reference(case):
     patterns, tails, chunks, probes = case
     automata = [DualAutomaton(patterns), DualAutomaton(tails)]
     union = build_stream_sweep(automata)
-    assert (union is not None) == numpy_available()
-    carry = union.max_pattern_len if union is not None else 0
-    assert carry in (0, max(len(pattern) for pattern, _ in patterns))
+    assert union is not None
+    carry = union.max_pattern_len
+    assert carry == max(len(pattern) for pattern, _ in patterns)
     carried = [DualStreamMatcher(automaton, carry=carry) for automaton in automata]
     references = [
         DualStreamMatcher(DualAutomaton(group, dense_state_limit=0))
@@ -471,7 +464,7 @@ def test_carried_swept_stream_equals_state_carrying_reference(case):
     ]
     for chunk, probe in zip(chunks, probes):
         tail = carried[0].carry
-        dirty = union.dirty_sides(tail, chunk) if union is not None else -1
+        dirty = union.dirty_sides(tail, chunk)
         for group, (matcher, reference) in enumerate(zip(carried, references)):
             assert matcher.carry == tail  # same stream, same carry length
             got = matcher.feed(chunk, dirty >> 2 * group)
@@ -490,7 +483,6 @@ def _stream_counts(automaton):
     return {name: stats for name, stats in automaton.side_stats()}
 
 
-@pytest.mark.skipif(not numpy_available(), reason="no sweep without numpy")
 class TestCarriedStreamWorstCase:
     """Counted, not timed: whatever the stream's shape, a chunk costs a
     side at most one sweep plus one walk of ``carry + chunk``."""

@@ -195,3 +195,83 @@ def test_any_fragment_arrival_order_reassembles(payload, mtu, seed):
     assert len(completed) == 1
     assert completed[0].payload == payload
     assert d.pending_datagrams == 0
+
+
+class ScanningDefragmenter(IpDefragmenter):
+    """The scan-on-every-packet reference the deadline clock must equal."""
+
+    def expire(self, now: float) -> int:
+        stale = [
+            key
+            for key, partial in self._partials.items()
+            if now - partial.arrival > self.timeout
+        ]
+        for key in stale:
+            self._buffered -= self._partials.pop(key).buffered_bytes
+        self.evicted_total += len(stale)
+        return len(stale)
+
+
+class CountingScans(dict):
+    """A ``_partials`` table that counts full scans of itself."""
+
+    scans = 0
+
+    def items(self):
+        CountingScans.scans += 1
+        return super().items()
+
+
+class TestDeadlineClock:
+    FRAGMENT_STRATEGIES = ["ip_frag_8", "ip_frag_16", "ip_frag_reorder", "ip_frag_overlap"]
+
+    def interleaved_catalog(self) -> list:
+        """Every fragment strategy, from its own source, staggered so that
+        datagrams open, complete and go stale while others are pending
+        (every third attack loses its final fragments and never completes)."""
+        from repro.evasion import build_attack
+
+        from helpers import attack_payload
+
+        packets = []
+        for index, name in enumerate(self.FRAGMENT_STRATEGIES * 3):
+            attack = build_attack(name, attack_payload(), src=f"10.9.{index}.1")
+            packets += [
+                (p.timestamp + index * 0.0015, p.ip)
+                for p in attack
+                if index % 3 or not (p.ip.is_fragment and not p.ip.more_fragments)
+            ]
+        packets.sort(key=lambda item: item[0])
+        return packets
+
+    @pytest.mark.parametrize("timeout", [0.0, 0.001, 0.003, 30.0])
+    def test_same_evictions_and_accounting_as_scanning_every_packet(self, timeout):
+        clocked = IpDefragmenter(timeout=timeout)
+        scanning = ScanningDefragmenter(timeout=timeout)
+        completed = 0
+        for timestamp, ip in self.interleaved_catalog():
+            got = clocked.add(ip, timestamp)
+            want = scanning.add(ip, timestamp)
+            assert got.packet == want.packet and got.events == want.events
+            completed += got.packet is not None and ip.is_fragment
+            for name in ("evicted_total", "buffered_bytes", "pending_datagrams"):
+                assert getattr(clocked, name) == getattr(scanning, name)
+        if timeout < 30.0:
+            assert clocked.evicted_total > 0
+        assert completed > 0
+
+    def test_non_fragments_scan_once_per_deadline_crossing(self):
+        pending, packets, timeout = 50, 1000, 10.0
+        d = IpDefragmenter(timeout=timeout)
+        d._partials = CountingScans()
+        for ident in range(pending):  # one first fragment each, arriving 0.0 .. 4.9
+            frag = fragment(make_datagram(b"x" * 400, ident=ident), 200)[0]
+            d.add(frag, timestamp=ident * 0.1)
+        assert d.pending_datagrams == pending
+        CountingScans.scans = 0
+        plain = make_datagram()
+        for step in range(packets):  # 0.0 .. 19.98: every deadline is crossed
+            d.add(plain, timestamp=step * 0.02)
+        assert d.pending_datagrams == 0 and d.evicted_total == pending
+        # One scan per distinct stale arrival at most -- not packets * pending.
+        assert CountingScans.scans <= pending

@@ -1,11 +1,9 @@
 """Figure 9 (micro) -- matcher engine throughput.
 
 Software scan rates for the matching engines on benign payloads:
-Aho-Corasick (compiled dense-table engine vs the sparse reference
-oracle) with the full piece set and with a single pattern,
-Boyer-Moore-Horspool, and the naive reference.  These anchor the cost
-model's "1 reference per scanned byte" abstraction and show BMH's
-sublinear skipping on real payloads.
+Aho-Corasick (compiled linked-row engine vs the sparse reference
+oracle) with the full piece set and with a single pattern.  These
+anchor the cost model's "1 reference per scanned byte" abstraction.
 
 ``test_fig9_compiled_vs_reference`` is the acceptance gate for the
 compiled engine: it times both engines on the same payloads, requires
@@ -31,7 +29,7 @@ from unittest import mock
 
 from exp_common import bundled_rules, emit
 from repro.core import slowpath
-from repro.match import AhoCorasick, BoyerMooreHorspool, DualAutomaton, naive_find_all
+from repro.match import AhoCorasick, DualAutomaton
 from repro.packet import FlowKey
 from repro.signatures import split_ruleset
 from repro.traffic import benign_payload
@@ -259,28 +257,6 @@ def test_fig9_ac_single_pattern(benchmark, capfd):
     with capfd.disabled():
         print(
             f"AC compiled (single pattern): {rate_of(benchmark.stats, len(data)):.2f} MB/s",
-            file=sys.stderr,
-        )
-
-
-def test_fig9_bmh_single_pattern(benchmark, capfd):
-    matcher = BoyerMooreHorspool(PATTERN)
-    data = payload()
-    benchmark(matcher.find_all, data)
-    with capfd.disabled():
-        print(
-            f"BMH (single pattern): {rate_of(benchmark.stats, len(data)):.2f} MB/s",
-            file=sys.stderr,
-        )
-
-
-def test_fig9_naive_single_pattern(benchmark, capfd):
-    data = payload()[:8192]  # quadratic reference; keep it small
-    benchmark(naive_find_all, PATTERN, data)
-    with capfd.disabled():
-        print(
-            f"naive (single pattern, 8 KiB): "
-            f"{rate_of(benchmark.stats, len(data)):.2f} MB/s",
             file=sys.stderr,
         )
     emit(

@@ -6,7 +6,7 @@ Subpackages:
 - ``repro.packet``     wire-format IPv4/TCP/Ethernet models
 - ``repro.pcap``       libpcap savefile I/O
 - ``repro.streams``    TCP reassembly, IP defragmentation, normalization
-- ``repro.match``      Aho-Corasick and Boyer-Moore-Horspool string matching
+- ``repro.match``      Aho-Corasick string matching and the q-gram sweep
 - ``repro.signatures`` signature corpus, Snort-content rule parser, the splitter
 - ``repro.core``       the Split-Detect IPS and the conventional-IPS baseline
 - ``repro.evasion``    FragRoute-style evasion transforms

@@ -71,9 +71,6 @@ class FastPathConfig:
     is that every protected host is fewer than ``min_ttl`` hops behind
     the IPS.  0 disables the check."""
 
-    scan_short_signatures: bool = True
-    """Best-effort whole-pattern scan for unsplittable signatures."""
-
     scan_whole_signatures: bool = True
     """Also match complete split signatures per packet, so an occurrence
     wholly inside one packet is confirmed immediately (no slow-path round
@@ -258,11 +255,11 @@ class FastPath:
             if self.config.threshold_override is not None
             else split_rules.small_packet_threshold
         )
-        # One automaton over every piece, plus (optionally) whole short
+        # One automaton over every piece and every unsplittable signature
+        # (matched whole per packet), plus (optionally) whole split
         # signatures; ids map back to their sources.
         self._entries: list[Piece | Signature] = list(split_rules.all_pieces())
-        if self.config.scan_short_signatures:
-            self._entries.extend(split_rules.unsplittable)
+        self._entries.extend(split_rules.unsplittable)
         if self.config.scan_whole_signatures:
             self._entries.extend(
                 split_rules.splits[sid].signature for sid in sorted(split_rules.splits)

@@ -1,19 +1,17 @@
-"""String-matching engines: Aho-Corasick, Boyer-Moore-Horspool, naive."""
+"""String matching: the Aho-Corasick automaton, its case-aware pair and
+stream matchers, and the q-gram sweep in front of them."""
 
 from .aho_corasick import DENSE_STATE_LIMIT, ROOT_STATE, AhoCorasick
 from .dual import DualAutomaton, DualStreamMatcher, build_stream_sweep
-from .single import BoyerMooreHorspool, naive_find_all
 from .streaming import StreamMatch, StreamMatcher
 
 __all__ = [
     "DENSE_STATE_LIMIT",
     "ROOT_STATE",
     "AhoCorasick",
-    "BoyerMooreHorspool",
     "DualAutomaton",
     "DualStreamMatcher",
     "StreamMatch",
     "StreamMatcher",
     "build_stream_sweep",
-    "naive_find_all",
 ]

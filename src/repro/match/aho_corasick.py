@@ -16,10 +16,9 @@ Two execution engines share one construction:
   failure links (``scan_reference``).  It is kept as the correctness
   oracle and as the sparse fallback for very large pattern sets.
 - The **compiled** engine (built automatically when the state count is at
-  most ``dense_state_limit``) flattens goto+fail into a dense
-  ``num_states x 256`` next-state table (``array('i')``), then lifts that
-  table into linked row objects so the hot loop is two list subscripts
-  per byte with no integer boxing.  A first-byte prefilter (a one-char
+  most ``dense_state_limit``) resolves goto+fail into one linked row per
+  state, 256 next-row pointers wide, so the hot loop is two list
+  subscripts per byte with no integer boxing.  A first-byte prefilter (a one-char
   regex class over the root's out-edges, i.e. every pattern's first byte)
   lets payloads containing no pattern-start byte skip the state machine
   entirely at C speed; when the start-byte set is small the scanner stays
@@ -32,15 +31,14 @@ so streaming state can be carried across either.
 from __future__ import annotations
 
 import re
-from array import array
 from collections import deque
 from collections.abc import Sequence
 
 ROOT_STATE = 0
 
-#: Default ceiling on dense compilation.  The compiled form costs
-#: ~1 KiB (table) + ~2 KiB (linked rows, 64-bit pointers) per state, so
-#: the default caps the footprint around 50 MB; above it the automaton
+#: Default ceiling on dense compilation.  The compiled form costs one
+#: linked row per state, 258 64-bit pointers (~2.1 KiB), so the default
+#: caps the footprint around 34 MB; above it the automaton
 #: transparently falls back to the sparse dict representation.
 DENSE_STATE_LIMIT = 16384
 
@@ -67,7 +65,7 @@ class AhoCorasick:
         Empty patterns are rejected; duplicate patterns share matches
         (each id is reported).
     dense_state_limit:
-        Compile to the dense table form when the automaton has at most
+        Compile to the dense linked-row form when the automaton has at most
         this many states (0 or None disables compilation, leaving the
         sparse reference engine -- the correctness oracle benchmarks and
         differential tests compare against).
@@ -102,7 +100,6 @@ class AhoCorasick:
         self._build_failure_links()
         self._depth = self._compute_depths()
         # Compiled (dense) form; absent above the state-count threshold.
-        self._table: array | None = None
         self._rows: list[list] | None = None
         self._root_row: list | None = None
         self._start_bytes: bytes = bytes(sorted(self._goto[ROOT_STATE]))
@@ -158,44 +155,35 @@ class AhoCorasick:
         return depth
 
     def _compile(self) -> None:
-        """Flatten goto+fail into the dense DFA table and linked rows.
+        """Resolve goto+fail into linked rows, one BFS pass.
 
-        ``table[state << 8 | byte]`` is the resolved next state -- the
-        exact state the reference engine's failure walk would land on, so
-        the two engines are interchangeable mid-stream.
+        ``row[byte]`` is the *next row object*, so the scan loop never
+        touches an integer state id (no boxing, no shifts); ``row[256]``
+        is the output tuple, ``row[257]`` the state id.  A state's row
+        starts as a copy of its failure state's row -- already final,
+        since BFS reaches every failure state first -- and its own goto
+        edges overwrite that copy.  Each transition is thus the exact
+        state the reference engine's failure walk would land on, so the
+        two engines are interchangeable mid-stream.
         """
         goto = self._goto
         fail = self._fail
-        n = len(goto)
-        table = array("i", [0]) * (n << 8)
-        for byte, nxt in goto[ROOT_STATE].items():
-            table[byte] = nxt
-        # BFS so a state's failure row is always resolved before its own.
-        order: list[int] = []
-        queue: deque[int] = deque(goto[ROOT_STATE].values())
+        output = self._output
+        rows: list[list] = [[] for _ in goto]
+        root = rows[ROOT_STATE]
+        root[:] = [root] * 256
+        root += (output[ROOT_STATE], ROOT_STATE)
+        queue: deque[int] = deque([ROOT_STATE])
         while queue:
             state = queue.popleft()
-            order.append(state)
-            queue.extend(goto[state].values())
-        for state in order:
-            base = state << 8
-            fail_base = fail[state] << 8
-            edges = goto[state]
-            for byte in range(256):
-                nxt = edges.get(byte)
-                table[base + byte] = nxt if nxt is not None else table[fail_base + byte]
-        # Linked rows: row[byte] is the *next row object*, so the scan
-        # loop never touches an integer state id (no boxing, no shifts).
-        # row[256] is the output tuple, row[257] the state id.
-        rows: list[list] = [[None] * 258 for _ in range(n)]
-        for state in range(n):
             row = rows[state]
-            base = state << 8
-            for byte in range(256):
-                row[byte] = rows[table[base + byte]]
-            row[256] = self._output[state]
-            row[257] = state
-        self._table = table
+            if state != ROOT_STATE:
+                row[:] = rows[fail[state]]
+                row[256] = output[state]
+                row[257] = state
+            for byte, nxt in goto[state].items():
+                row[byte] = rows[nxt]
+                queue.append(nxt)
         self._rows = rows
         self._root_row = rows[ROOT_STATE]
         if self._start_bytes:
@@ -221,7 +209,7 @@ class AhoCorasick:
 
     @property
     def compiled(self) -> bool:
-        """True when the dense table engine is active."""
+        """True when the compiled linked-row engine is active."""
         return self._rows is not None
 
     @property
@@ -231,15 +219,11 @@ class AhoCorasick:
 
     def compiled_table_bytes(self) -> int:
         """Approximate memory the compiled form spends beyond the trie:
-        the dense next-state array plus the linked-row pointer lattice,
-        plus any batch-sweep tables booked on this automaton."""
-        if self._table is None or self._rows is None:
+        the linked-row pointer lattice, plus any batch-sweep tables
+        booked on this automaton."""
+        if self._rows is None:
             return self.sweep_table_bytes
-        return (
-            self._table.itemsize * len(self._table)
-            + len(self._rows) * 258 * 8
-            + self.sweep_table_bytes
-        )
+        return len(self._rows) * 258 * 8 + self.sweep_table_bytes
 
     def state_depth(self, state: int) -> int:
         """Longest pattern prefix the state represents (streaming carryover)."""
@@ -343,7 +327,7 @@ class AhoCorasick:
         """The sparse dict-walking scan -- the correctness oracle.
 
         Byte-identical output to :meth:`scan`, including the final state
-        id, but without the dense table (used above ``dense_state_limit``
+        id, but without the compiled rows (used above ``dense_state_limit``
         and by the differential tests and benchmarks).
         """
         self.scans += 1
@@ -363,57 +347,6 @@ class AhoCorasick:
                 matches.extend((pid, end) for pid in output[state])
         self.matches_emitted += len(matches)
         return state, matches
-
-    def contains_match(self, data: bytes) -> bool:
-        """True when any pattern occurs in ``data`` (early exit)."""
-        rows = self._rows
-        if rows is None:
-            goto = self._goto
-            fail = self._fail
-            output = self._output
-            state = ROOT_STATE
-            for byte in data:
-                nxt = goto[state].get(byte)
-                while nxt is None and state != ROOT_STATE:
-                    state = fail[state]
-                    nxt = goto[state].get(byte)
-                state = nxt if nxt is not None else ROOT_STATE
-                if output[state]:
-                    return True
-            return False
-        if self._start_re is None:
-            return False
-        if self._piece_re is not None:
-            # Whole patterns are plain literals, so the alternation
-            # regex *is* the containment predicate.
-            return self._piece_re.search(data) is not None
-        anchor = self._start_re.search(data)
-        if anchor is None:
-            return False
-        if self._anchored:
-            root = self._root_row
-            search = self._start_re.search
-            index = anchor.start()
-            length = len(data)
-            row = root
-            while index < length:
-                if row is root:
-                    found = search(data, index)
-                    if found is None:
-                        return False
-                    index = found.start()
-                row = row[data[index]]
-                index += 1
-                if row[256]:
-                    return True
-            return False
-        row = self._root_row
-        start = anchor.start()
-        for byte in data[start:] if start else data:
-            row = row[byte]
-            if row[256]:
-                return True
-        return False
 
     def find_all(self, data: bytes) -> list[tuple[int, int]]:
         """All matches in a self-contained buffer as (pattern_id, end_offset)."""

@@ -104,11 +104,6 @@ class DualAutomaton:
             (self.sensitive or self.folded).sweep_table_bytes = sweep.table_bytes()
         return sweep
 
-    @property
-    def needs_folding(self) -> bool:
-        """True when a folded scan pass is required (any nocase pattern)."""
-        return self.folded is not None
-
     def scan_stats(self) -> dict[str, int | float | bool]:
         """Summed scan accounting across both sides.
 

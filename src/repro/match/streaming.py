@@ -100,8 +100,3 @@ class StreamMatcher:
         self.stale = False
         automaton.matches_emitted -= len(seen)
         automaton.stream_walked_bytes += len(tail)
-
-    def reset(self) -> None:
-        """Forget carried state (e.g. after a stream gap is declared lost)."""
-        self._state = ROOT_STATE
-        self.stale = False

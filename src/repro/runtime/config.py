@@ -62,10 +62,6 @@ class RunnerConfig:
     trace_capacity: int = 4096
     """Span-ring capacity per shard tracer (oldest spans drop first)."""
 
-    sample_state: bool = True
-    """Sample peak state/flow occupancy after every shard batch (the
-    run-harness convention); disable for pure-throughput benchmarks."""
-
     drain_timeout: float = 120.0
     """Seconds the parallel runner waits for a worker to flush its
     queue and report results after the drain sentinel, before declaring

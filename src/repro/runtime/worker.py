@@ -187,13 +187,12 @@ class ShardProcessor:
             if now - self._evict_anchor >= interval:
                 self.evictions += self.engine.evict_idle(now)
                 self._evict_anchor = now
-        if self.config.sample_state:
-            engine = self.engine
-            self.peak_state_bytes = max(self.peak_state_bytes, engine.state_bytes())
-            flows = engine.fast_path.tracked_flows + engine.slow_path.active_flows
-            self.peak_flows = max(self.peak_flows, flows)
-            if self.telemetry is not None:
-                engine.refresh_telemetry()
+        engine = self.engine
+        self.peak_state_bytes = max(self.peak_state_bytes, engine.state_bytes())
+        flows = engine.fast_path.tracked_flows + engine.slow_path.active_flows
+        self.peak_flows = max(self.peak_flows, flows)
+        if self.telemetry is not None:
+            engine.refresh_telemetry()
         self.busy_ns += process_time_ns() - t0
 
     def control(self, message: ControlMessage) -> None:

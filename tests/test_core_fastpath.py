@@ -277,16 +277,6 @@ class TestPieceScanning:
         alerts = [a for r in results for a in r.alerts]
         assert any(a.sid == 9001 and a.path == "fast" for a in alerts)
 
-    def test_short_signature_scan_can_be_disabled(self):
-        from repro.signatures import Signature
-
-        rules = attack_ruleset(extra=[Signature(sid=9001, pattern=b"tiny!", msg="short")])
-        split = split_ruleset(rules, SplitPolicy(piece_length=8))
-        fp = FastPath(split, FastPathConfig(scan_short_signatures=False))
-        payload = b"aaaa tiny! bbbb" + b"c" * 100
-        results, _ = run(fp, packets_for(payload))
-        assert all(not r.alerts for r in results)
-
 
 class TestSeedFlowLifecycle:
     """A re-seeded flow must survive the idle sweep that follows it."""

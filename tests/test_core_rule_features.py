@@ -34,7 +34,8 @@ class TestDualAutomaton:
 
     def test_no_nocase_means_no_folded_side(self):
         auto = DualAutomaton([(b"x", False)])
-        assert not auto.needs_folding
+        assert auto.folded is None
+        assert len(auto.sides) == 1
 
     def test_streaming_matches_batch(self):
         auto = DualAutomaton([(b"NeEdLe", True), (b"exact", False)])

@@ -6,16 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import SplitDetectIPS
 from repro.match import (
+    ROOT_STATE,
     AhoCorasick,
-    BoyerMooreHorspool,
     DualAutomaton,
     DualStreamMatcher,
     StreamMatcher,
     build_stream_sweep,
-    naive_find_all,
     sweep,
 )
+from repro.signatures import load_bundled_rules
+
+
+def naive_find_all(pattern, data):
+    """Reference quadratic search; ground truth for differential tests."""
+    return [
+        i for i in range(len(data) - len(pattern) + 1) if data[i : i + len(pattern)] == pattern
+    ]
 
 
 def ac_starts(automaton, data, pattern_id):
@@ -59,11 +67,6 @@ class TestAhoCorasickBasics:
     def test_binary_patterns(self):
         ac = AhoCorasick([bytes([0, 255, 0])])
         assert ac.find_all(bytes([1, 0, 255, 0, 1])) == [(0, 4)]
-
-    def test_contains_match_early_exit(self):
-        ac = AhoCorasick([b"bad"])
-        assert ac.contains_match(b"xxbadxx")
-        assert not ac.contains_match(b"xxgoodxx")
 
     def test_state_count_reflects_trie(self):
         ac = AhoCorasick([b"ab", b"ac"])
@@ -116,39 +119,6 @@ class TestStreamMatcher:
         matches = matcher.feed(b"litxx")
         assert [m.end_offset for m in matches] == [7]  # "xxsplitxx"[2:7]
 
-    def test_reset_forgets_prefix(self):
-        matcher = StreamMatcher(AhoCorasick([b"split"]))
-        matcher.feed(b"xxsp")
-        matcher.reset()
-        assert matcher.feed(b"litxx") == []
-
-
-class TestBoyerMooreHorspool:
-    def test_find_first(self):
-        assert BoyerMooreHorspool(b"ell").find(b"hello hello") == 1
-
-    def test_find_from_offset(self):
-        assert BoyerMooreHorspool(b"ell").find(b"hello hello", 2) == 7
-
-    def test_find_missing(self):
-        assert BoyerMooreHorspool(b"zzz").find(b"hello") == -1
-
-    def test_find_all_overlapping(self):
-        assert BoyerMooreHorspool(b"aa").find_all(b"aaaa") == [0, 1, 2]
-
-    def test_pattern_at_edges(self):
-        assert BoyerMooreHorspool(b"ab").find_all(b"abxxab") == [0, 4]
-
-    def test_pattern_equals_data(self):
-        assert BoyerMooreHorspool(b"whole").find_all(b"whole") == [0]
-
-    def test_pattern_longer_than_data(self):
-        assert BoyerMooreHorspool(b"toolong").find_all(b"shrt") == []
-
-    def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            BoyerMooreHorspool(b"")
-
 
 patterns_strategy = st.lists(
     st.binary(min_size=1, max_size=8), min_size=1, max_size=6
@@ -162,12 +132,6 @@ def test_aho_corasick_matches_naive(patterns, data):
     for pid, pattern in enumerate(patterns):
         expected = naive_find_all(pattern, data)
         assert ac_starts(ac, data, pid) == expected
-
-
-@given(st.binary(min_size=1, max_size=12), st.binary(max_size=400))
-@settings(max_examples=150)
-def test_bmh_matches_naive(pattern, data):
-    assert BoyerMooreHorspool(pattern).find_all(data) == naive_find_all(pattern, data)
 
 
 @given(
@@ -246,7 +210,6 @@ def test_compiled_equals_reference(patterns, data):
     assert compiled.compiled and not reference.compiled
     assert compiled.scan(data) == reference.scan(data)
     assert compiled.scan(data) == compiled.scan_reference(data)
-    assert compiled.contains_match(data) == reference.contains_match(data)
 
 
 @given(patterns_strategy, st.lists(st.binary(max_size=40), min_size=1, max_size=8))
@@ -288,6 +251,79 @@ def test_dual_compiled_equals_reference(patterns, data):
         [data, b"", data]
     )
     assert compiled.scan_many([data])[0] == compiled.find_all(data)
+
+
+# -- the compiled rows, transition by transition ------------------------------
+
+
+def reference_step(automaton, state, byte):
+    """One step of the sparse engine's failure walk from ``state`` on ``byte``."""
+    goto, fail = automaton._goto, automaton._fail
+    nxt = goto[state].get(byte)
+    while nxt is None and state != ROOT_STATE:
+        state = fail[state]
+        nxt = goto[state].get(byte)
+    return ROOT_STATE if nxt is None else nxt
+
+
+def assert_rows_resolve_every_transition(automaton):
+    """Every (state, byte) of the compiled rows lands where the failure
+    walk does, every row carries its state's outputs, and the footprint
+    counts exactly the rows plus the booked sweep."""
+    rows = automaton._rows
+    assert automaton.compiled and len(rows) == automaton.state_count
+    for state, row in enumerate(rows):
+        assert len(row) == 258 and row[257] == state
+        assert row[256] == automaton._output[state]
+        assert [row[byte][257] for byte in range(256)] == [
+            reference_step(automaton, state, byte) for byte in range(256)
+        ], state
+    assert (
+        automaton.compiled_table_bytes()
+        == len(rows) * 258 * 8 + automaton.sweep_table_bytes
+    )
+
+
+_row_alphabet = st.sampled_from(b"aAb\x00\xff")
+_row_pattern = st.one_of(
+    st.binary(min_size=1, max_size=1),
+    st.lists(_row_alphabet, min_size=255, max_size=255).map(bytes),
+    st.lists(_row_alphabet, min_size=1, max_size=12).map(bytes),
+)
+
+
+@st.composite
+def row_cases(draw):
+    """(pattern, nocase) sets: 1- and 255-byte patterns, a shared prefix,
+    a duplicate, and both the raw and the case-folded side."""
+    patterns = draw(st.lists(st.tuples(_row_pattern, st.booleans()), min_size=1, max_size=5))
+    head, _ = draw(st.sampled_from(patterns))
+    cut = draw(st.integers(min_value=1, max_value=len(head)))
+    patterns.append((head[:cut] + draw(_row_pattern), draw(st.booleans())))
+    patterns.append(draw(st.sampled_from(patterns)))
+    return draw(st.permutations(patterns))
+
+
+@given(row_cases())
+@settings(max_examples=40, deadline=None)
+def test_compiled_rows_equal_failure_walk_on_every_transition(patterns):
+    for side, *_ in DualAutomaton(patterns).sides:
+        assert_rows_resolve_every_transition(side)
+
+
+def test_bundled_engine_rows_equal_failure_walk_on_every_transition():
+    ips = SplitDetectIPS(load_bundled_rules())
+    fast = ips.fast_path.automaton
+    fast.scan_many([b"x" * 64])  # builds and books the fast path's sweep
+    sides = [
+        side
+        for dual in (fast, ips.slow_path._current.matcher.automaton)
+        for side, *_ in dual.sides
+    ]
+    assert len(sides) == 4
+    assert any(side.sweep_table_bytes for side in sides)
+    for side in sides:
+        assert_rows_resolve_every_transition(side)
 
 
 # -- batch q-gram sweep ------------------------------------------------------

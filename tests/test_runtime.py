@@ -315,7 +315,7 @@ def test_parallel_shed_accounting_invariant():
 def test_evict_interval_triggers_sweeps():
     """Packet-time eviction ticks reclaim idle flows mid-run."""
     spec = make_spec()
-    config = RunnerConfig(batch_size=4, evict_interval=5.0, sample_state=True)
+    config = RunnerConfig(batch_size=4, evict_interval=5.0)
     processor = ShardProcessor(0, spec, config)
     # Two bursts separated by a long idle gap; the second burst's tick
     # must sweep the first burst's dead flows.

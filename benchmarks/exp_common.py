@@ -91,6 +91,14 @@ def run_engine(engine, packets):
     return alerts
 
 
+def run_batches(engine, packets, batch_size: int):
+    """The batch route: ``process_batch`` over consecutive slices."""
+    alerts = []
+    for start in range(0, len(packets), batch_size):
+        alerts.extend(engine.process_batch(packets[start : start + batch_size]))
+    return alerts
+
+
 @functools.lru_cache(maxsize=2)
 def mixed_trace(flows: int = 300, seed: int = 2006):
     """Benign trace with three catalog attacks hidden in it."""

@@ -165,22 +165,15 @@ class ConventionalIPS:
                     self._signature_alert(hit, flow, packet.timestamp)
                     for hit in self._matcher.match_chunk(state, chunk, flow)
                 )
-            if (
-                output.datagram is not None
-                and output.datagram.protocol == IP_PROTO_UDP
-            ):
-                try:
-                    payload = decode_udp(output.datagram).payload
-                except Exception:
-                    payload = b""
-                if payload:
-                    self.bytes_normalized += len(payload)
-                    if self._tel_on:
-                        self._c_bytes.inc(len(payload))
-                    alerts.extend(
-                        self._signature_alert(hit, flow, packet.timestamp)
-                        for hit in self._matcher.match_buffer(payload, flow)
-                    )
+            payload = output.datagram
+            if payload:
+                self.bytes_normalized += len(payload)
+                if self._tel_on:
+                    self._c_bytes.inc(len(payload))
+                alerts.extend(
+                    self._signature_alert(hit, flow, packet.timestamp)
+                    for hit in self._matcher.match_buffer(payload, flow)
+                )
         if output.flow_closed:
             self._streams.pop(flow, None)
             self._streams.pop(flow.reversed(), None)

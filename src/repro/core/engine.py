@@ -24,6 +24,7 @@ from ..packet import (
     FlowKey,
     TimedPacket,
     flow_key_of,
+    transport_fields,
 )
 from ..packet.batch import PacketBatch, ip_u32_to_str
 from ..pcap.columnar import encode_batches
@@ -32,7 +33,7 @@ from ..streams import FLOW_OVERHEAD_BYTES, OverlapPolicy
 from ..telemetry import NULL_REGISTRY, NULL_TRACER, StageProfiler
 from .alerts import Alert, AlertKind, Diversion, DivertReason
 from .conventional import PROVISIONED_BUFFER_PER_FLOW
-from .fastpath import FastPath, FastPathConfig, FastPathResult
+from .fastpath import FastPath, FastPathConfig
 from .slowpath import SlowPath
 
 #: Diversion reasons eligible for probation (return to the fast path after
@@ -198,9 +199,8 @@ class SplitDetectIPS:
         )
         self._c_materialized = tel.counter(
             "repro_ingest_materialized_total",
-            "Columnar rows that built a packet object, by what needed it: "
-            "process() (fragment, diverted, decode_error) or the slow path "
-            "for a row that diverted its flow (the divert reason)",
+            "Columnar rows that built a packet object, by what needed it "
+            "(decode_error: only the object parser names the error)",
             ("cause",),
         )
         # Columnar flow interning: numeric five-tuple -> (FlowKey,
@@ -336,100 +336,51 @@ class SplitDetectIPS:
     # -- packet intake ------------------------------------------------------
 
     def process(self, packet: TimedPacket) -> list[Alert]:
-        """Route one packet through the fast or slow path; returns alerts."""
-        tel_on = self._tel_on
-        t0 = perf_counter_ns() if tel_on else 0
-        self.stats.packets_total += 1
+        """Route one packet object; returns alerts.  Decode, then the batch
+        route's own steps: :meth:`_fragment` for a fragment, :meth:`_slow_route`
+        for a diverted flow, else :meth:`FastPath.process` + :meth:`_settle_fast`."""
+        t0 = perf_counter_ns() if self._tel_on else 0
         ip = packet.ip
-        if ip.protocol in (IP_PROTO_TCP, IP_PROTO_UDP) and ip.is_fragment:
-            if not self.fast_path.config.divert_fragments:
-                # Ablation variant: an IPS that ignores fragmentation lets
-                # fragments through unexamined (and is evadable by them).
-                self.stats.fast_packets += 1
-                if tel_on:
-                    self._c_packets_fast.inc()
-                return []
-            # All fragments are slow-path work; the first one names the flow.
-            if ip.fragment_offset == 0:
-                try:
-                    frag_flow = flow_key_of(ip)
-                except ValueError:
-                    frag_flow = None
-                if frag_flow is not None:
-                    if self._trace_enabled:
-                        self.tracer.record(
-                            frag_flow,
-                            "decode",
-                            "fragment",
-                            packet.timestamp,
-                            force=True,
-                        )
-                    if not self._divert(
-                        frag_flow, DivertReason.IP_FRAGMENT, packet.timestamp
-                    ):
-                        # Overloaded: fail open, fragment passes unexamined.
-                        self.stats.fast_packets += 1
-                        if tel_on:
-                            self._c_packets_fast.inc()
-                        return self._refusal_alert(frag_flow, packet.timestamp)
-                    # The SYN (or any in-order data) already passed
-                    # through the fast path.
-                    self._hand_over(frag_flow, self.fast_path.expected_seq(frag_flow))
-            if tel_on:
-                self._stage_decode.observe(perf_counter_ns() - t0)
-            return self._to_slow(packet)
-        flow: FlowKey | None = None
-        if ip.protocol in (IP_PROTO_TCP, IP_PROTO_UDP):
-            try:
-                flow = flow_key_of(ip)
-            except ValueError:
-                flow = None
-        if flow is not None and flow.canonical() in self._diverted:
-            if self._trace_enabled:
-                self.tracer.record(flow, "decode", "slow_route", packet.timestamp)
-            if tel_on:
-                self._stage_decode.observe(perf_counter_ns() - t0)
-            return self._to_slow(packet, flow)
+        ts = packet.timestamp
+        transport = ip.protocol == IP_PROTO_TCP or ip.protocol == IP_PROTO_UDP
+        if transport and ip.is_fragment:
+            first = None if ip.fragment_offset else flow_key_of(ip)
+            return self._fragment(ip.fragment_header, ip.payload, ts, ip.ttl, first, t0)
+        flow = flow_key_of(ip) if transport else None
+        canonical = flow.canonical() if flow is not None else None
+        if canonical in self._diverted:
+            fields = transport_fields(ip)
+            return self._slow_route(flow, canonical, ts, ip.ttl, *fields, t0)
+        self.stats.packets_total += 1
         self.stats.fast_packets += 1
         if self._trace_enabled and flow is not None:
-            self.tracer.record(flow, "decode", "fast_route", packet.timestamp)
+            self.tracer.record(flow, "decode", "fast_route", ts)
         before = self.fast_path.bytes_scanned
-        if tel_on:
+        if self._tel_on:
             t1 = perf_counter_ns()
             self._stage_decode.observe(t1 - t0)
         result = self.fast_path.process(packet)
         scanned = self.fast_path.bytes_scanned - before
         self.stats.fast_bytes_scanned += scanned
-        if tel_on:
+        if self._tel_on:
             fast_ns = perf_counter_ns() - t1
             self._stage_fast.observe(fast_ns)
             if self.profiler is not None and flow is not None:
-                self.profiler.note("fast_path", str(flow.canonical()), fast_ns)
+                self.profiler.note("fast_path", str(canonical), fast_ns)
             self._c_packets_fast.inc()
             self._c_bytes_fast.inc(scanned)
         if result.decode_error is not None:
             self.stats.decode_errors += 1
-            if tel_on:
+            if self._tel_on:
                 self._c_decode_errors.labels(cause=result.decode_error).inc()
-        return self._settle_fast(flow, result, packet.timestamp, packet)
+        fields = transport_fields(ip) if result.divert is not None else (0, 0, None)
+        return self._settle_fast(flow, canonical, result, ts, ip.ttl, *fields)
 
-    def _settle_fast(
-        self,
-        flow: FlowKey | None,
-        result: FastPathResult,
-        timestamp: float,
-        packet: TimedPacket | None = None,
-        *,
-        batch: PacketBatch | None = None,
-        row: int = 0,
-    ) -> list[Alert]:
+    def _settle_fast(self, flow, canonical, result, ts, ttl, seq, flags, payload) -> list[Alert]:
         """Act on one fast-path result: book its alerts and, when it
-        diverts, move the flow and feed this packet to the slow path.
-
-        The one tail of :meth:`process` and of the batch row loop.  The
-        slow path needs a packet object; a batch row is materialized
-        (``packet`` is None, ``batch``/``row`` name it) only here, once
-        the diversion has actually been admitted.
+        diverts, move the flow and feed this packet's fields (as
+        :meth:`SlowPath.process` takes them) to the slow path.  The one
+        tail of :meth:`process` and of the batch row loop.
         """
         alerts = result.alerts
         if alerts:
@@ -442,23 +393,58 @@ class SplitDetectIPS:
                         flow,
                         "fast",
                         "alert",
-                        timestamp,
+                        ts,
                         force=True,
                         kind=alert.kind.value,
                         sid=alert.sid,
                     )
         if result.divert is None or flow is None:
             return alerts
-        if not self._divert(flow, result.divert, timestamp, result.detail):
-            alerts.extend(self._refusal_alert(flow, timestamp))
+        if not self._divert(flow, result.divert, ts, result.detail):
+            alerts.extend(self._refusal_alert(flow, ts))
             return alerts
         self._hand_over(flow, result.flow_expected_seq)
-        if packet is None:
-            packet = batch.materialize(row)
-            if self._tel_on:
-                self._c_materialized.labels(cause=result.divert.value).inc()
-        alerts.extend(self._to_slow(packet, flow))
+        alerts.extend(self._to_slow(flow, canonical, ts, ttl, seq, flags, payload))
         return alerts
+
+    def _fragment(self, fragment, payload, ts, ttl, first, t0) -> list[Alert]:
+        """Route one TCP/UDP fragment (``IPv4Packet.fragment_header``, IP
+        payload) to the slow path: the fast path never defragments.  The
+        first (``first`` is its flow; None for the rest, whose port bytes
+        are payload) diverts its flow, so the connection follows."""
+        self.stats.packets_total += 1
+        if not self.fast_path.config.divert_fragments:
+            # Ablation variant: an IPS that ignores fragmentation lets
+            # fragments through unexamined (and is evadable by them).
+            self.stats.fast_packets += 1
+            if self._tel_on:
+                self._c_packets_fast.inc()
+            return []
+        if first is not None:
+            if self._trace_enabled:
+                self.tracer.record(first, "decode", "fragment", ts, force=True)
+            if not self._divert(first, DivertReason.IP_FRAGMENT, ts):
+                # Overloaded: fail open, fragment passes unexamined.
+                self.stats.fast_packets += 1
+                if self._tel_on:
+                    self._c_packets_fast.inc()
+                return self._refusal_alert(first, ts)
+            # The SYN (or any in-order data) already passed through the
+            # fast path.
+            self._hand_over(first, self.fast_path.expected_seq(first))
+        if self._tel_on:
+            self._stage_decode.observe(perf_counter_ns() - t0)
+        return self._to_slow(None, None, ts, ttl, 0, 0, payload, fragment)
+
+    def _slow_route(self, flow, canonical, ts, ttl, seq, flags, payload, t0) -> list[Alert]:
+        """Route one packet of an already-diverted flow to the slow path
+        (``payload`` None: its transport header did not decode)."""
+        self.stats.packets_total += 1
+        if self._trace_enabled:
+            self.tracer.record(flow, "decode", "slow_route", ts)
+        if self._tel_on:
+            self._stage_decode.observe(perf_counter_ns() - t0)
+        return self._to_slow(flow, canonical, ts, ttl, seq, flags, payload)
 
     def process_batch(self, packets: list[TimedPacket]) -> list[Alert]:
         """Route a batch of packet objects; returns all alerts in packet order.
@@ -480,18 +466,18 @@ class SplitDetectIPS:
     def process_column_batch(self, batch: PacketBatch) -> list[Alert]:
         """Route one columnar batch; returns all alerts in row order.
 
-        Row-for-row identical to materializing every row and calling
-        :meth:`process` (the tested oracle: equal equivalence digests),
-        by construction rather than by replication: a decoded,
-        unfragmented TCP/UDP row on a non-diverted flow gets the same
-        :meth:`FastPath.process_columns` call and the same
-        :meth:`_settle_fast` tail a packet object gets, fed from the
-        columns and the batch sweep's hits.  Most rows return ``None``
-        there and cost no allocation; a row is materialized into a
-        packet object only when something needs one -- :meth:`process`
-        for fragments, rows of already-diverted flows and rows whose
-        transport header did not decode (``tok == 0``), and the slow
-        path at the moment a row actually diverts its flow.
+        Row-for-row identical to calling :meth:`process` on every row's
+        packet object (the tested oracle: equal equivalence digests), by
+        construction rather than by replication: both routes share every
+        step after decode.  A decoded, unfragmented TCP/UDP row on a
+        non-diverted flow gets the :meth:`FastPath.process_columns` call
+        and the :meth:`_settle_fast` tail, fed from the columns and the
+        batch sweep's hits; most rows return ``None`` there and cost no
+        allocation.  A fragment row goes to :meth:`_fragment` and a
+        diverted flow's row to :meth:`_slow_route`, as column scalars
+        plus a view of the row's payload.  Only a row whose transport
+        header did not decode (``tok == 0``) builds a packet object,
+        because only the object parser can name its decode error.
 
         Telemetry deltas: the ``fast_path`` stage times only rows that
         return a result (the sweep has its own stage), and the
@@ -568,9 +554,9 @@ class SplitDetectIPS:
             if tel_on:
                 self._stage_prescan.observe(perf_counter_ns() - t0)
         alerts: list[Alert] = []
-        # Per-batch stats accumulators: process() mutates the same fields
-        # directly, so these locals are folded in once after the loop
-        # (pure counters -- nothing reads them mid-batch).
+        # Per-batch stats accumulators: the slow-path helpers and process()
+        # mutate the same fields directly, so these locals are folded in
+        # once after the loop (pure counters -- nothing reads them mid-batch).
         fast_add = 0
         fast_bytes_add = 0
         for row in range(n):
@@ -584,64 +570,76 @@ class SplitDetectIPS:
                     self._c_packets_fast.inc()
                 continue
             if frag_col[row] & 0x3FFF:
-                cause = "fragment"
-            else:
-                flow, canonical = flows_by_row[row] or intern_flow(batch, row)
-                if canonical in diverted:
-                    cause = "diverted"
-                elif not tok_col[row]:
-                    cause = "decode_error"
-                else:
-                    hits = hits_by_row[row]
-                    plen = paylen_col[row]
-                    start = payoff_col[row]
-                    if plen and automaton is not None:
-                        if hits is None:
-                            # Row not covered by the sweep (single-row
-                            # batch, or its flow was diverted then
-                            # reinstated mid-batch): scan here.
-                            hits = automaton.find_all(
-                                bytes(view[start : start + plen])
-                            )
-                        fast_bytes_add += plen
-                        if tel_on:
-                            self._c_bytes_fast.inc(plen)
-                    fast_add += 1
-                    ts = ts_col[row]
-                    if trace_enabled:
-                        tracer.record(flow, "decode", "fast_route", ts)
-                    if tel_on:
-                        self._c_packets_fast.inc()
-                        t1 = perf_counter_ns()
-                    result = process_columns(
-                        flow,
-                        hits,
-                        p,
-                        plen,
-                        flags_col[row],
-                        ttl_col[row],
-                        seq_col[row],
-                        ts,
-                        view[start : start + plen] if hits else None,
-                    )
-                    if result is not None:
-                        if tel_on:
-                            fast_ns = perf_counter_ns() - t1
-                            self._stage_fast.observe(fast_ns)
-                            if self.profiler is not None:
-                                self.profiler.note(
-                                    "fast_path", str(canonical), fast_ns
-                                )
-                        alerts.extend(
-                            self._settle_fast(flow, result, ts, batch=batch, row=row)
-                        )
-                    continue
-            # The rows process() still owns: it alone reassembles
-            # fragments, feeds a diverted flow's slow path, and names the
-            # decode error of a transport header the columns only flag.
-            alerts.extend(self.process(batch.materialize(row)))
+                fragment, ip_payload = batch.fragment(row)
+                first = None if fragment[4] else intern_flow(batch, row)[0]
+                t0 = perf_counter_ns() if tel_on else 0
+                alerts.extend(
+                    self._fragment(fragment, ip_payload, ts_col[row], ttl_col[row], first, t0)
+                )
+                continue
+            flow, canonical = flows_by_row[row] or intern_flow(batch, row)
+            if canonical in diverted:
+                t0 = perf_counter_ns() if tel_on else 0
+                ts = ts_col[row]
+                ttl = ttl_col[row]
+                seq = seq_col[row]
+                start = payoff_col[row]
+                payload = view[start : start + paylen_col[row]] if tok_col[row] else None
+                alerts.extend(
+                    self._slow_route(flow, canonical, ts, ttl, seq, flags_col[row], payload, t0)
+                )
+                continue
+            if not tok_col[row]:
+                # The one row kind that builds a packet object: only
+                # the object parser can name the error of a transport
+                # header the columns just flag.
+                alerts.extend(self.process(batch.materialize(row)))
+                if tel_on:
+                    self._c_materialized.labels(cause="decode_error").inc()
+                continue
+            hits = hits_by_row[row]
+            plen = paylen_col[row]
+            start = payoff_col[row]
+            if plen and automaton is not None:
+                if hits is None:
+                    # Row not covered by the sweep (single-row batch, or
+                    # its flow was diverted then reinstated mid-batch):
+                    # scan here.
+                    hits = automaton.find_all(bytes(view[start : start + plen]))
+                fast_bytes_add += plen
+                if tel_on:
+                    self._c_bytes_fast.inc(plen)
+            fast_add += 1
+            ts = ts_col[row]
+            if trace_enabled:
+                tracer.record(flow, "decode", "fast_route", ts)
             if tel_on:
-                self._c_materialized.labels(cause=cause).inc()
+                self._c_packets_fast.inc()
+                t1 = perf_counter_ns()
+            result = process_columns(
+                flow,
+                hits,
+                p,
+                plen,
+                flags_col[row],
+                ttl_col[row],
+                seq_col[row],
+                ts,
+                view[start : start + plen] if hits else None,
+            )
+            if result is not None:
+                if tel_on:
+                    fast_ns = perf_counter_ns() - t1
+                    self._stage_fast.observe(fast_ns)
+                    if self.profiler is not None:
+                        self.profiler.note("fast_path", str(canonical), fast_ns)
+                ttl = ttl_col[row]
+                seq = seq_col[row]
+                flags = flags_col[row]
+                payload = view[start : start + plen]
+                alerts.extend(
+                    self._settle_fast(flow, canonical, result, ts, ttl, seq, flags, payload)
+                )
         stats.packets_total += fast_add
         stats.fast_packets += fast_add
         stats.fast_bytes_scanned += fast_bytes_add
@@ -776,17 +774,19 @@ class SplitDetectIPS:
             )
         return True
 
-    def _to_slow(self, packet: TimedPacket, flow: FlowKey | None = None) -> list[Alert]:
+    def _to_slow(self, flow, canonical, ts, ttl, seq, flags, payload, fragment=None) -> list[Alert]:
+        """Feed one packet's fields to the slow path (and the ensemble)."""
         tel_on = self._tel_on
         t0 = perf_counter_ns() if tel_on else 0
         self.stats.slow_packets += 1
         before = self.slow_path.bytes_normalized
-        alerts = self.slow_path.process(packet)
+        fields = (flow, canonical, ts, ttl, seq, flags, payload, fragment)
+        alerts = self.slow_path.process(*fields)
         self.stats.slow_bytes_normalized += self.slow_path.bytes_normalized - before
         if self.ensemble_paths:
             seen = {(a.kind, a.sid, a.flow, a.stream_offset) for a in alerts}
             for path in self.ensemble_paths:
-                for alert in path.process(packet):
+                for alert in path.process(*fields):
                     key = (alert.kind, alert.sid, alert.flow, alert.stream_offset)
                     if key not in seen:
                         seen.add(key)
@@ -796,7 +796,7 @@ class SplitDetectIPS:
             slow_ns = perf_counter_ns() - t0
             self._stage_slow.observe(slow_ns)
             if self.profiler is not None and flow is not None:
-                self.profiler.note("slow_path", str(flow.canonical()), slow_ns)
+                self.profiler.note("slow_path", str(canonical), slow_ns)
             self._c_packets_slow.inc()
             self._c_bytes_slow.inc(self.slow_path.bytes_normalized - before)
             if alerts:
@@ -810,13 +810,12 @@ class SplitDetectIPS:
                     alert_flow,
                     "slow",
                     "confirm",
-                    packet.timestamp,
+                    ts,
                     force=True,
                     kind=alert.kind.value,
                     sid=alert.sid,
                 )
-        if flow is not None:
-            canonical = flow.canonical()
+        if canonical is not None:
             if canonical in self._diverted and not self.slow_path.normalizer.is_live(canonical):
                 # The connection ended on the slow path; a future flow with
                 # the same five-tuple starts fresh on the fast path.
@@ -825,11 +824,9 @@ class SplitDetectIPS:
                 if tel_on:
                     self._g_diverted.set(len(self._diverted))
                 if self._trace_enabled:
-                    self.tracer.record(
-                        canonical, "engine", "flow_closed", packet.timestamp
-                    )
+                    self.tracer.record(canonical, "engine", "flow_closed", ts)
             elif canonical in self._probation:
-                self._tick_probation(canonical, alerts, packet.timestamp)
+                self._tick_probation(canonical, alerts, ts)
         return alerts
 
     def _tick_probation(

@@ -610,10 +610,6 @@ class FastPath:
         self._flows.pop(flow, None)
         self._flows.pop(flow.reversed(), None)
 
-    def evict_all(self) -> None:
-        """Flush the monitor table (idle sweep hook for long runs)."""
-        self._flows.clear()
-
     def evict_idle(
         self, now: float, idle_timeout: float = FASTPATH_IDLE_TIMEOUT
     ) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..match import DualAutomaton, DualStreamMatcher, build_stream_sweep
 from ..match.sweep import GramSweep
-from ..packet import IP_PROTO_UDP, FlowKey, TimedPacket, decode_udp
+from ..packet import FlowKey
 from ..signatures import SplitRuleSet
 from ..streams import OverlapPolicy, StreamEvent, StreamNormalizer
 from ..telemetry import NULL_REGISTRY, NULL_TRACER
@@ -249,12 +249,13 @@ class SlowPath:
 
     # -- packet intake ------------------------------------------------------
 
-    def process(self, packet: TimedPacket) -> list[Alert]:
-        """Run one diverted-flow packet through the conventional pipeline."""
+    def process(self, flow, canonical, ts, ttl, seq, flags, payload, fragment) -> list[Alert]:
+        """Run one diverted-flow packet, as decoded fields, through the
+        conventional pipeline (the arguments of ``StreamNormalizer.feed``)."""
         self.packets_processed += 1
         if self._tel_on:
             self._c_packets.inc()
-        output = self.normalizer.process(packet)
+        output = self.normalizer.feed(flow, canonical, ts, ttl, seq, flags, payload, fragment)
         alerts: list[Alert] = []
         flow = output.flow
         if self._trace_enabled and flow is not None:
@@ -264,7 +265,7 @@ class SlowPath:
                 flow,
                 "slow",
                 "reassemble",
-                packet.timestamp,
+                ts,
                 chunks=len(output.chunks),
                 bytes=sum(len(chunk) for chunk in output.chunks),
                 events=len(output.events),
@@ -279,32 +280,24 @@ class SlowPath:
                             flow=flow,
                             msg=str(record),
                             stream_offset=record.offset,
-                            timestamp=packet.timestamp,
+                            timestamp=ts,
                         )
                     )
             for chunk in output.chunks:
-                alerts.extend(self._match(flow, chunk, packet.timestamp))
-            if output.datagram is not None:
-                alerts.extend(
-                    self._match_datagram(flow, output.datagram, packet.timestamp)
-                )
+                alerts.extend(self._match(flow, chunk, ts))
+            if output.datagram:
+                alerts.extend(self._match_datagram(flow, output.datagram, ts))
             if output.flow_closed:
                 self._forget(flow)
         return alerts
 
-    def _match_datagram(self, flow: FlowKey, ip, timestamp: float) -> list[Alert]:
-        """Whole-datagram matching for defragmented non-TCP traffic (UDP).
+    def _match_datagram(self, flow: FlowKey, payload: bytes, timestamp: float) -> list[Alert]:
+        """Whole-datagram matching for UDP payloads.
 
         Stateless per datagram, so it always uses the *current* matcher
         set -- a hot reload applies to the very next datagram."""
         matcher = self._current.matcher
-        if ip.protocol != IP_PROTO_UDP or matcher.empty:
-            return []
-        try:
-            payload = decode_udp(ip).payload
-        except Exception:
-            return []
-        if not payload:
+        if matcher.empty:
             return []
         self.bytes_normalized += len(payload)
         if self._tel_on:

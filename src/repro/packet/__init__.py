@@ -14,7 +14,15 @@ from .errors import (
     TruncatedPacketError,
 )
 from .ether import ETHERTYPE_IPV4, EthernetFrame, bytes_to_mac, mac_to_bytes
-from .flows import FlowKey, TimedPacket, build_tcp_packet, decode_tcp, flow_key_of
+from .flows import (
+    FlowKey,
+    TimedPacket,
+    build_tcp_packet,
+    decode_tcp,
+    flow_key_of,
+    packet_fields,
+    transport_fields,
+)
 from .ip import (
     IP_PROTO_ICMP,
     IP_PROTO_TCP,
@@ -75,8 +83,10 @@ __all__ = [
     "ip_u32_to_str",
     "mac_to_bytes",
     "mss_option_bytes",
+    "packet_fields",
     "pseudo_header",
     "seq_add",
     "seq_diff",
+    "transport_fields",
     "verify_checksum",
 ]

@@ -9,11 +9,12 @@ shared ``bytes`` capture buffer plus parallel ``array`` columns of the
 few fields the fast path actually consults (protocol, fragment bits,
 TTL, addresses/ports, TCP seq/flags, payload offset/length), so the
 clean majority of rows is processed with integer reads and zero-copy
-``memoryview`` slices.  Only rows that need a packet object -- a
-fragment, a row of a diverted flow, an undecodable transport header
-(all three go to the per-packet ``process()``), or the one row that
-diverts its flow (fed to the slow path) -- are materialized via
-:meth:`PacketBatch.materialize`.
+``memoryview`` slices -- and so are the slow path's rows: a diverted
+flow's row enters it as column scalars plus a payload view, a fragment
+as its header fields (:meth:`PacketBatch.fragment`) plus its IP payload.
+Only a row whose transport header does not decode is materialized
+(:meth:`PacketBatch.materialize`), for the object parser to name the
+error.
 
 Column schema (one entry per valid row, in capture order):
 
@@ -258,10 +259,28 @@ class PacketBatch:
     # -- row access ----------------------------------------------------
 
     def materialize(self, row: int) -> TimedPacket:
-        """Build the full packet object for one row (the slow minority)."""
+        """Build the full packet object for one row (undecodable rows)."""
         off = self.off[row]
         raw = self.buffer[off : off + self.caplen[row]]
         return TimedPacket(self.ts[row], IPv4Packet.parse(raw))
+
+    def fragment(self, row: int) -> tuple[tuple[str, str, int, int, int, bool], memoryview]:
+        """A fragment row as ``IPv4Packet.fragment_header`` and a view of
+        its IP payload, read from its header bytes (a fragment has no
+        transport columns: its ``sport``/``dport`` are payload bytes)."""
+        off = self.off[row]
+        buf = self.buffer
+        flags = self.fragflags[row]
+        header = (
+            ip_u32_to_str(self.src[row]),
+            ip_u32_to_str(self.dst[row]),
+            self.proto[row],
+            buf[off + 4] << 8 | buf[off + 5],
+            (flags & 0x1FFF) * 8,
+            bool(flags & 0x2000),
+        )
+        start = off + (buf[off] & 0x0F) * 4
+        return header, self.view[start : off + (buf[off + 2] << 8 | buf[off + 3])]
 
     def payload_view(self, row: int) -> memoryview:
         """Zero-copy view of a row's transport payload."""

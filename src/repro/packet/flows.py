@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .ip import IP_PROTO_TCP, IP_PROTO_UDP, IPv4Packet
 from .tcp import TcpSegment
+from .udp import decode_udp
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,3 +92,29 @@ def decode_tcp(packet: IPv4Packet, *, strict: bool = False) -> TcpSegment:
     return TcpSegment.parse(
         packet.payload, src_ip=packet.src, dst_ip=packet.dst, strict=strict
     )
+
+
+def transport_fields(packet: IPv4Packet) -> tuple[int, int, bytes | None]:
+    """``(seq, flags, payload)`` of an unfragmented packet's transport
+    layer; the payload is None when the header does not decode (or the
+    protocol is neither TCP nor UDP)."""
+    try:
+        if packet.protocol == IP_PROTO_TCP:
+            segment = decode_tcp(packet)
+            return segment.seq, segment.flags, segment.payload
+        if packet.protocol == IP_PROTO_UDP:
+            return 0, 0, decode_udp(packet).payload
+    except Exception:
+        pass
+    return 0, 0, None
+
+
+def packet_fields(packet: TimedPacket) -> tuple:
+    """One packet object as the slow path's intake values: ``(flow,
+    canonical, ts, ttl, seq, flags, payload, None)``, or for a fragment
+    ``(None, None, ts, ttl, 0, 0, ip_payload, fragment_header)``."""
+    ip = packet.ip
+    if ip.is_fragment:
+        return None, None, packet.timestamp, ip.ttl, 0, 0, ip.payload, ip.fragment_header
+    flow = flow_key_of(ip)
+    return (flow, flow.canonical(), packet.timestamp, ip.ttl, *transport_fields(ip), None)

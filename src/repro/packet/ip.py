@@ -104,6 +104,11 @@ class IPv4Packet:
         """The (src, dst, protocol, id) tuple that groups fragments."""
         return (self.src, self.dst, self.protocol, self.identification)
 
+    @property
+    def fragment_header(self) -> tuple[str, str, int, int, int, bool]:
+        """``fragment_key`` plus the byte offset and MF: what reassembly reads."""
+        return (*self.fragment_key, self.fragment_offset, self.more_fragments)
+
     def serialize(self) -> bytes:
         """Render the packet to wire bytes with a correct header checksum."""
         if self.total_length > 0xFFFF:

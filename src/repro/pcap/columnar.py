@@ -6,9 +6,8 @@ buffer.  :func:`read_column_batches` streams a savefile once;
 :func:`encode_batches` is the door every other source goes through.
 Both hand offsets into a buffer to the same row decode, so a frame is
 classified one way whichever route carried it.  The engine consumes the
-columns directly and materializes full objects only for the rows that
-need one (fragments, diverted flows, undecodable transport headers, the
-row that diverts a flow).
+columns directly and materializes a full object only for a row whose
+transport header does not decode.
 
 Parity contract (tested, and the reason this module is careful rather
 than clever):

@@ -33,7 +33,7 @@ class DefragResult:
 class _PartialDatagram:
     """Reassembly state for one in-flight fragmented datagram."""
 
-    first_fragment: IPv4Packet
+    ttl: int  # the first fragment's, once it arrives: the datagram's header
     arrival: float
     pieces: list[tuple[int, bytearray]] = field(default_factory=list)  # sorted, disjoint
     total_length: int | None = None  # set once the final fragment arrives
@@ -92,44 +92,45 @@ class IpDefragmenter:
     # -- fragment intake ---------------------------------------------------
 
     def add(self, packet: IPv4Packet, timestamp: float = 0.0) -> DefragResult:
-        """Feed one packet; passes non-fragments through untouched."""
+        """Feed one packet object; passes non-fragments through untouched."""
+        if not packet.is_fragment:
+            self.expire(timestamp)
+            return DefragResult(packet=packet)
+        return self.add_fragment(packet.fragment_header, packet.payload, timestamp, packet.ttl)
+
+    def add_fragment(
+        self, header: tuple, payload: bytes | memoryview, timestamp: float, ttl: int
+    ) -> DefragResult:
+        """Feed one fragment: its ``IPv4Packet.fragment_header`` (src, dst,
+        protocol, id, byte offset, MF), IP payload (copied in: a caller's
+        buffer view is never retained), arrival time and TTL.  The
+        completed datagram is the one object built."""
+        key = header[:4]
+        offset, more = header[4], header[5]
         result = DefragResult()
         self.expire(timestamp)
-        if not packet.is_fragment:
-            result.packet = packet
-            return result
-        if (
-            self.tiny_threshold
-            and packet.more_fragments
-            and len(packet.payload) < self.tiny_threshold
-        ):
+        if self.tiny_threshold and more and len(payload) < self.tiny_threshold:
             result.events.append(
-                StreamEventRecord(
-                    StreamEvent.TINY_FRAGMENT,
-                    packet.fragment_offset,
-                    len(packet.payload),
-                )
+                StreamEventRecord(StreamEvent.TINY_FRAGMENT, offset, len(payload))
             )
-        key = packet.fragment_key
         partial = self._partials.get(key)
         if partial is None:
-            partial = _PartialDatagram(first_fragment=packet, arrival=timestamp)
+            partial = _PartialDatagram(ttl=ttl, arrival=timestamp)
             self._partials[key] = partial
             self._oldest = min(self._oldest, timestamp)
-        if packet.fragment_offset == 0:
-            partial.first_fragment = packet
-        offset = packet.fragment_offset
-        end = offset + len(packet.payload)
+        if offset == 0:
+            partial.ttl = ttl
+        end = offset + len(payload)
         if end > DEFAULT_MAX_DATAGRAM:
             # The classic ping-of-death shape: offset + length overflows.
             result.events.append(
                 StreamEventRecord(
-                    StreamEvent.OUT_OF_WINDOW, offset, len(packet.payload),
+                    StreamEvent.OUT_OF_WINDOW, offset, len(payload),
                     detail="fragment exceeds 64KiB datagram",
                 )
             )
             return result
-        if not packet.more_fragments:
+        if not more:
             if partial.total_length is not None and partial.total_length != end:
                 result.events.append(
                     StreamEventRecord(
@@ -139,7 +140,7 @@ class IpDefragmenter:
                 )
             partial.total_length = end
         before = partial.buffered_bytes
-        self._merge(partial, offset, bytearray(packet.payload), result)
+        self._merge(partial, offset, bytearray(payload), result)
         self._buffered += partial.buffered_bytes - before
         if self._complete(partial):
             result.packet = self._finish(key, partial)
@@ -238,9 +239,12 @@ class IpDefragmenter:
         del self._partials[key]
         self._buffered -= partial.buffered_bytes
         assert partial.total_length is not None
-        payload = bytes(partial.pieces[0][1][: partial.total_length])
-        return partial.first_fragment.copy(
-            payload=payload,
-            fragment_offset=0,
-            more_fragments=False,
+        src, dst, protocol, identification = key
+        return IPv4Packet(
+            src=src,
+            dst=dst,
+            protocol=protocol,
+            payload=bytes(partial.pieces[0][1][: partial.total_length]),
+            ttl=partial.ttl,
+            identification=identification,
         )

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..packet import FlowKey, IPv4Packet, TimedPacket, decode_tcp, flow_key_of
+from ..packet import FlowKey, TimedPacket, flow_key_of, packet_fields, transport_fields
 from ..packet.ip import IP_PROTO_TCP
+from ..packet.tcp import TCP_FIN, TCP_RST, TCP_SYN
 from .defrag import IpDefragmenter
 from .events import StreamEvent, StreamEventRecord
 from .policies import OverlapPolicy
@@ -41,9 +42,9 @@ class NormalizedOutput:
 
     events: list[StreamEventRecord] = field(default_factory=list)
     flow_closed: bool = False
-    datagram: IPv4Packet | None = None
-    """A complete (defragmented) non-TCP packet, passed through for the
-    caller to inspect -- UDP signature matching happens downstream."""
+    datagram: bytes | None = None
+    """A complete (defragmented) UDP datagram's payload, passed through
+    for the caller to inspect -- UDP signature matching is downstream."""
 
 
 @dataclass
@@ -91,7 +92,9 @@ class StreamNormalizer:
         and the slow path must anchor its reassembled stream there so
         out-of-order data below the diverting packet is not mistaken for
         retransmission.  Must be called before the direction's first
-        segment is processed; later hints are ignored.
+        segment is processed; later hints are ignored.  A flow's hints
+        die with it (close, release, idle eviction), so a later
+        connection on the same five-tuple is anchored afresh.
         """
         self._start_hints.setdefault(direction, first_byte_seq)
 
@@ -115,69 +118,83 @@ class StreamNormalizer:
     # -- packet intake ------------------------------------------------------
 
     def process(self, packet: TimedPacket) -> NormalizedOutput:
-        """Feed one packet; returns canonical bytes and anomaly events."""
+        """Feed one packet object (decoded here, then :meth:`feed`)."""
+        return self.feed(*packet_fields(packet))
+
+    def feed(self, flow, canonical, ts, ttl, seq, flags, payload, fragment) -> NormalizedOutput:
+        """Feed one packet as decoded fields; returns canonical bytes and
+        anomaly events.
+
+        ``flow`` / ``canonical`` are its directional and canonical
+        ``FlowKey``, ``seq`` / ``flags`` its TCP header fields (0 for
+        UDP), ``payload`` the transport payload, bytes or a buffer view
+        (None: the header did not decode), and ``fragment`` None.  A
+        fragment instead passes no flow, its IP payload and its
+        ``IPv4Packet.fragment_header``: its flow is only known from the
+        completed datagram, decoded here, once.  No view is retained.
+        """
         output = NormalizedOutput()
-        defrag = self.defragmenter.add(packet.ip, packet.timestamp)
-        output.events.extend(defrag.events)
-        ip = defrag.packet
-        if ip is None:
+        if fragment is not None:
+            defrag = self.defragmenter.add_fragment(fragment, payload, ts, ttl)
+            output.events.extend(defrag.events)
+            ip = defrag.packet
+            if ip is None:
+                return output
+            flow = flow_key_of(ip)
+            canonical = flow.canonical()
+            ttl = ip.ttl
+            seq, flags, payload = transport_fields(ip)
+        else:
+            self.defragmenter.expire(ts)
+        if flow.protocol != IP_PROTO_TCP:
+            output.flow = flow
+            output.datagram = None if payload is None else bytes(payload)
             return output
-        if ip.protocol != IP_PROTO_TCP:
-            output.datagram = ip
-            try:
-                output.flow = flow_key_of(ip)
-            except ValueError:
-                pass
-            return output
-        try:
-            segment = decode_tcp(ip)
-        except Exception:
+        if payload is None:
             # Undecodable transport headers are not this layer's problem;
             # the IPS treats them as anomalies elsewhere.
             return output
-        direction = flow_key_of(ip)
-        output.flow = direction
-        key = direction.canonical()
-        state = self._flows.get(key)
+        output.flow = flow
+        state = self._flows.get(canonical)
         if state is None:
-            state = _FlowState(last_seen=packet.timestamp)
-            self._flows[key] = state
+            state = _FlowState(last_seen=ts)
+            self._flows[canonical] = state
             self.flows_created += 1
-        state.last_seen = packet.timestamp
+        state.last_seen = ts
         if self.ttl_check:
             if state.ttl_seen is None:
-                state.ttl_seen = ip.ttl
-            elif abs(ip.ttl - state.ttl_seen) > 5:
+                state.ttl_seen = ttl
+            elif abs(ttl - state.ttl_seen) > 5:
                 output.events.append(
                     StreamEventRecord(
-                        StreamEvent.TTL_ANOMALY, 0, detail=f"{state.ttl_seen}->{ip.ttl}"
+                        StreamEvent.TTL_ANOMALY, 0, detail=f"{state.ttl_seen}->{ttl}"
                     )
                 )
-        if segment.rst:
-            self._close(key)
+        if flags & TCP_RST:
+            self._close(canonical)
             output.flow_closed = True
             return output
-        reassembler = state.directions.get(direction)
+        reassembler = state.directions.get(flow)
         if reassembler is None:
             reassembler = TcpReassembler(
                 policy=self.policy,
                 tiny_threshold=self.tiny_segment_threshold,
-                first_byte_seq=self._start_hints.pop(direction, None),
+                first_byte_seq=self._start_hints.pop(flow, None),
                 **self._reassembler_kwargs,
             )
-            state.directions[direction] = reassembler
+            state.directions[flow] = reassembler
         parked = reassembler.buffered_bytes
         result = reassembler.add(
-            segment.seq, segment.payload, syn=segment.syn, fin=segment.fin
+            seq, payload, syn=bool(flags & TCP_SYN), fin=bool(flags & TCP_FIN)
         )
         self._buffered += reassembler.buffered_bytes - parked
         output.events.extend(result.events)
         if result.delivered:
             output.chunks.append(result.delivered)
         if result.finished:
-            state.finished.add(direction)
+            state.finished.add(flow)
             if len(state.finished) == 2:
-                self._close(key)
+                self._close(canonical)
                 output.flow_closed = True
         return output
 
@@ -221,9 +238,15 @@ class StreamNormalizer:
         ]
         for key in stale:
             self._close(key)
+        # A hint whose flow never sent (or is gone) must not anchor a
+        # later connection on the same five-tuple.
+        for direction in [d for d in self._start_hints if d.canonical() not in self._flows]:
+            del self._start_hints[direction]
         return len(stale)
 
     def _close(self, key: FlowKey) -> None:
+        self._start_hints.pop(key, None)
+        self._start_hints.pop(key.reversed(), None)
         state = self._flows.pop(key, None)
         if state is not None:
             self._buffered -= sum(r.buffered_bytes for r in state.directions.values())

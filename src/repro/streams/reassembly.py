@@ -104,11 +104,6 @@ class TcpReassembler:
         return len(self._chunks)
 
     @property
-    def next_offset(self) -> int:
-        """Stream offset of the next byte the application would read."""
-        return self._next
-
-    @property
     def expected_seq(self) -> int | None:
         """Absolute sequence number of the next in-order byte (None until
         the stream origin is known).  Used to hand a flow between engines
@@ -268,26 +263,28 @@ class TcpReassembler:
             self._chunks.insert(lo, data)
             self._buffered += len(data)
             return
-        # Build the merged region spanning new data and all intersecting chunks.
+        # Build the merged region spanning new data and all intersecting
+        # chunks.  The chunks are sorted and disjoint, so the new bytes
+        # land in the gaps between them, one slice each: the merge costs
+        # O(chunks) interpreter steps, not O(bytes).
         merged_start = min(rel, self._starts[lo])
         merged_end = max(end, self._starts[hi - 1] + len(self._chunks[hi - 1]))
         merged = bytearray(merged_end - merged_start)
-        have = bytearray(merged_end - merged_start)  # occupancy map
-        # Lay down old chunks first.
+        cursor = rel  # first new byte not yet placed or contested
         for start, chunk in zip(self._starts[lo:hi], self._chunks[lo:hi]):
-            at = start - merged_start
-            merged[at : at + len(chunk)] = chunk
-            for i in range(at, at + len(chunk)):
-                have[i] = 1
-        # Resolve each old-chunk overlap against the new segment.
-        for start, chunk in zip(self._starts[lo:hi], self._chunks[lo:hi]):
-            old_start, old_end = start, start + len(chunk)
-            ov_start, ov_end = max(old_start, rel), min(old_end, end)
+            old_end = start + len(chunk)
+            merged[start - merged_start : old_end - merged_start] = chunk
+            if cursor < start:
+                merged[cursor - merged_start : start - merged_start] = data[
+                    cursor - rel : start - rel
+                ]
+            cursor = max(cursor, old_end)
+            # Resolve this chunk's overlap against the new segment.
+            ov_start, ov_end = max(start, rel), min(old_end, end)
             if ov_start >= ov_end:
                 continue
-            old_bytes = chunk[ov_start - old_start : ov_end - old_start]
             new_bytes = data[ov_start - rel : ov_end - rel]
-            consistent = bytes(old_bytes) == bytes(new_bytes)
+            consistent = chunk[ov_start - start : ov_end - start] == new_bytes
             result.events.append(
                 StreamEventRecord(
                     StreamEvent.OVERLAP if consistent else StreamEvent.INCONSISTENT_OVERLAP,
@@ -296,15 +293,10 @@ class TcpReassembler:
                     detail=f"policy={self.policy.value}",
                 )
             )
-            if resolve_overlap(self.policy, old_start, old_end, rel, end):
-                at = ov_start - merged_start
-                merged[at : at + (ov_end - ov_start)] = new_bytes
-        # Lay down the new segment's bytes where nothing was buffered.
-        for i in range(len(data)):
-            at = rel - merged_start + i
-            if not have[at]:
-                merged[at] = data[i]
-                have[at] = 1
+            if resolve_overlap(self.policy, start, old_end, rel, end):
+                merged[ov_start - merged_start : ov_end - merged_start] = new_bytes
+        if cursor < end:
+            merged[cursor - merged_start : end - merged_start] = data[cursor - rel :]
         # Replace the intersected chunks with the merged one.
         self._buffered += len(merged) - sum(len(c) for c in self._chunks[lo:hi])
         del self._starts[lo:hi]

@@ -22,7 +22,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import FastPathConfig, SplitDetectIPS
-from repro.evasion import build_attack
+from repro.evasion import STRATEGIES, build_attack
 from repro.metrics import run_split_detect
 from repro.packet import (
     IP_PROTO_TCP,
@@ -64,7 +64,8 @@ from repro.runtime import (
     equivalence_digest,
     rebatch_columns,
 )
-from repro.signatures import Signature, SplitPolicy, split_ruleset
+from repro.signatures import Signature, SplitPolicy, load_bundled_rules, split_ruleset
+from repro.streams import OverlapPolicy
 from repro.telemetry import TelemetryRegistry
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
@@ -120,10 +121,10 @@ def run_object_engine(rules, path, **ips_kw):
     return ips, per_packet_oracle(ips, read_trace(path))
 
 
-def run_columnar_engine(rules, path, **ips_kw):
+def run_columnar_engine(rules, path, batch_size=256, **ips_kw):
     ips = SplitDetectIPS(rules, **ips_kw)
     alerts = []
-    for batch in read_column_batches(path, batch_size=256):
+    for batch in read_column_batches(path, batch_size=batch_size):
         assert not batch.quarantined
         alerts.extend(ips.process_column_batch(batch))
     return ips, alerts
@@ -146,6 +147,59 @@ def backend_internals(fast_path) -> dict:
     }
 
 
+def slow_state(ips) -> dict:
+    """What the slow path (and every ensemble replica) ends a run holding."""
+
+    def held(path) -> dict:
+        normalizer = path.normalizer
+        live = normalizer.live_flows()
+        return {
+            "positions": {flow: normalizer.stream_positions(flow) for flow in live},
+            "buffered": {flow: normalizer.buffered_bytes_for(flow) for flow in live},
+            "state_bytes": path.state_bytes(),
+            "flows": (normalizer.flows_created, normalizer.flows_closed),
+            "defrag": (
+                normalizer.defragmenter.reassembled_total,
+                normalizer.defragmenter.evicted_total,
+            ),
+        }
+
+    return {
+        "slow": held(ips.slow_path),
+        "ensemble": [held(path) for path in ips.ensemble_paths],
+        "reinstated": ips.reinstated_flows,
+    }
+
+
+def assert_routes_agree(obj, obj_alerts, col, col_alerts) -> None:
+    """The per-packet engine and the batch-route engine ended identical."""
+    assert vars(obj.stats) == vars(col.stats)
+    assert obj_alerts == col_alerts
+    assert obj._diverted == col._diverted
+    assert obj.divert_reasons == col.divert_reasons
+    assert obj.fast_path.packets_processed == col.fast_path.packets_processed
+    assert obj.fast_path.bytes_scanned == col.fast_path.bytes_scanned
+    obj_flows = {
+        key: (state.expected_seq, state.last_seen)
+        for key, state in obj.fast_path._flows.items()
+    }
+    col_flows = {
+        key: (state.expected_seq, state.last_seen)
+        for key, state in col.fast_path._flows.items()
+    }
+    assert obj_flows == col_flows
+    assert slow_state(obj) == slow_state(col)
+
+
+def catalog_attack(name: str) -> list[TimedPacket]:
+    return build_attack(
+        name,
+        attack_payload(600),
+        signature_span=(SIGNATURE_OFFSET, len(ATTACK_SIGNATURE)),
+        seed=3,
+    )
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("linktype", [LINKTYPE_RAW_IP, LINKTYPE_ETHERNET])
     @pytest.mark.parametrize("small_windows", [False, True])
@@ -153,23 +207,104 @@ class TestEngineParity:
         path = mixed_pcaps[linktype]
         rules = attack_ruleset()
         obj, obj_alerts = run_object_engine(rules, path)
-        with decode_windows(small_windows):
-            col, col_alerts = run_columnar_engine(rules, path)
-        assert vars(obj.stats) == vars(col.stats)
-        assert obj_alerts == col_alerts
-        assert obj._diverted == col._diverted
-        assert obj.divert_reasons == col.divert_reasons
-        assert obj.fast_path.packets_processed == col.fast_path.packets_processed
-        assert obj.fast_path.bytes_scanned == col.fast_path.bytes_scanned
-        obj_flows = {
-            key: (state.expected_seq, state.last_seen)
-            for key, state in obj.fast_path._flows.items()
-        }
-        col_flows = {
-            key: (state.expected_seq, state.last_seen)
-            for key, state in col.fast_path._flows.items()
-        }
-        assert obj_flows == col_flows
+        for batch_size in (1, 7, 256):
+            with decode_windows(small_windows):
+                col, col_alerts = run_columnar_engine(rules, path, batch_size)
+            assert_routes_agree(obj, obj_alerts, col, col_alerts)
+        assert col.stats.slow_packets and slow_state(col)["slow"]["defrag"][0]
+        assert col.reinstated_flows and col.slow_path.normalizer.flows_closed
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_every_catalog_strategy_under_every_policy(self, name):
+        """Slow-path parity where the slow path does the work: each
+        evasion, under each overlap policy with the rest as an ensemble,
+        at three batch sizes (a short probation, so flows also return)."""
+        packets = catalog_attack(name)
+        rules = attack_ruleset()
+        for policy in OverlapPolicy:
+            kw = dict(
+                overlap_policy=policy,
+                ensemble_policies=tuple(OverlapPolicy),
+                probation_packets=2,
+            )
+            obj = SplitDetectIPS(rules, **kw)
+            obj_alerts = per_packet_oracle(obj, packets)
+            for batch_size in (1, 7, 256):
+                col = SplitDetectIPS(rules, **kw)
+                col_alerts = []
+                for batch in encode_batches(packets, batch_size):
+                    col_alerts.extend(col.process_column_batch(batch))
+                assert_routes_agree(obj, obj_alerts, col, col_alerts)
+
+    def test_slow_path_keeps_no_view_of_a_batch_buffer(self):
+        """Held reassembly chunks, history, fragment pieces and matcher
+        carries are copies: a view would pin the decode window."""
+        rules = load_bundled_rules()
+        rules.add(Signature(sid=5001, pattern=ATTACK_SIGNATURE, msg="test attack", dst_port=80))
+        # Two attacks cut short, so a reordered segment and a fragment
+        # are still parked when the state is inspected.
+        packets = mixed_trace() + [
+            packet
+            for i, name in enumerate(["tcp_reorder", "ip_frag_reorder"])
+            for packet in build_attack(
+                name, attack_payload(), src=f"10.66.2.{i + 1}", seed=3
+            )[:-1]
+        ]
+        ips = SplitDetectIPS(rules, ensemble_policies=(OverlapPolicy.FIRST,))
+        for batch in encode_batches(packets, 7):
+            ips.process_column_batch(batch)
+        held: dict[str, list] = {"chunks": [], "history": [], "pieces": [], "carry": []}
+        for path in [ips.slow_path, *ips.ensemble_paths]:
+            for state in path.normalizer._flows.values():
+                for reassembler in state.directions.values():
+                    held["chunks"] += reassembler._chunks
+                    held["history"].append(reassembler._history)
+            for partial in path.normalizer.defragmenter._partials.values():
+                held["pieces"] += [piece for _, piece in partial.pieces]
+            for _, full, suffix in path._matchers.values():
+                held["carry"] += [full.matcher.carry, suffix.carry]
+        assert all(held.values())
+        assert not [x for kind in held.values() for x in kind if isinstance(x, memoryview)]
+
+    def test_no_packet_object_is_parsed_for_a_well_formed_row(self, monkeypatch):
+        """The production route over the whole catalog: no IPv4 parse at
+        all, at most one TCP parse per completed datagram (the defragmented
+        one, decoded once), and no row materialized."""
+        packets = inject_attacks(
+            [],
+            [
+                build_attack(
+                    name,
+                    attack_payload(),
+                    signature_span=(SIGNATURE_OFFSET, len(ATTACK_SIGNATURE)),
+                    src=f"10.66.1.{i + 1}",
+                    seed=i,
+                )
+                for i, name in enumerate(sorted(STRATEGIES))
+            ],
+        )
+        batches = list(encode_batches(packets, 7))
+        assert all(batch.tok[row] for batch in batches for row in range(len(batch))
+                   if not batch.fragflags[row] & 0x3FFF)
+        calls = {"ip": 0, "tcp": 0}
+
+        def counting(key, parse):
+            def counted(cls, *args, **kwargs):
+                calls[key] += 1
+                return parse(*args, **kwargs)
+
+            return classmethod(counted)
+
+        monkeypatch.setattr(IPv4Packet, "parse", counting("ip", IPv4Packet.parse))
+        monkeypatch.setattr(TcpSegment, "parse", counting("tcp", TcpSegment.parse))
+        tel = TelemetryRegistry()
+        ips = SplitDetectIPS(attack_ruleset(), telemetry=tel)
+        alerts = [alert for batch in batches for alert in ips.process_column_batch(batch)]
+        assert alerts and ips.stats.slow_packets > len(STRATEGIES)
+        datagrams = ips.slow_path.normalizer.defragmenter.reassembled_total
+        assert datagrams > 0
+        assert calls == {"ip": 0, "tcp": calls["tcp"]} and calls["tcp"] <= datagrams
+        assert not any(value for _, value in tel.get("repro_ingest_materialized_total").samples())
 
     @pytest.mark.parametrize("small_windows", [False, True])
     def test_table_backend_parity(self, mixed_pcaps, small_windows):

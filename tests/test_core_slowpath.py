@@ -14,6 +14,7 @@ from repro.core import AlertKind, SplitDetectIPS, slowpath
 from repro.core.slowpath import SlowPath
 from repro.evasion import STRATEGIES, build_attack
 from repro.signatures import Signature, load_bundled_rules, split_ruleset
+from repro.packet import packet_fields
 from repro.telemetry import TelemetryRegistry
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
@@ -87,7 +88,7 @@ class TestRunningCounters:
         slow = SlowPath(split_ruleset(bundled_rules()))
         parked = 0
         for packet in trace:
-            slow.process(packet)
+            slow.process(*packet_fields(packet))
             check_counters(slow)
             parked = max(parked, slow.normalizer.buffered_bytes)
         assert parked > 0 and slow._matchers
@@ -103,7 +104,7 @@ class TestRunningCounters:
     def test_carry_is_counted_and_dies_with_the_entry(self, trace):
         slow = SlowPath(split_ruleset(bundled_rules()))
         for packet in build_attack("tcp_seg_8", attack_payload()):
-            slow.process(packet)
+            slow.process(*packet_fields(packet))
             check_counters(slow)
         sweep = slow._current.sweep
         assert sweep is not None

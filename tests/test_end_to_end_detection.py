@@ -127,15 +127,25 @@ def test_no_delivered_signature_goes_undetected(case, probation):
     victim.deliver_all(packets)
     if not victim.received(SIGNATURE):
         return  # the mutation corrupted the attack; nothing to assert
-    ips = SplitDetectIPS(
-        ruleset(),
-        split_policy=SplitPolicy(piece_length=8),
-        probation_packets=probation,
-    )
-    alerts = []
-    for packet in packets:
-        alerts.extend(ips.process(packet))
-    assert detected(alerts), "victim received the signature but no alert was raised"
+    # Both routes: process() per packet, and the encoded batch route the
+    # CLI, the runners and the ledger take, at two batch sizes.
+    for batch_size in (None, 1, 7):
+        ips = SplitDetectIPS(
+            ruleset(),
+            split_policy=SplitPolicy(piece_length=8),
+            probation_packets=probation,
+        )
+        alerts = []
+        if batch_size is None:
+            for packet in packets:
+                alerts.extend(ips.process(packet))
+        else:
+            for start in range(0, len(packets), batch_size):
+                alerts.extend(ips.process_batch(packets[start : start + batch_size]))
+        assert detected(alerts), (
+            f"victim received the signature but no alert was raised "
+            f"(batch size {batch_size})"
+        )
 
 
 @given(case=adversarial_delivery())

@@ -56,14 +56,19 @@ class TestBasicFlow:
         assert out2.chunks == [b"helloworld"]
 
     def test_non_tcp_packets_passed_through_as_datagrams(self):
-        from repro.packet import IPv4Packet
+        from repro.packet import IPv4Packet, UdpDatagram, build_udp_packet
 
         n = StreamNormalizer()
-        pkt = IPv4Packet(src="1.1.1.1", dst="2.2.2.2", protocol=17, payload=b"x" * 12)
+        pkt = build_udp_packet("1.1.1.1", "2.2.2.2", UdpDatagram(5353, 53, b"x" * 12))
         out = n.process(TimedPacket(0.0, pkt))
         assert out.chunks == []
-        assert out.datagram is pkt  # handed to the caller for UDP matching
+        assert out.flow == FlowKey("1.1.1.1", "2.2.2.2", 5353, 53, 17)
+        assert out.datagram == b"x" * 12  # handed to the caller for UDP matching
         assert n.active_flows == 0  # and no reassembly state was created
+        # A UDP header that does not decode names its flow, hands over nothing.
+        bad = IPv4Packet(src="1.1.1.1", dst="2.2.2.2", protocol=17, payload=b"x" * 12)
+        out = n.process(TimedPacket(0.0, bad))
+        assert out.flow is not None and out.datagram is None
 
 
 class TestFragmentsIntoStreams:
@@ -150,3 +155,43 @@ class TestAmbiguityDetection:
         n = StreamNormalizer(tiny_segment_threshold=16)
         out = n.process(tcp_packet(b"abc", seq=1000))
         assert StreamEvent.TINY_SEGMENT in [e.event for e in out.events]
+
+
+class TestStreamHints:
+    CLIENT = FlowKey("10.0.0.1", "10.0.0.2", 40000, 80)
+
+    def test_a_closed_flows_hint_does_not_anchor_a_reused_five_tuple(self):
+        """Hint the server direction, RST before it sends, reuse the
+        five-tuple with a new hint: the server's first bytes are the
+        stream start, not an out-of-order segment 114,456 bytes ahead."""
+        n = StreamNormalizer()
+        server = self.CLIENT.reversed()
+        n.hint_stream_start(server, 9000)
+        n.process(tcp_packet(b"hello", seq=500))
+        n.process(tcp_packet(b"", seq=505, flags=TCP_RST | TCP_ACK))
+        assert n.active_flows == 0
+        n.hint_stream_start(server, 123456)
+        n.process(tcp_packet(b"again", seq=700))
+        out = n.process(
+            tcp_packet(b"fourteen bytes", seq=123456, src="10.0.0.2", dst="10.0.0.1",
+                       sport=80, dport=40000)
+        )
+        assert out.chunks == [b"fourteen bytes"]
+        assert StreamEvent.OUT_OF_ORDER not in [record.event for record in out.events]
+
+    def test_hints_die_with_release_and_idle_eviction(self):
+        n = StreamNormalizer(idle_timeout=10.0)
+        n.hint_stream_start(self.CLIENT.reversed(), 9000)
+        n.process(tcp_packet(b"hello", seq=500))
+        n.release(self.CLIENT)
+        assert not n._start_hints
+        # A hint whose flow never sent anything goes at the next sweep.
+        n.hint_stream_start(self.CLIENT, 1)
+        n.hint_stream_start(self.CLIENT.reversed(), 2)
+        n.evict_idle(100.0)
+        assert not n._start_hints
+        # A live flow keeps its unused hint.
+        n.hint_stream_start(self.CLIENT.reversed(), 9000)
+        n.process(tcp_packet(b"hello", seq=500, ts=100.0))
+        n.evict_idle(101.0)
+        assert n._start_hints == {self.CLIENT.reversed(): 9000}

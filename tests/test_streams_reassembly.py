@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streams import OverlapPolicy, StreamEvent, TcpReassembler
+from repro.streams import (
+    OverlapPolicy,
+    StreamEvent,
+    StreamEventRecord,
+    TcpReassembler,
+    resolve_overlap,
+)
 
 
 def events_of(result):
@@ -302,3 +308,90 @@ def test_buffered_bytes_drain_to_zero(case, rng):
     assert r.buffered_bytes == 0
     assert r.pending_holes() == []
     assert r.delivered_total == len(data)
+
+
+class ByteLevelReassembler(TcpReassembler):
+    """Reference merge: occupancy and placement one byte at a time, the
+    way the merge was first written (the model the slice merge must
+    equal on every layout)."""
+
+    def _insert(self, rel, data, result):
+        end = rel + len(data)
+        lo = 0
+        while lo < len(self._starts) and self._starts[lo] + len(self._chunks[lo]) <= rel:
+            lo += 1
+        hi = lo
+        while hi < len(self._starts) and self._starts[hi] < end:
+            hi += 1
+        if lo == hi:
+            self._starts.insert(lo, rel)
+            self._chunks.insert(lo, data)
+            self._buffered += len(data)
+            return
+        merged_start = min(rel, self._starts[lo])
+        merged_end = max(end, self._starts[hi - 1] + len(self._chunks[hi - 1]))
+        merged = bytearray(merged_end - merged_start)
+        have = bytearray(merged_end - merged_start)
+        for start, chunk in zip(self._starts[lo:hi], self._chunks[lo:hi]):
+            for i, byte in enumerate(chunk):
+                merged[start - merged_start + i] = byte
+                have[start - merged_start + i] = 1
+        for start, chunk in zip(self._starts[lo:hi], self._chunks[lo:hi]):
+            ov_start, ov_end = max(start, rel), min(start + len(chunk), end)
+            if ov_start >= ov_end:
+                continue
+            old = bytes(chunk[ov_start - start : ov_end - start])
+            new = bytes(data[ov_start - rel : ov_end - rel])
+            result.events.append(
+                StreamEventRecord(
+                    StreamEvent.OVERLAP if old == new else StreamEvent.INCONSISTENT_OVERLAP,
+                    ov_start,
+                    ov_end - ov_start,
+                    detail=f"policy={self.policy.value}",
+                )
+            )
+            if resolve_overlap(self.policy, start, start + len(chunk), rel, end):
+                for i in range(ov_start, ov_end):
+                    merged[i - merged_start] = data[i - rel]
+        for i, byte in enumerate(data):
+            if not have[rel - merged_start + i]:
+                merged[rel - merged_start + i] = byte
+        self._buffered += len(merged) - sum(len(c) for c in self._chunks[lo:hi])
+        del self._starts[lo:hi]
+        del self._chunks[lo:hi]
+        self._starts.insert(lo, merged_start)
+        self._chunks.insert(lo, merged)
+
+
+@st.composite
+def overlap_layout(draw):
+    """Segments at random offsets and lengths over a short window (so
+    they overlap, abut, nest and straddle), each with its own fill, and
+    an origin that is sent last or never (keeping data parked)."""
+    segments = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        offset = draw(st.integers(min_value=1, max_value=60))
+        length = draw(st.integers(min_value=1, max_value=30))
+        fill = draw(st.sampled_from(b"abc"))
+        pattern = draw(st.booleans())
+        data = bytes((fill + i) % 256 for i in range(length)) if pattern else bytes([fill]) * length
+        segments.append((offset, data))
+    return segments, draw(st.booleans())
+
+
+@given(case=overlap_layout(), policy=st.sampled_from(list(OverlapPolicy)))
+@settings(max_examples=300, deadline=None)
+def test_slice_merge_equals_the_byte_level_model(case, policy):
+    segments, close_hole = case
+    fast = TcpReassembler(policy=policy, first_byte_seq=1000)
+    model = ByteLevelReassembler(policy=policy, first_byte_seq=1000)
+    if close_hole:
+        segments = segments + [(0, b"z")]
+    for offset, data in segments:
+        got = fast.add(1000 + offset, data)
+        want = model.add(1000 + offset, data)
+        assert got.events == want.events
+        assert got.delivered == want.delivered
+        assert fast._starts == model._starts
+        assert fast._chunks == model._chunks
+        assert fast.buffered_bytes == model.buffered_bytes

@@ -137,8 +137,12 @@ class SplitDetectIPS:
         self.overload_refusals = 0
         self._refused: set[FlowKey] = set()
         self.stats = EngineStats()
-        # Telemetry instruments, bound once.  Per-packet sites guard on
-        # ``_tel_on`` so the disabled engine never reads the clock.
+        # Telemetry.  What has no plain home -- stage timings, alerts,
+        # decode causes, ingest rows, evictions -- is observed where it
+        # happens, behind ``_tel_on`` so the disabled engine never reads
+        # the clock.  No routing site touches a family that mirrors a
+        # plain count: ``_publish`` adds what each count gained, once per
+        # call (``_mirrors`` is in the order of its ``counts`` tuple).
         tel = self.telemetry
         self._tel_on = tel.enabled
         # Self-profiler: top-N slowest flows per stage, fed from the same
@@ -160,24 +164,43 @@ class SplitDetectIPS:
         packets = tel.counter(
             "repro_engine_packets_total", "Packets routed, by path", ("path",)
         )
-        self._c_packets_fast = packets.labels(path="fast")
-        self._c_packets_slow = packets.labels(path="slow")
         bytes_total = tel.counter(
             "repro_engine_bytes_total",
             "Payload bytes examined, by path (fast = scanned per packet, "
             "slow = normalized stream bytes)",
             ("path",),
         )
-        self._c_bytes_fast = bytes_total.labels(path="fast")
-        self._c_bytes_slow = bytes_total.labels(path="slow")
         diversions = tel.counter(
             "repro_engine_diversions_total",
             "Flows handed to the slow path, by reason",
             ("reason",),
         )
-        self._c_diversions = {
-            reason: diversions.labels(reason=reason.value) for reason in DivertReason
-        }
+        self._mirrors = (
+            packets.labels(path="fast"),
+            packets.labels(path="slow"),
+            bytes_total.labels(path="fast"),
+            bytes_total.labels(path="slow"),
+            tel.counter(
+                "repro_engine_reinstated_flows_total",
+                "Diverted flows returned to the fast path after clean probation",
+            ),
+            tel.counter(
+                "repro_engine_overload_refusals_total",
+                "Diversions refused because the slow path was at capacity",
+            ),
+            tel.counter("repro_fastpath_packets_total", "Packets through the fast path"),
+            tel.counter(
+                "repro_fastpath_scanned_bytes_total",
+                "Payload bytes scanned by the fast-path automaton",
+            ),
+            tel.counter("repro_slowpath_packets_total", "Packets through the slow path"),
+            tel.counter(
+                "repro_slowpath_normalized_bytes_total",
+                "Reassembled-and-normalized stream bytes matched on the slow path",
+            ),
+            *(diversions.labels(reason=reason.value) for reason in DivertReason),
+        )
+        self._published = (0,) * len(self._mirrors)
         alerts_total = tel.counter(
             "repro_engine_alerts_total", "Alerts raised, by emitting path", ("path",)
         )
@@ -209,14 +232,6 @@ class SplitDetectIPS:
         self._flow_intern: dict[
             tuple[int, int, int, int, int], tuple[FlowKey, FlowKey]
         ] = {}
-        self._c_reinstated = tel.counter(
-            "repro_engine_reinstated_flows_total",
-            "Diverted flows returned to the fast path after clean probation",
-        )
-        self._c_refusals = tel.counter(
-            "repro_engine_overload_refusals_total",
-            "Diversions refused because the slow path was at capacity",
-        )
         evictions = tel.counter(
             "repro_engine_evictions_total",
             "Idle per-flow records reclaimed by evict_idle, by path",
@@ -227,6 +242,11 @@ class SplitDetectIPS:
         self._g_diverted = tel.gauge(
             "repro_engine_diverted_flows",
             "Flows currently routed to the slow path",
+            merge="sum",
+        )
+        self._g_monitor = tel.gauge(
+            "repro_fastpath_monitor_entries",
+            "Flow directions currently occupying monitor entries",
             merge="sum",
         )
         self._g_state = tel.gauge(
@@ -340,41 +360,41 @@ class SplitDetectIPS:
         route's own steps: :meth:`_fragment` for a fragment, :meth:`_slow_route`
         for a diverted flow, else :meth:`FastPath.process` + :meth:`_settle_fast`."""
         t0 = perf_counter_ns() if self._tel_on else 0
-        ip = packet.ip
-        ts = packet.timestamp
-        transport = ip.protocol == IP_PROTO_TCP or ip.protocol == IP_PROTO_UDP
-        if transport and ip.is_fragment:
-            first = None if ip.fragment_offset else flow_key_of(ip)
-            return self._fragment(ip.fragment_header, ip.payload, ts, ip.ttl, first, t0)
-        flow = flow_key_of(ip) if transport else None
-        canonical = flow.canonical() if flow is not None else None
-        if canonical in self._diverted:
-            fields = transport_fields(ip)
-            return self._slow_route(flow, canonical, ts, ip.ttl, *fields, t0)
-        self.stats.packets_total += 1
-        self.stats.fast_packets += 1
-        if self._trace_enabled and flow is not None:
-            self.tracer.record(flow, "decode", "fast_route", ts)
-        before = self.fast_path.bytes_scanned
-        if self._tel_on:
-            t1 = perf_counter_ns()
-            self._stage_decode.observe(t1 - t0)
-        result = self.fast_path.process(packet)
-        scanned = self.fast_path.bytes_scanned - before
-        self.stats.fast_bytes_scanned += scanned
-        if self._tel_on:
-            fast_ns = perf_counter_ns() - t1
-            self._stage_fast.observe(fast_ns)
-            if self.profiler is not None and flow is not None:
-                self.profiler.note("fast_path", str(canonical), fast_ns)
-            self._c_packets_fast.inc()
-            self._c_bytes_fast.inc(scanned)
-        if result.decode_error is not None:
-            self.stats.decode_errors += 1
+        try:
+            ip = packet.ip
+            ts = packet.timestamp
+            transport = ip.protocol == IP_PROTO_TCP or ip.protocol == IP_PROTO_UDP
+            if transport and ip.is_fragment:
+                first = None if ip.fragment_offset else flow_key_of(ip)
+                return self._fragment(ip.fragment_header, ip.payload, ts, ip.ttl, first, t0)
+            flow = flow_key_of(ip) if transport else None
+            canonical = flow.canonical() if flow is not None else None
+            if canonical in self._diverted:
+                fields = transport_fields(ip)
+                return self._slow_route(flow, canonical, ts, ip.ttl, *fields, t0)
+            self.stats.packets_total += 1
+            self.stats.fast_packets += 1
+            if self._trace_enabled and flow is not None:
+                self.tracer.record(flow, "decode", "fast_route", ts)
+            before = self.fast_path.bytes_scanned
             if self._tel_on:
-                self._c_decode_errors.labels(cause=result.decode_error).inc()
-        fields = transport_fields(ip) if result.divert is not None else (0, 0, None)
-        return self._settle_fast(flow, canonical, result, ts, ip.ttl, *fields)
+                t1 = perf_counter_ns()
+                self._stage_decode.observe(t1 - t0)
+            result = self.fast_path.process(packet)
+            self.stats.fast_bytes_scanned += self.fast_path.bytes_scanned - before
+            if self._tel_on:
+                fast_ns = perf_counter_ns() - t1
+                self._stage_fast.observe(fast_ns)
+                if self.profiler is not None and flow is not None:
+                    self.profiler.note("fast_path", str(canonical), fast_ns)
+            if result.decode_error is not None:
+                self.stats.decode_errors += 1
+                if self._tel_on:
+                    self._c_decode_errors.labels(cause=result.decode_error).inc()
+            fields = transport_fields(ip) if result.divert is not None else (0, 0, None)
+            return self._settle_fast(flow, canonical, result, ts, ip.ttl, *fields)
+        finally:
+            self._publish()
 
     def _settle_fast(self, flow, canonical, result, ts, ttl, seq, flags, payload) -> list[Alert]:
         """Act on one fast-path result: book its alerts and, when it
@@ -417,8 +437,6 @@ class SplitDetectIPS:
             # Ablation variant: an IPS that ignores fragmentation lets
             # fragments through unexamined (and is evadable by them).
             self.stats.fast_packets += 1
-            if self._tel_on:
-                self._c_packets_fast.inc()
             return []
         if first is not None:
             if self._trace_enabled:
@@ -426,8 +444,6 @@ class SplitDetectIPS:
             if not self._divert(first, DivertReason.IP_FRAGMENT, ts):
                 # Overloaded: fail open, fragment passes unexamined.
                 self.stats.fast_packets += 1
-                if self._tel_on:
-                    self._c_packets_fast.inc()
                 return self._refusal_alert(first, ts)
             # The SYN (or any in-order data) already passed through the
             # fast path.
@@ -480,9 +496,9 @@ class SplitDetectIPS:
         because only the object parser can name its decode error.
 
         Telemetry deltas: the ``fast_path`` stage times only rows that
-        return a result (the sweep has its own stage), and the
-        monitor-occupancy gauge samples once per batch.  Both are
-        outside the equivalence digest.
+        return a result (the sweep has its own stage), and the mirrored
+        counters and occupancy gauges publish once per batch
+        (:meth:`_publish`).  Both are outside the equivalence digest.
         """
         fast = self.fast_path
         stats = self.stats
@@ -556,94 +572,92 @@ class SplitDetectIPS:
         alerts: list[Alert] = []
         # Per-batch stats accumulators: the slow-path helpers and process()
         # mutate the same fields directly, so these locals are folded in
-        # once after the loop (pure counters -- nothing reads them mid-batch).
+        # once, after the loop or when a row raises (pure counters --
+        # nothing reads them mid-batch).
         fast_add = 0
         fast_bytes_add = 0
-        for row in range(n):
-            p = proto_col[row]
-            if p != IP_PROTO_TCP and p != IP_PROTO_UDP:
-                # process() waves non-TCP/UDP packets through untouched;
-                # commit the counters without building the object.
-                fast_add += 1
-                fast.commit_passthrough_row()
-                if tel_on:
-                    self._c_packets_fast.inc()
-                continue
-            if frag_col[row] & 0x3FFF:
-                fragment, ip_payload = batch.fragment(row)
-                first = None if fragment[4] else intern_flow(batch, row)[0]
-                t0 = perf_counter_ns() if tel_on else 0
-                alerts.extend(
-                    self._fragment(fragment, ip_payload, ts_col[row], ttl_col[row], first, t0)
-                )
-                continue
-            flow, canonical = flows_by_row[row] or intern_flow(batch, row)
-            if canonical in diverted:
-                t0 = perf_counter_ns() if tel_on else 0
-                ts = ts_col[row]
-                ttl = ttl_col[row]
-                seq = seq_col[row]
+        try:
+            for row in range(n):
+                p = proto_col[row]
+                if p != IP_PROTO_TCP and p != IP_PROTO_UDP:
+                    # process() waves non-TCP/UDP packets through untouched;
+                    # commit the counters without building the object.
+                    fast_add += 1
+                    fast.packets_processed += 1
+                    continue
+                if frag_col[row] & 0x3FFF:
+                    fragment, ip_payload = batch.fragment(row)
+                    first = None if fragment[4] else intern_flow(batch, row)[0]
+                    t0 = perf_counter_ns() if tel_on else 0
+                    alerts.extend(
+                        self._fragment(fragment, ip_payload, ts_col[row], ttl_col[row], first, t0)
+                    )
+                    continue
+                flow, canonical = flows_by_row[row] or intern_flow(batch, row)
+                if canonical in diverted:
+                    t0 = perf_counter_ns() if tel_on else 0
+                    ts = ts_col[row]
+                    ttl = ttl_col[row]
+                    seq = seq_col[row]
+                    start = payoff_col[row]
+                    payload = view[start : start + paylen_col[row]] if tok_col[row] else None
+                    alerts.extend(
+                        self._slow_route(flow, canonical, ts, ttl, seq, flags_col[row], payload, t0)
+                    )
+                    continue
+                if not tok_col[row]:
+                    # The one row kind that builds a packet object: only
+                    # the object parser can name the error of a transport
+                    # header the columns just flag.
+                    alerts.extend(self.process(batch.materialize(row)))
+                    if tel_on:
+                        self._c_materialized.labels(cause="decode_error").inc()
+                    continue
+                hits = hits_by_row[row]
+                plen = paylen_col[row]
                 start = payoff_col[row]
-                payload = view[start : start + paylen_col[row]] if tok_col[row] else None
-                alerts.extend(
-                    self._slow_route(flow, canonical, ts, ttl, seq, flags_col[row], payload, t0)
+                if plen and automaton is not None:
+                    if hits is None:
+                        # Row not covered by the sweep (single-row batch, or
+                        # its flow was diverted then reinstated mid-batch):
+                        # scan here.
+                        hits = automaton.find_all(bytes(view[start : start + plen]))
+                    fast_bytes_add += plen
+                fast_add += 1
+                ts = ts_col[row]
+                if trace_enabled:
+                    tracer.record(flow, "decode", "fast_route", ts)
+                if tel_on:
+                    t1 = perf_counter_ns()
+                result = process_columns(
+                    flow,
+                    hits,
+                    p,
+                    plen,
+                    flags_col[row],
+                    ttl_col[row],
+                    seq_col[row],
+                    ts,
+                    view[start : start + plen] if hits else None,
                 )
-                continue
-            if not tok_col[row]:
-                # The one row kind that builds a packet object: only
-                # the object parser can name the error of a transport
-                # header the columns just flag.
-                alerts.extend(self.process(batch.materialize(row)))
-                if tel_on:
-                    self._c_materialized.labels(cause="decode_error").inc()
-                continue
-            hits = hits_by_row[row]
-            plen = paylen_col[row]
-            start = payoff_col[row]
-            if plen and automaton is not None:
-                if hits is None:
-                    # Row not covered by the sweep (single-row batch, or
-                    # its flow was diverted then reinstated mid-batch):
-                    # scan here.
-                    hits = automaton.find_all(bytes(view[start : start + plen]))
-                fast_bytes_add += plen
-                if tel_on:
-                    self._c_bytes_fast.inc(plen)
-            fast_add += 1
-            ts = ts_col[row]
-            if trace_enabled:
-                tracer.record(flow, "decode", "fast_route", ts)
-            if tel_on:
-                self._c_packets_fast.inc()
-                t1 = perf_counter_ns()
-            result = process_columns(
-                flow,
-                hits,
-                p,
-                plen,
-                flags_col[row],
-                ttl_col[row],
-                seq_col[row],
-                ts,
-                view[start : start + plen] if hits else None,
-            )
-            if result is not None:
-                if tel_on:
-                    fast_ns = perf_counter_ns() - t1
-                    self._stage_fast.observe(fast_ns)
-                    if self.profiler is not None:
-                        self.profiler.note("fast_path", str(canonical), fast_ns)
-                ttl = ttl_col[row]
-                seq = seq_col[row]
-                flags = flags_col[row]
-                payload = view[start : start + plen]
-                alerts.extend(
-                    self._settle_fast(flow, canonical, result, ts, ttl, seq, flags, payload)
-                )
-        stats.packets_total += fast_add
-        stats.fast_packets += fast_add
-        stats.fast_bytes_scanned += fast_bytes_add
-        fast.finish_column_batch()
+                if result is not None:
+                    if tel_on:
+                        fast_ns = perf_counter_ns() - t1
+                        self._stage_fast.observe(fast_ns)
+                        if self.profiler is not None:
+                            self.profiler.note("fast_path", str(canonical), fast_ns)
+                    ttl = ttl_col[row]
+                    seq = seq_col[row]
+                    flags = flags_col[row]
+                    payload = view[start : start + plen]
+                    alerts.extend(
+                        self._settle_fast(flow, canonical, result, ts, ttl, seq, flags, payload)
+                    )
+        finally:
+            stats.packets_total += fast_add
+            stats.fast_packets += fast_add
+            stats.fast_bytes_scanned += fast_bytes_add
+            self._publish()
         if tel_on:
             self._c_ingest_rows.inc(n)
             self._c_ingest_batches.inc()
@@ -722,7 +736,6 @@ class SplitDetectIPS:
         ):
             self.overload_refusals += 1
             if self._tel_on:
-                self._c_refusals.inc()
                 self.telemetry.journal.record(
                     "engine",
                     "overload_refusal",
@@ -750,8 +763,6 @@ class SplitDetectIPS:
         self.divert_reasons[reason] += 1
         self.stats.diversions += 1
         if self._tel_on:
-            self._c_diversions[reason].inc()
-            self._g_diverted.set(len(self._diverted))
             self.telemetry.journal.record(
                 "engine",
                 "divert",
@@ -797,8 +808,6 @@ class SplitDetectIPS:
             self._stage_slow.observe(slow_ns)
             if self.profiler is not None and flow is not None:
                 self.profiler.note("slow_path", str(canonical), slow_ns)
-            self._c_packets_slow.inc()
-            self._c_bytes_slow.inc(self.slow_path.bytes_normalized - before)
             if alerts:
                 self._c_alerts_slow.inc(len(alerts))
         if alerts and self._trace_enabled:
@@ -821,8 +830,6 @@ class SplitDetectIPS:
                 # the same five-tuple starts fresh on the fast path.
                 self._diverted.discard(canonical)
                 self._probation.pop(canonical, None)
-                if tel_on:
-                    self._g_diverted.set(len(self._diverted))
                 if self._trace_enabled:
                     self.tracer.record(canonical, "engine", "flow_closed", ts)
             elif canonical in self._probation:
@@ -857,8 +864,6 @@ class SplitDetectIPS:
             path.release_flow(canonical)
         self.reinstated_flows += 1
         if self._tel_on:
-            self._c_reinstated.inc()
-            self._g_diverted.set(len(self._diverted))
             self.telemetry.journal.record(
                 "engine", "reinstate", flow=str(canonical)
             )
@@ -899,7 +904,6 @@ class SplitDetectIPS:
                 self._c_evict_fast.inc(fast_evicted)
             if slow_evicted:
                 self._c_evict_slow.inc(slow_evicted)
-            self._g_diverted.set(len(self._diverted))
             if fast_evicted or slow_evicted:
                 self.telemetry.journal.record(
                     "engine",
@@ -916,14 +920,49 @@ class SplitDetectIPS:
                 fast_evicted=fast_evicted,
                 slow_evicted=slow_evicted,
             )
+        self._publish()
         return fast_evicted + slow_evicted
 
     # -- telemetry -------------------------------------------------------
 
-    def refresh_telemetry(self) -> None:
-        """Sample every point-in-time gauge across both paths.
+    def _publish(self) -> None:
+        """Add to each mirroring family what its plain count gained since
+        this engine last published (engines sharing a registry still sum),
+        and set the two occupancy gauges.  Runs at the end of
+        :meth:`process` and :meth:`process_column_batch` (in a ``finally``:
+        a row that raises leaves no lag) and of :meth:`evict_idle`; never
+        from :meth:`refresh_telemetry`, which the live-scrape thread calls.
+        """
+        if not self._tel_on:
+            return
+        stats = self.stats
+        fast = self.fast_path
+        slow = self.slow_path
+        counts = (
+            stats.fast_packets,
+            stats.slow_packets,
+            stats.fast_bytes_scanned,
+            stats.slow_bytes_normalized,
+            self.reinstated_flows,
+            self.overload_refusals,
+            fast.packets_processed,
+            fast.bytes_scanned,
+            slow.packets_processed,
+            slow.bytes_normalized,
+            *map(self.divert_reasons.__getitem__, DivertReason),
+        )
+        for counter, count, published in zip(self._mirrors, counts, self._published):
+            if count != published:
+                counter.inc(count - published)
+        self._published = counts
+        self._g_diverted.set(len(self._diverted))
+        self._g_monitor.set(fast.tracked_flows)
 
-        The O(flows) gauges (state bytes, occupancy) are sampled here
+    def refresh_telemetry(self) -> None:
+        """Sample the point-in-time gauges across both paths (the two
+        occupancy gauges publish with the counters, :meth:`_publish`).
+
+        The O(flows) gauges (state bytes, slow-path flows) are sampled here
         rather than per packet; the run harness calls this at its state
         sampling points and once more before exporting.  The state-ratio
         gauge compares *peak-so-far* Split-Detect state against what a
@@ -944,7 +983,6 @@ class SplitDetectIPS:
         self._g_state.labels(component="fast").set(fast_state)
         self._g_state.labels(component="slow").set(slow_state)
         self._g_state.labels(component="ensemble").set(ensemble_state)
-        self._g_diverted.set(len(self._diverted))
         total_bytes = self.stats.fast_bytes_scanned + self.stats.slow_bytes_normalized
         self._g_div_frac.set(
             self.stats.slow_bytes_normalized / total_bytes if total_bytes else 0.0

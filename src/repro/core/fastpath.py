@@ -191,22 +191,16 @@ class FastPath:
             )
         else:
             raise ValueError(f"unknown state backend: {backend!r}")
-        # Counters the evaluation reads.
+        # Counters the evaluation reads; the engine publishes them (and
+        # the monitor occupancy) to the registry (SplitDetectIPS._publish).
         self.packets_processed = 0
         self.bytes_scanned = 0
-        # Telemetry: instruments are bound once here; per-packet sites
-        # are guarded on ``_tel_on`` so a disabled run never pays more
-        # than the boolean check.
+        # Telemetry with no plain home (anomaly causes, payload sizes,
+        # evictions): bound once here, observed behind ``_tel_on`` so a
+        # disabled run never pays more than the boolean check.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         tel = self.telemetry
         self._tel_on = tel.enabled
-        self._c_packets = tel.counter(
-            "repro_fastpath_packets_total", "Packets through the fast path"
-        )
-        self._c_bytes = tel.counter(
-            "repro_fastpath_scanned_bytes_total",
-            "Payload bytes scanned by the fast-path automaton",
-        )
         anomaly = tel.counter(
             "repro_fastpath_anomaly_total",
             "Fast-path anomaly triggers by cause (per triggering packet)",
@@ -226,11 +220,6 @@ class FastPath:
             ("kind",),
         )
         self._c_evict_idle = self._c_evictions.labels(kind="idle")
-        self._g_monitor = tel.gauge(
-            "repro_fastpath_monitor_entries",
-            "Flow directions currently occupying monitor entries",
-            merge="sum",
-        )
         self._g_state = tel.gauge(
             "repro_fastpath_state_bytes",
             "Fast-path per-flow state footprint (provisioned when fixed-table)",
@@ -318,7 +307,7 @@ class FastPath:
         return self._flows.sketch_snapshot()
 
     def refresh_telemetry(self) -> None:
-        """Sample the point-in-time gauges (occupancy, state, AC stats).
+        """Sample the point-in-time gauges (state, AC stats).
 
         Gauges that would cost O(flows) per packet are sampled here
         instead of inline; callers (the run harness, the CLI exporter)
@@ -326,7 +315,6 @@ class FastPath:
         """
         if not self._tel_on:
             return
-        self._g_monitor.set(len(self._flows))
         self._g_state.set(self.state_bytes())
         self._g_table_evictions.set(self.table_evictions)
         if isinstance(self._flows, SketchBackend):
@@ -407,9 +395,6 @@ class FastPath:
         :class:`FastPathResult` for the rest.
         """
         self.packets_processed += 1
-        tel_on = self._tel_on
-        if tel_on:
-            self._c_packets.inc()
         result: FastPathResult | None = None
         expected: int | None = None
         tcp = proto == IP_PROTO_TCP
@@ -465,8 +450,7 @@ class FastPath:
                 self._flows.put(flow, state)
         if plen and self.automaton is not None:
             self.bytes_scanned += plen
-            if tel_on:
-                self._c_bytes.inc(plen)
+            if self._tel_on:
                 self._h_payload.observe(plen)
             if hits:
                 result = self._resolve_hits(flow, hits, payload, ts, result)
@@ -474,7 +458,7 @@ class FastPath:
             # Snapshotted before this packet advanced it: where in-order
             # delivery stood when the decision was made.
             result.flow_expected_seq = expected
-            if tel_on and result.divert is not None:
+            if self._tel_on and result.divert is not None:
                 self._c_anomaly[result.divert].inc()
         if tcp:
             if result is not None:
@@ -557,8 +541,6 @@ class FastPath:
                     packet.timestamp,
                     payload,
                 )
-                if self._tel_on:
-                    self._g_monitor.set(len(self._flows))
                 return result or FastPathResult()
         elif transport and self.config.divert_fragments:
             result = FastPathResult(divert=DivertReason.IP_FRAGMENT)
@@ -566,22 +548,8 @@ class FastPath:
                 self._c_anomaly[DivertReason.IP_FRAGMENT].inc()
         else:
             result = FastPathResult()
-        self.commit_passthrough_row()
-        return result
-
-    def commit_passthrough_row(self) -> None:
-        """Account one packet the fast path waves through unexamined
-        (not TCP/UDP, a fragment, an undecodable transport header): the
-        packet counter moves, nothing else does."""
         self.packets_processed += 1
-        if self._tel_on:
-            self._c_packets.inc()
-
-    def finish_column_batch(self) -> None:
-        """Batch-end gauge sample (`process` samples per packet; the
-        batch loop samples once, landing on the same final value)."""
-        if self._tel_on:
-            self._g_monitor.set(len(self._flows))
+        return result
 
     def expected_seq(self, flow: FlowKey) -> int | None:
         """The monitor's next expected sequence number for one direction.
@@ -622,7 +590,6 @@ class FastPath:
         count = self._flows.evict_idle(now, idle_timeout)
         if count and self._tel_on:
             self._c_evict_idle.inc(count)
-            self._g_monitor.set(len(self._flows))
         return count
 
     def live_flows(self) -> set[FlowKey]:

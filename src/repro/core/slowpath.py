@@ -150,18 +150,12 @@ class SlowPath:
             FlowKey, tuple[_MatcherSet, StreamMatchState, DualStreamMatcher | None]
         ] = {}
         self._matcher_bytes = 0  # running sum of the entries' state_bytes
+        # Counters the engine publishes to the registry (SplitDetectIPS._publish).
         self.packets_processed = 0
         self.bytes_normalized = 0
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         tel = self.telemetry
         self._tel_on = tel.enabled
-        self._c_packets = tel.counter(
-            "repro_slowpath_packets_total", "Packets through the slow path"
-        )
-        self._c_bytes = tel.counter(
-            "repro_slowpath_normalized_bytes_total",
-            "Reassembled-and-normalized stream bytes matched on the slow path",
-        )
         self._c_evictions = tel.counter(
             "repro_slowpath_evictions_total", "Idle diverted flows reclaimed"
         )
@@ -253,8 +247,6 @@ class SlowPath:
         """Run one diverted-flow packet, as decoded fields, through the
         conventional pipeline (the arguments of ``StreamNormalizer.feed``)."""
         self.packets_processed += 1
-        if self._tel_on:
-            self._c_packets.inc()
         output = self.normalizer.feed(flow, canonical, ts, ttl, seq, flags, payload, fragment)
         alerts: list[Alert] = []
         flow = output.flow
@@ -300,8 +292,6 @@ class SlowPath:
         if matcher.empty:
             return []
         self.bytes_normalized += len(payload)
-        if self._tel_on:
-            self._c_bytes.inc(len(payload))
         return [
             Alert(
                 kind=AlertKind.SIGNATURE,
@@ -316,8 +306,6 @@ class SlowPath:
 
     def _match(self, flow: FlowKey, chunk: bytes, timestamp: float) -> list[Alert]:
         self.bytes_normalized += len(chunk)
-        if self._tel_on:
-            self._c_bytes.inc(len(chunk))
         entry = self._matchers.get(flow)
         if entry is None:
             # New stream state binds to the *current* matcher set; it

@@ -108,10 +108,12 @@ class Piece:
 class SplitSignature:
     """A signature split for fast-path detection.
 
-    Invariants (enforced at construction, proven sufficient in
-    ``repro.theory``): pieces are contiguous, non-overlapping, cover the
-    pattern from ``start_offset`` to its end, each has at least
-    ``piece_length`` bytes, and there are at least three of them.
+    Invariants (enforced at construction; they are the precondition of
+    THEORY.md's theorem, ``repro.theory``): the pieces are contiguous
+    and non-overlapping, each has at least ``piece_length`` (``p``)
+    bytes, they cover the pattern from ``start_offset`` to its end, and
+    there are exactly ``k = (L - start_offset) // p >= 3`` of them.  No
+    upper bound on a piece's length is needed (the proof uses none).
     ``small_packet_threshold`` is ``2 * piece_length``: the fast path
     diverts flows carrying smaller non-final data packets, which is
     exactly what makes the pigeonhole argument go through.
@@ -126,26 +128,32 @@ class SplitSignature:
     piece_length: int
 
     def __post_init__(self) -> None:
+        sid = self.signature.sid
         if len(self.pieces) < 3:
             raise ValueError(
-                f"sid {self.signature.sid}: split produced {len(self.pieces)} "
+                f"sid {sid}: split produced {len(self.pieces)} "
                 "pieces; the detection theorem requires at least 3"
             )
         cursor = self.pieces[0].offset
         for piece in self.pieces:
             if piece.offset != cursor:
-                raise ValueError(
-                    f"sid {self.signature.sid}: pieces are not contiguous "
-                    f"(gap at offset {cursor})"
-                )
+                raise ValueError(f"sid {sid}: pieces are not contiguous (gap at offset {cursor})")
             if len(piece.data) < self.piece_length:
                 raise ValueError(
-                    f"sid {self.signature.sid}: piece {piece.index} is "
+                    f"sid {sid}: piece {piece.index} is "
                     f"{len(piece.data)} bytes, below p={self.piece_length}"
                 )
             cursor += len(piece.data)
-        if cursor > len(self.signature.pattern):
-            raise ValueError(f"sid {self.signature.sid}: pieces overrun the pattern")
+        length = len(self.signature.pattern)
+        if cursor != length:
+            raise ValueError(f"sid {sid}: pieces end at {cursor}, not at the pattern end {length}")
+        covered = length - self.pieces[0].offset
+        if len(self.pieces) != covered // self.piece_length:
+            raise ValueError(
+                f"sid {sid}: {len(self.pieces)} pieces over {covered} covered bytes; "
+                f"the theorem needs k = {covered} // p={self.piece_length} = "
+                f"{covered // self.piece_length}"
+            )
 
     @property
     def small_packet_threshold(self) -> int:

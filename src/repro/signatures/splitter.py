@@ -1,8 +1,9 @@
 """Signature splitting -- the prerequisite of Split-Detect.
 
 Splitting turns an exact-string signature of length ``L`` into
-``k = floor(L / p)`` contiguous pieces, each between ``p`` and ``2p - 1``
-bytes.  Together with the fast path's rule "divert any flow whose
+``k = floor(L / p)`` contiguous pieces covering it to its end, each at
+least ``p`` bytes (``SplitSignature`` checks exactly these invariants;
+the theorem needs no upper bound on a piece).  Together with the fast path's rule "divert any flow whose
 non-final data packet carries fewer than ``B = 2p`` payload bytes", the
 pigeonhole argument of ``repro.theory`` guarantees that an undiverted,
 in-order, non-overlapping flow delivering the signature must place at
@@ -10,9 +11,10 @@ least one piece wholly inside one packet, where a per-packet matcher sees
 it.  ``k >= 3`` is required: with two pieces a pair of boundaries can cut
 both (see the theorem's tightness test).
 
-When a :class:`ByteFrequencyModel` is supplied, internal split points are
-nudged (within the slack the length constraints allow) so that the most
-common piece is as rare as possible, reducing benign fast-path hits.
+The even split gives pieces of ``p`` to ``2p - 1`` bytes.  When a
+:class:`ByteFrequencyModel` is supplied, internal split points are nudged
+(pieces stay between ``p`` and ``3p`` bytes) so that the most common
+piece is as rare as possible, reducing benign fast-path hits.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ class SplitPolicy:
     """With a background model, allow piece coverage to begin past a
     benign-looking pattern prefix ("GET /", "MAIL FROM", ...).  The
     theorem's counting argument runs over the covered span, so skipping
-    is sound as long as at least three pieces of ``piece_length`` remain
-    (the splitter re-verifies with ``find_evading_boundaries``-style
-    counting at construction via ``SplitSignature`` validation)."""
+    is sound as long as at least three pieces of ``piece_length`` remain;
+    the splitter never skips more than leaves three, and
+    ``SplitSignature`` rejects a split whose ``k`` is not
+    ``(L - start) // p``."""
 
     prefix_skip_limit: int = 16
     """Most prefix bytes the splitter may skip."""
@@ -165,10 +168,8 @@ def _optimize(
                 if candidate == best[i]:
                     continue
                 trial = best[:i] + [candidate] + best[i + 1 :]
-                # Lengths must stay below 2p - 1?  No: only >= p is required
-                # for soundness; the upper bound comes from k = floor(L/p),
-                # which fixing the boundary count already guarantees on
-                # average.  Still, cap at 3p to keep pieces scan-friendly.
+                # Only >= p is required for soundness (with k and the
+                # endpoints fixed); the 3p cap keeps pieces scan-friendly.
                 if any(
                     trial[j + 1] - trial[j] > 3 * p for j in (i - 1, i)
                 ):

@@ -81,6 +81,33 @@ class TestPieceAndSplit:
         with pytest.raises(ValueError):
             self.make_split([0, 8, 16, 20, 24])  # 4-byte pieces below p=8
 
+    @staticmethod
+    def pieces_of(sig, bounds):
+        return tuple(
+            Piece(signature=sig, index=i, offset=bounds[i],
+                  data=sig.pattern[bounds[i]:bounds[i + 1]])
+            for i in range(len(bounds) - 1)
+        )
+
+    def test_fewer_pieces_than_the_theorem_counts_rejected(self):
+        from repro.theory import find_evading_boundaries
+
+        # 36 bytes at p=4 is k = 9 pieces.  Three 12-byte pieces satisfy
+        # every other invariant, yet boundaries B = 8 apart cut them all.
+        sig = Signature(sid=9, pattern=bytes(range(65, 101)))
+        pieces = self.pieces_of(sig, [0, 12, 24, 36])
+        unchecked = SplitSignature.__new__(SplitSignature)
+        for name, value in (("signature", sig), ("pieces", pieces), ("piece_length", 4)):
+            object.__setattr__(unchecked, name, value)
+        assert find_evading_boundaries(unchecked) == [1, 13, 25]
+        with pytest.raises(ValueError, match="k = 36 // p=4 = 9"):
+            SplitSignature(signature=sig, pieces=pieces, piece_length=4)
+
+    def test_pieces_short_of_the_pattern_end_rejected(self):
+        sig = Signature(sid=9, pattern=bytes(range(65, 91)))  # 26 bytes, k = 3 at p=8
+        with pytest.raises(ValueError, match="not at the pattern end 26"):
+            SplitSignature(signature=sig, pieces=self.pieces_of(sig, [0, 8, 16, 24]), piece_length=8)
+
 
 class TestRuleSet:
     def test_by_sid(self):

@@ -181,6 +181,35 @@ class TestSplitRuleSet:
         assert len(split.udp_whole) == 8
         assert all(s.protocol == "udp" for s in split.udp_whole)
 
+    @pytest.mark.parametrize("trained", [False, True], ids=["no_model", "trained_skip"])
+    def test_every_bundled_signature_splits_under_the_theorem(self, trained):
+        import random
+
+        from repro.theory import find_evading_boundaries
+        from repro.traffic import benign_payload
+
+        rules = load_bundled_rules()
+        policy, model = SplitPolicy(), None
+        if trained:
+            policy = SplitPolicy(skip_common_prefix=True)
+            model = ByteFrequencyModel()
+            rng = random.Random(99)
+            for _ in range(30):
+                model.train(benign_payload(rng, 4000))
+        # Construction validates the theorem's precondition, so every
+        # split below satisfies it; only the deliberately short
+        # signatures are set aside.
+        split = split_ruleset(rules, policy, model)
+        assert {s.sid for s in split.unsplittable} == {
+            s.sid
+            for s in rules
+            if s.protocol != "udp" and len(s) // 3 < policy.min_piece_length
+        }
+        for piece_split in split.splits.values():
+            assert find_evading_boundaries(piece_split) is None
+        if trained:
+            assert any(s.start_offset > 0 for s in split.splits.values())
+
     def test_global_threshold(self):
         rules = RuleSet()
         rules.add(sig(b"x" * 40, sid=1))

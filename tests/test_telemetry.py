@@ -4,18 +4,23 @@ Covers the contracts DESIGN.md's Telemetry section promises: Prometheus
 ``le`` bucket-edge semantics, label declaration/binding, bounded journal
 arithmetic, idempotent registration, exporter round-trips, the no-op
 registry, and -- at the engine level -- that per-packet and batched
-intake produce identical counters and that ``evict_idle`` returns what
-the eviction counters record.
+intake produce identical counters, that every family mirroring a plain
+count is published from it (never incremented per row), and that
+``evict_idle`` returns what the eviction counters record.
 """
 
 import json
 import re
+import sys
 
 import pytest
 
 from helpers import attack_payload, attack_ruleset, counter_state, signature_span
-from repro.core import ConventionalIPS, NaivePacketIPS, SplitDetectIPS
+from repro.core import ConventionalIPS, DivertReason, NaivePacketIPS, SplitDetectIPS
+from repro.core.slowpath import SlowPath
 from repro.evasion import build_attack
+from repro.packet import IPv4Packet, PacketError, TimedPacket
+from repro.pcap.columnar import encode_batches
 from repro.signatures import SplitPolicy
 from repro.telemetry import (
     JOURNAL_CAPACITY,
@@ -24,11 +29,13 @@ from repro.telemetry import (
     EventJournal,
     NullRegistry,
     TelemetryRegistry,
+    registry,
     summarize,
     to_json,
     to_prometheus,
     write_telemetry,
 )
+from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
 
 class TestCounter:
@@ -481,6 +488,149 @@ class TestEngineTelemetry:
         packets_after_first = tel.get("repro_engine_packets_total").value
         second.process_batch(trace)
         assert tel.get("repro_engine_packets_total").value == 2 * packets_after_first
+
+
+#: Every registry family that mirrors a plain count: (name, labels, count).
+MIRRORED = [
+    ("repro_engine_packets_total", {"path": "fast"}, lambda ips: ips.stats.fast_packets),
+    ("repro_engine_packets_total", {"path": "slow"}, lambda ips: ips.stats.slow_packets),
+    ("repro_engine_bytes_total", {"path": "fast"}, lambda ips: ips.stats.fast_bytes_scanned),
+    ("repro_engine_bytes_total", {"path": "slow"}, lambda ips: ips.stats.slow_bytes_normalized),
+    ("repro_engine_reinstated_flows_total", {}, lambda ips: ips.reinstated_flows),
+    ("repro_engine_overload_refusals_total", {}, lambda ips: ips.overload_refusals),
+    ("repro_fastpath_packets_total", {}, lambda ips: ips.fast_path.packets_processed),
+    ("repro_fastpath_scanned_bytes_total", {}, lambda ips: ips.fast_path.bytes_scanned),
+    ("repro_slowpath_packets_total", {}, lambda ips: ips.slow_path.packets_processed),
+    ("repro_slowpath_normalized_bytes_total", {}, lambda ips: ips.slow_path.bytes_normalized),
+] + [
+    (
+        "repro_engine_diversions_total",
+        {"reason": reason.value},
+        lambda ips, reason=reason: ips.divert_reasons[reason],
+    )
+    for reason in DivertReason
+]
+
+
+def assert_published(tel, engines, last):
+    """Each mirroring family reads the sum of its plain count over the
+    engines sharing ``tel``; the occupancy gauges read ``last``'s."""
+    for name, labels, count in MIRRORED:
+        metric = tel.get(name)
+        value = metric.value_for(**labels) if labels else metric.value
+        assert value == sum(count(ips) for ips in engines), (name, labels)
+    assert tel.get("repro_engine_diverted_flows").value == last.diverted_flow_count
+    assert tel.get("repro_fastpath_monitor_entries").value == last.fast_path.tracked_flows
+
+
+def eventful_trace():
+    """Benign flows with reordering and retransmission (probation and
+    reinstatement), three catalog attacks (tiny segments, fragments),
+    and one TCP header too short to decode -- the ``tok == 0`` row that
+    builds a packet object -- in the second half."""
+    trace = generate_trace(
+        TrafficProfile(flows=40, reorder_rate=0.05, retransmit_rate=0.02), seed=2006
+    )
+    attacks = [
+        build_attack(name, attack_payload(), signature_span=signature_span(),
+                     src=f"10.66.0.{i + 1}", seed=i)
+        for i, name in enumerate(["tcp_seg_8", "ip_frag_8", "stealth_segments"])
+    ]
+    trace = inject_attacks(trace, attacks)
+    at = 3 * len(trace) // 4
+    broken = IPv4Packet("10.9.9.12", "10.0.0.2", payload=b"x" * 10)
+    return trace[:at] + [TimedPacket(trace[at].timestamp, broken)] + trace[at:]
+
+
+def mirror_ips(telemetry, **kwargs):
+    return SplitDetectIPS(
+        attack_ruleset(),
+        split_policy=SplitPolicy(piece_length=8),
+        probation_packets=2,
+        telemetry=telemetry,
+        **kwargs,
+    )
+
+
+class TestPublishedCounters:
+    def test_row_loop_makes_no_counter_inc(self, monkeypatch):
+        callers: list[str] = []
+        for cls in (registry.Counter, registry._BoundCounter):
+
+            def counting(self, amount=1, _inc=cls.inc):
+                callers.append(sys._getframe(1).f_code.co_name)
+                _inc(self, amount)
+
+            monkeypatch.setattr(cls, "inc", counting)
+        clean = TrafficProfile(
+            flows=30, reorder_rate=0, retransmit_rate=0, tiny_rate=0,
+            small_segment_rate=0, fragment_rate=0, udp_fraction=0,
+        )
+        trace = generate_trace(clean, seed=7)
+        ips = mirror_ips(TelemetryRegistry())
+        for rows in (16, 512):
+            (batch,) = encode_batches(trace[:rows], rows)
+            trace = trace[rows:]
+            callers.clear()
+            ips.process_column_batch(batch)
+            # Only the batch-end ingest pair and the publish step count.
+            assert sorted(set(callers)) == ["_publish", "process_column_batch"]
+            assert callers.count("process_column_batch") == 2
+            assert callers.count("_publish") <= len(MIRRORED)
+        assert ips.stats.fast_bytes_scanned > 0
+        assert ips.stats.diversions == ips.stats.slow_packets == 0
+
+    def test_published_families_equal_plain_counts_after_every_call(self):
+        trace = eventful_trace()
+        tel = TelemetryRegistry()
+        wide, tight = mirror_ips(tel), mirror_ips(tel, slow_capacity_flows=3)
+        engines = (wide, tight)
+        half = len(trace) // 2
+        assert_published(tel, engines, wide)
+        for ips in engines:
+            for packet in trace[:40]:
+                ips.process(packet)
+                assert_published(tel, engines, ips)
+            ips.process_batch(trace[40:half])
+            assert_published(tel, engines, ips)
+            for batch in encode_batches(trace[half:], 64):
+                ips.process_column_batch(batch)
+                assert_published(tel, engines, ips)
+            assert ips.evict_idle(now=1e9) > 0
+            assert_published(tel, engines, ips)
+        # Every family moved: the equalities above are not 0 == 0.
+        assert tight.overload_refusals > 0
+        assert wide.reinstated_flows > 0 and tight.reinstated_flows > 0
+        assert len(wide.divert_reasons) >= 3
+        assert wide.stats.decode_errors == tight.stats.decode_errors == 1
+        assert all(ips.stats.slow_packets and ips.stats.fast_packets for ips in engines)
+
+    @pytest.mark.parametrize("route", ["packet", "batch"])
+    def test_a_row_that_raises_leaves_no_lag(self, monkeypatch, route):
+        process = SlowPath.process
+        calls = [0]
+
+        def flaky(self, *args):
+            calls[0] += 1
+            if calls[0] == 25:
+                raise PacketError("injected mid-batch")
+            return process(self, *args)
+
+        monkeypatch.setattr(SlowPath, "process", flaky)
+        trace = eventful_trace()
+        tel = TelemetryRegistry()
+        ips = mirror_ips(tel)
+        with pytest.raises(PacketError, match="injected"):
+            if route == "packet":
+                for packet in trace:
+                    ips.process(packet)
+            else:
+                (batch,) = encode_batches(trace, len(trace))
+                ips.process_column_batch(batch)
+        assert_published(tel, [ips], ips)
+        # The rows before the raise are folded into the engine's counts.
+        assert ips.stats.fast_packets == ips.fast_path.packets_processed > 0
+        assert ips.stats.fast_bytes_scanned == ips.fast_path.bytes_scanned > 0
 
 
 class TestRegistryMerge:

@@ -26,7 +26,7 @@ from ..packet import (
     flow_key_of,
     transport_fields,
 )
-from ..packet.batch import PacketBatch, ip_u32_to_str
+from ..packet.batch import _INTERN_CAP, PacketBatch, ip_u32_to_str
 from ..pcap.columnar import encode_batches
 from ..signatures import ByteFrequencyModel, RuleSet, SplitPolicy, split_ruleset
 from ..streams import FLOW_OVERHEAD_BYTES, OverlapPolicy
@@ -228,7 +228,7 @@ class SplitDetectIPS:
         )
         # Columnar flow interning: numeric five-tuple -> (FlowKey,
         # canonical), so string formatting is paid once per flow.  Bounded
-        # like the batch-module caches: cleared wholesale at capacity.
+        # by the batch-module caches' cap: cleared wholesale at capacity.
         self._flow_intern: dict[
             tuple[int, int, int, int, int], tuple[FlowKey, FlowKey]
         ] = {}
@@ -521,7 +521,14 @@ class SplitDetectIPS:
         intern_flow = self._intern_flow
         process_columns = fast.process_columns
         hits_by_row: list[list[tuple[int, int]] | None] = [None] * n
-        flows_by_row: list[tuple[FlowKey, FlowKey] | None] = [None] * n
+        # Every row's interned (flow, canonical) in one C-level pass; a
+        # row that missed (None) calls _intern_flow where it needs a key.
+        flows_by_row: list[tuple[FlowKey, FlowKey] | None] = list(
+            map(
+                self._flow_intern.get,
+                zip(batch.src, batch.dst, batch.sport, batch.dport, proto_col),
+            )
+        )
         if automaton is not None and n > 1:
             t0 = perf_counter_ns() if tel_on else 0
             off_col = batch.off
@@ -539,7 +546,9 @@ class SplitDetectIPS:
                     and tok_col[row]
                     and (plen := paylen_col[row])
                 ):
-                    keys = flows_by_row[row] = intern_flow(batch, row)
+                    keys = flows_by_row[row]
+                    if keys is None:
+                        keys = flows_by_row[row] = intern_flow(batch, row)
                     if keys[1] not in diverted:
                         slots.append(row)
                         nbytes += plen
@@ -587,7 +596,9 @@ class SplitDetectIPS:
                     continue
                 if frag_col[row] & 0x3FFF:
                     fragment, ip_payload = batch.fragment(row)
-                    first = None if fragment[4] else intern_flow(batch, row)[0]
+                    first = None
+                    if not fragment[4]:
+                        first = (flows_by_row[row] or intern_flow(batch, row))[0]
                     t0 = perf_counter_ns() if tel_on else 0
                     alerts.extend(
                         self._fragment(fragment, ip_payload, ts_col[row], ttl_col[row], first, t0)
@@ -669,7 +680,9 @@ class SplitDetectIPS:
         self._flow_intern.clear()
 
     def _intern_flow(self, batch: PacketBatch, row: int) -> tuple[FlowKey, FlowKey]:
-        """(flow, canonical) for a row, interned by numeric five-tuple."""
+        """(flow, canonical) for a row, interned by numeric five-tuple
+        (:meth:`process_column_batch` looks every row up at once and
+        calls this only on a miss)."""
         key = (
             batch.src[row],
             batch.dst[row],
@@ -679,7 +692,7 @@ class SplitDetectIPS:
         )
         entry = self._flow_intern.get(key)
         if entry is None:
-            if len(self._flow_intern) >= 65536:
+            if len(self._flow_intern) >= _INTERN_CAP:
                 self._flow_intern.clear()
             flow = FlowKey(
                 ip_u32_to_str(key[0]), ip_u32_to_str(key[1]), key[2], key[3], key[4]

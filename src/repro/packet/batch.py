@@ -37,10 +37,12 @@ tcpflags     ``B``      TCP flag byte (0 for UDP / undecodable)
 pay_off      ``Q``      offset of the transport payload in :attr:`buffer`
 pay_len      ``I``      transport payload length (post snaplen check)
 tok          ``B``      1 when the transport header decoded cleanly
-flow_hash    ``Q``      FNV-1a of the port-less canonical flow key
-                        (:func:`~repro.runtime.sharding.shard_key_bytes`
-                        spelling; 0 for non-TCP/UDP rows)
 ===========  =========  ====================================================
+
+No column carries a flow hash: the one-shard engine never needs one,
+and the two readers that do -- :meth:`PacketBatch.shard_rows` at more
+than one shard, :meth:`~repro.service.shedding.LoadShedder.shed_rows`
+while shedding -- ask the intern-cached :func:`portless_flow_hash`.
 
 ``tok == 0`` marks rows whose transport header would make
 ``decode_tcp`` / ``UdpDatagram.parse`` raise; the engine materializes
@@ -85,7 +87,6 @@ _COLUMNS: tuple[tuple[str, str], ...] = (
     ("pay_off", "Q"),
     ("pay_len", "I"),
     ("tok", "B"),
-    ("flow_hash", "Q"),
 )
 
 _COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
@@ -187,7 +188,6 @@ class PacketBatch:
     pay_off: "array[int]"
     pay_len: "array[int]"
     tok: "array[int]"
-    flow_hash: "array[int]"
 
     def __init__(
         self,
@@ -339,8 +339,10 @@ class PacketBatch:
         Non-TCP/UDP rows pin to shard 0 (they carry no flow state, so
         placement only needs to be deterministic); fragments hash the
         port-less address pair; everything else follows the router's
-        policy.  The port-less hash comes straight off the precomputed
-        :attr:`flow_hash` column.
+        policy.  Hashes come from the intern caches behind
+        :func:`portless_flow_hash` / ``_tuple5_flow_hash`` (the port-less
+        ones looked up for every row in one C-level pass), so a flow's FNV
+        pass is paid once, not once per row.
         """
         from ..runtime.sharding import ShardPolicy
 
@@ -352,16 +354,19 @@ class PacketBatch:
         tuple5 = router.policy is ShardPolicy.TUPLE5
         proto = self.proto
         fragflags = self.fragflags
-        flow_hash = self.flow_hash
+        src = self.src
+        dst = self.dst
+        portless = list(map(_PORTLESS_HASHES.get, zip(src, dst, proto)))
         for row in range(len(self)):
             p = proto[row]
             if p != IP_PROTO_TCP and p != IP_PROTO_UDP:
                 buckets[0].append(row)
             elif tuple5 and not (fragflags[row] & 0x3FFF):
                 digest = _tuple5_flow_hash(
-                    self.src[row], self.dst[row], self.sport[row], self.dport[row], p
+                    src[row], dst[row], self.sport[row], self.dport[row], p
                 )
                 buckets[digest % shards].append(row)
             else:
-                buckets[flow_hash[row] % shards].append(row)
+                digest = portless[row] or portless_flow_hash(src[row], dst[row], p)
+                buckets[digest % shards].append(row)
         return buckets

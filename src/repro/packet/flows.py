@@ -8,15 +8,21 @@ direction-insensitive form used when both directions share state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ip import IP_PROTO_TCP, IP_PROTO_UDP, IPv4Packet
 from .tcp import TcpSegment
 from .udp import decode_udp
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
-    """A directional five-tuple identifying one side of a conversation."""
+class FlowKey(NamedTuple):
+    """A directional five-tuple identifying one side of a conversation.
+
+    A tuple, so hashing and equality run in C: every state lookup on the
+    hot path hashes one.  It hashes like the plain tuple of its fields
+    and compares equal to it, so a key container must not mix the two
+    (none does), and an export writes ``str(flow)``, never the key.
+    """
 
     src: str
     dst: str

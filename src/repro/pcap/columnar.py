@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, BinaryIO
 import numpy as np
 
 from ..packet import EthernetFrame, IPv4Packet, PacketError, TimedPacket
-from ..packet.batch import PacketBatch, portless_flow_hash
+from ..packet.batch import PacketBatch
 from .format import (
     GLOBAL_HEADER_SIZE,
     LINKTYPE_ETHERNET,
@@ -377,23 +377,18 @@ class _RowDecoder:
         home = (np.cumsum(keep)[rejected] // self.batch_size).tolist()
         rows = slice(None) if keep.all() else keep
 
-        # Stored offsets cover the IP region, not the raw frame.  The
-        # flow-hash column is the one per-row computation left, and it is
-        # an intern-cache hit for all but a flow's first packet.
-        src_l = src[rows].tolist()
-        dst_l = dst[rows].tolist()
-        proto_l = proto[rows].tolist()
+        # Stored offsets cover the IP region, not the raw frame.
         window = PacketBatch.from_lists(
             self.data,
             {
                 "ts": np.asarray(ts_list, dtype=np.float64)[rows].tolist(),
                 "off": ip_off[rows].tolist(),
                 "caplen": ip_len[rows].tolist(),
-                "proto": proto_l,
+                "proto": proto[rows].tolist(),
                 "fragflags": fragflags[rows].tolist(),
                 "ttl": ttl[rows].tolist(),
-                "src": src_l,
-                "dst": dst_l,
+                "src": src[rows].tolist(),
+                "dst": dst[rows].tolist(),
                 "sport": sport[rows].tolist(),
                 "dport": dport[rows].tolist(),
                 "seq": seq[rows].tolist(),
@@ -401,12 +396,6 @@ class _RowDecoder:
                 "pay_off": pay_off[rows].tolist(),
                 "pay_len": pay_len[rows].tolist(),
                 "tok": tok[rows].astype(np.uint8).tolist(),
-                "flow_hash": [
-                    portless_flow_hash(s, d, p)
-                    if p == IP_PROTO_TCP or p == IP_PROTO_UDP
-                    else 0
-                    for s, d, p in zip(src_l, dst_l, proto_l)
-                ],
             },
         )
         size = self.batch_size

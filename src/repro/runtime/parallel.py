@@ -207,7 +207,7 @@ class ParallelRunner:
     def _split_buckets(self, batch: PacketBatch) -> Iterator[tuple[int, PacketBatch]]:
         """Yield non-empty ``(shard, bucket)`` pairs for one input batch.
 
-        Rows are routed off the precomputed hash columns and compacted
+        Rows are routed by :meth:`PacketBatch.shard_rows` and compacted
         (fresh buffer holding just the selected records) so a pickle to
         the worker never ships the whole capture file.
         """

@@ -84,9 +84,9 @@ def _shed_slot(flow: FlowKey) -> int:
     Port-less canonical key, same serialization discipline as the trace
     id and the fragment-safe shard policy: both directions and every IP
     fragment of a flow land on one slot, so a shed flow is shed wholly.
-    (The same hash :func:`~repro.packet.batch.portless_flow_hash` puts
-    in a batch's ``flow_hash`` column, which is what
-    :meth:`LoadShedder.shed_rows` reads.)
+    (The same hash :func:`~repro.packet.batch.portless_flow_hash`
+    computes from a batch row's address columns, which is what
+    :meth:`LoadShedder.shed_rows` calls.)
     """
     canonical = flow.canonical()
     return (
@@ -183,11 +183,12 @@ class LoadShedder:
     ) -> tuple[list[int], list[tuple[int, FlowKey]]]:
         """:meth:`should_shed` over batch rows: ``(kept, shed)``.
 
-        The slot comes off the precomputed ``flow_hash`` column, so a
-        flow key is only built for rows inside the shed space.  A
-        non-first fragment has no ports to name its flow and is always
-        kept.  Shed rows come back with their flow for the caller's
-        counters and trace spans.
+        The slot comes from the intern-cached
+        :func:`~repro.packet.batch.portless_flow_hash` of the row's
+        address columns, so a flow key is only built for rows inside the
+        shed space.  A non-first fragment has no ports to name its flow
+        and is always kept.  Shed rows come back with their flow for the
+        caller's counters and trace spans.
         """
         threshold = self._threshold()
         if threshold <= 0:
@@ -195,15 +196,12 @@ class LoadShedder:
         kept: list[int] = []
         shed: list[tuple[int, FlowKey]] = []
         fragflags = batch.fragflags
-        flow_hash = batch.flow_hash
         for row in rows:
             if fragflags[row] & 0x1FFF:
                 kept.append(row)
                 continue
             src, dst, proto = batch.src[row], batch.dst[row], batch.proto[row]
-            # The column is only filled for TCP/UDP rows.
-            digest = flow_hash[row] or portless_flow_hash(src, dst, proto)
-            if digest % _SHED_SCALE >= threshold:
+            if portless_flow_hash(src, dst, proto) % _SHED_SCALE >= threshold:
                 kept.append(row)
                 continue
             flow = FlowKey(

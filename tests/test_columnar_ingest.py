@@ -545,7 +545,7 @@ def assert_row_is(batch, row: int, ip: IPv4Packet) -> None:
     assert (batch.fragflags[row] & 0x1FFF) * 8 == ip.fragment_offset
     assert bool(batch.fragflags[row] & 0x2000) == ip.more_fragments
     if ip.protocol not in (IP_PROTO_TCP, IP_PROTO_UDP):
-        assert (batch.tok[row], batch.flow_hash[row]) == (0, 0)
+        assert batch.tok[row] == 0
         assert (batch.sport[row], batch.dport[row]) == (0, 0)
         return
     if not ip.fragment_offset:

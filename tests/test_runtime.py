@@ -15,7 +15,16 @@ import pytest
 
 from repro.core import SplitDetectIPS
 from repro.evasion import build_attack
-from repro.packet import FlowKey, IPv4Packet, TimedPacket, fragment
+from repro.packet import (
+    FlowKey,
+    IPv4Packet,
+    TcpSegment,
+    TimedPacket,
+    UdpDatagram,
+    build_tcp_packet,
+    build_udp_packet,
+    fragment,
+)
 from repro.runtime import (
     Backpressure,
     EngineSpec,
@@ -81,21 +90,23 @@ def test_shard_range_and_determinism():
     assert len(set(first)) == 4
 
 
+GOLDEN_FLOWS = [
+    FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6),
+    FlowKey("192.168.1.50", "8.8.8.8", 53211, 53, 17),
+    FlowKey("172.16.0.9", "172.16.0.10", 40000, 443, 6),
+    FlowKey("10.9.9.9", "10.0.0.2", 44000, 80, 6),
+    FlowKey("10.250.0.1", "10.0.0.2", 44000, 80, 6),
+]
+
+
 def test_golden_assignments_are_platform_stable():
     """Hard-coded FNV results: the hash must never drift across platforms,
     Python versions, or PYTHONHASHSEED -- shard layouts are part of the
     on-disk/benchmark contract."""
-    flows = [
-        FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6),
-        FlowKey("192.168.1.50", "8.8.8.8", 53211, 53, 17),
-        FlowKey("172.16.0.9", "172.16.0.10", 40000, 443, 6),
-        FlowKey("10.9.9.9", "10.0.0.2", 44000, 80, 6),
-        FlowKey("10.250.0.1", "10.0.0.2", 44000, 80, 6),
-    ]
     flow_router = ShardRouter(4, ShardPolicy.FLOW)
     tuple_router = ShardRouter(4, ShardPolicy.TUPLE5)
-    assert [flow_router.shard_of_flow(f) for f in flows] == [0, 2, 3, 2, 1]
-    assert [tuple_router.shard_of_flow(f) for f in flows] == [0, 2, 2, 2, 3]
+    assert [flow_router.shard_of_flow(f) for f in GOLDEN_FLOWS] == [0, 2, 3, 2, 1]
+    assert [tuple_router.shard_of_flow(f) for f in GOLDEN_FLOWS] == [0, 2, 2, 2, 3]
 
 
 def shards_of(router: ShardRouter, packets: list[IPv4Packet]) -> list[int]:
@@ -107,6 +118,41 @@ def shards_of(router: ShardRouter, packets: list[IPv4Packet]) -> list[int]:
         for row in rows
     }
     return [shard_by_row[row] for row in range(len(packets))]
+
+
+def golden_packets() -> list[IPv4Packet]:
+    """One packet per golden flow, then a non-first fragment of the last
+    flow's connection and an ICMP packet between the first flow's hosts."""
+    packets = []
+    for flow in GOLDEN_FLOWS:
+        if flow.protocol == 17:
+            datagram = UdpDatagram(flow.src_port, flow.dst_port, b"q")
+            packets.append(build_udp_packet(flow.src, flow.dst, datagram))
+        else:
+            segment = TcpSegment(src_port=flow.src_port, dst_port=flow.dst_port, seq=1)
+            packets.append(build_tcp_packet(flow.src, flow.dst, segment))
+    last = GOLDEN_FLOWS[-1]
+    segment = TcpSegment(src_port=last.src_port, dst_port=last.dst_port, payload=b"z" * 1200)
+    whole = build_tcp_packet(last.src, last.dst, segment, dont_fragment=False)
+    packets.append(fragment(whole, 600)[1])
+    packets.append(IPv4Packet(src="10.0.0.1", dst="10.0.0.2", protocol=1, payload=b"ping"))
+    return packets
+
+
+@pytest.mark.parametrize(
+    ("policy", "expected"),
+    [
+        (ShardPolicy.FLOW, [0, 2, 3, 2, 1, 1, 0]),
+        (ShardPolicy.TUPLE5, [0, 2, 2, 2, 3, 1, 0]),
+    ],
+)
+def test_golden_batch_row_placement(policy, expected):
+    """The runners' row routing (:meth:`PacketBatch.shard_rows`) lands the
+    golden flows where :meth:`ShardRouter.shard_of_flow` does, a non-first
+    fragment on its address pair's shard under either policy, and ICMP
+    on shard 0 -- hard-coded, so no change to how a row is hashed can
+    move a row unnoticed."""
+    assert shards_of(ShardRouter(4, policy), golden_packets()) == expected
 
 
 def test_shard_key_bytes_is_canonical():

@@ -22,11 +22,14 @@ from ..packet import (
     IP_PROTO_TCP,
     IP_PROTO_UDP,
     FlowKey,
+    FlowTuple,
     TimedPacket,
     flow_key_of,
+    flow_of_tuple,
     transport_fields,
+    tuple_of_flow,
 )
-from ..packet.batch import _INTERN_CAP, PacketBatch, ip_u32_to_str
+from ..packet.batch import PacketBatch
 from ..pcap.columnar import encode_batches
 from ..signatures import ByteFrequencyModel, RuleSet, SplitPolicy, split_ruleset
 from ..streams import FLOW_OVERHEAD_BYTES, OverlapPolicy
@@ -129,7 +132,10 @@ class SplitDetectIPS:
         RESOURCE alert records the degraded coverage.  None = unbounded
         (the evaluation default)."""
 
-        self._diverted: set[FlowKey] = set()
+        self._diverted: dict[FlowTuple, tuple[FlowKey, FlowKey]] = {}
+        """Both directions' numeric five-tuples of each diverted flow ->
+        that direction's ``(flow, canonical)``: one lookup routes a row."""
+        self._diverted_flows = 0  # flows, not entries (self-connections: 1)
         self._probation: dict[FlowKey, int] = {}
         self.diversions: list[Diversion] = []
         self.divert_reasons: Counter[DivertReason] = Counter()
@@ -226,12 +232,6 @@ class SplitDetectIPS:
             "(decode_error: only the object parser names the error)",
             ("cause",),
         )
-        # Columnar flow interning: numeric five-tuple -> (FlowKey,
-        # canonical), so string formatting is paid once per flow.  Bounded
-        # by the batch-module caches' cap: cleared wholesale at capacity.
-        self._flow_intern: dict[
-            tuple[int, int, int, int, int], tuple[FlowKey, FlowKey]
-        ] = {}
         evictions = tel.counter(
             "repro_engine_evictions_total",
             "Idle per-flow records reclaimed by evict_idle, by path",
@@ -283,11 +283,11 @@ class SplitDetectIPS:
     @property
     def diverted_flow_count(self) -> int:
         """Flows currently routed to the slow path."""
-        return len(self._diverted)
+        return self._diverted_flows
 
     def is_diverted(self, flow: FlowKey) -> bool:
         """True when the flow is currently on the slow path."""
-        return flow.canonical() in self._diverted
+        return tuple_of_flow(flow) in self._diverted
 
     # -- hot reload --------------------------------------------------------
 
@@ -342,7 +342,7 @@ class SplitDetectIPS:
                 ts=timestamp,
                 generation=self.rules_generation,
                 signatures=len(rules),
-                diverted_flows=len(self._diverted),
+                diverted_flows=self._diverted_flows,
             )
         if self._trace_enabled:
             self.tracer.record_system(
@@ -369,7 +369,7 @@ class SplitDetectIPS:
                 return self._fragment(ip.fragment_header, ip.payload, ts, ip.ttl, first, t0)
             flow = flow_key_of(ip) if transport else None
             canonical = flow.canonical() if flow is not None else None
-            if canonical in self._diverted:
+            if flow is not None and tuple_of_flow(flow) in self._diverted:
                 fields = transport_fields(ip)
                 return self._slow_route(flow, canonical, ts, ip.ttl, *fields, t0)
             self.stats.packets_total += 1
@@ -495,6 +495,12 @@ class SplitDetectIPS:
         header did not decode (``tok == 0``) builds a packet object,
         because only the object parser can name its decode error.
 
+        Rows are routed by their numeric five-tuples, zipped from the
+        columns in one C-level pass; a :class:`FlowKey` is built only
+        for a row that returns a fast-path result or a first fragment
+        (a trace span's flow string comes from the tracer's id cache),
+        and a diverted row's keys come from ``_diverted``.
+
         Telemetry deltas: the ``fast_path`` stage times only rows that
         return a result (the sweep has its own stage), and the mirrored
         counters and occupancy gauges publish once per batch
@@ -518,24 +524,16 @@ class SplitDetectIPS:
         seq_col = batch.seq
         view = batch.view
         automaton = fast.automaton
-        intern_flow = self._intern_flow
         process_columns = fast.process_columns
         hits_by_row: list[list[tuple[int, int]] | None] = [None] * n
-        # Every row's interned (flow, canonical) in one C-level pass; a
-        # row that missed (None) calls _intern_flow where it needs a key.
-        flows_by_row: list[tuple[FlowKey, FlowKey] | None] = list(
-            map(
-                self._flow_intern.get,
-                zip(batch.src, batch.dst, batch.sport, batch.dport, proto_col),
-            )
+        keys: list[FlowTuple] = list(
+            zip(batch.src, batch.dst, batch.sport, batch.dport, proto_col)
         )
         if automaton is not None and n > 1:
             t0 = perf_counter_ns() if tel_on else 0
             off_col = batch.off
             caplen_col = batch.caplen
             # Candidate rows: every payload the fast path would scan.
-            # Flow keys interned while gathering are kept for the row
-            # loop.
             slots: list[int] = []
             nbytes = 0
             for row in range(n):
@@ -545,13 +543,10 @@ class SplitDetectIPS:
                     and not (frag_col[row] & 0x3FFF)
                     and tok_col[row]
                     and (plen := paylen_col[row])
+                    and keys[row] not in diverted
                 ):
-                    keys = flows_by_row[row]
-                    if keys is None:
-                        keys = flows_by_row[row] = intern_flow(batch, row)
-                    if keys[1] not in diverted:
-                        slots.append(row)
-                        nbytes += plen
+                    slots.append(row)
+                    nbytes += plen
             # Batch sweep: one C-speed substring search per pattern over
             # the batch's record range.  Rows are in capture order, so
             # the range encloses every payload view, and a clear range
@@ -596,16 +591,15 @@ class SplitDetectIPS:
                     continue
                 if frag_col[row] & 0x3FFF:
                     fragment, ip_payload = batch.fragment(row)
-                    first = None
-                    if not fragment[4]:
-                        first = (flows_by_row[row] or intern_flow(batch, row))[0]
+                    first = None if fragment[4] else flow_of_tuple(keys[row])
                     t0 = perf_counter_ns() if tel_on else 0
                     alerts.extend(
                         self._fragment(fragment, ip_payload, ts_col[row], ttl_col[row], first, t0)
                     )
                     continue
-                flow, canonical = flows_by_row[row] or intern_flow(batch, row)
-                if canonical in diverted:
+                key = keys[row]
+                if key in diverted:
+                    flow, canonical = diverted[key]
                     t0 = perf_counter_ns() if tel_on else 0
                     ts = ts_col[row]
                     ttl = ttl_col[row]
@@ -637,11 +631,11 @@ class SplitDetectIPS:
                 fast_add += 1
                 ts = ts_col[row]
                 if trace_enabled:
-                    tracer.record(flow, "decode", "fast_route", ts)
+                    tracer.record(key, "decode", "fast_route", ts)
                 if tel_on:
                     t1 = perf_counter_ns()
                 result = process_columns(
-                    flow,
+                    key,
                     hits,
                     p,
                     plen,
@@ -652,6 +646,8 @@ class SplitDetectIPS:
                     view[start : start + plen] if hits else None,
                 )
                 if result is not None:
+                    flow = flow_of_tuple(key)
+                    canonical = flow.canonical()
                     if tel_on:
                         fast_ns = perf_counter_ns() - t1
                         self._stage_fast.observe(fast_ns)
@@ -673,33 +669,6 @@ class SplitDetectIPS:
             self._c_ingest_rows.inc(n)
             self._c_ingest_batches.inc()
         return alerts
-
-    def forget_interned_flows(self) -> None:
-        """Drop the numeric five-tuple -> ``FlowKey`` intern (flow state is
-        untouched; keys are rebuilt on the next row that needs them)."""
-        self._flow_intern.clear()
-
-    def _intern_flow(self, batch: PacketBatch, row: int) -> tuple[FlowKey, FlowKey]:
-        """(flow, canonical) for a row, interned by numeric five-tuple
-        (:meth:`process_column_batch` looks every row up at once and
-        calls this only on a miss)."""
-        key = (
-            batch.src[row],
-            batch.dst[row],
-            batch.sport[row],
-            batch.dport[row],
-            batch.proto[row],
-        )
-        entry = self._flow_intern.get(key)
-        if entry is None:
-            if len(self._flow_intern) >= _INTERN_CAP:
-                self._flow_intern.clear()
-            flow = FlowKey(
-                ip_u32_to_str(key[0]), ip_u32_to_str(key[1]), key[2], key[3], key[4]
-            )
-            entry = (flow, flow.canonical())
-            self._flow_intern[key] = entry
-        return entry
 
     def _hand_over(self, flow: FlowKey, expected: int | None) -> None:
         """Give a just-diverted flow's stream positions to the slow path
@@ -740,8 +709,8 @@ class SplitDetectIPS:
         self, flow: FlowKey, reason: DivertReason, timestamp: float, detail: str = ""
     ) -> bool:
         """Move a flow to the slow path; False when refused for capacity."""
-        canonical = flow.canonical()
-        if canonical in self._diverted:
+        key = tuple_of_flow(flow)
+        if key in self._diverted:
             return True
         if (
             self.slow_capacity_flows is not None
@@ -767,7 +736,10 @@ class SplitDetectIPS:
                     capacity=self.slow_capacity_flows,
                 )
             return False
-        self._diverted.add(canonical)
+        canonical = flow.canonical()
+        self._diverted[key] = (flow, canonical)
+        self._diverted[(key[1], key[0], key[3], key[2], key[4])] = (flow.reversed(), canonical)
+        self._diverted_flows += 1
         if self.probation_packets and reason in PROBATION_REASONS:
             self._probation[canonical] = self.probation_packets
         self.diversions.append(
@@ -838,16 +810,25 @@ class SplitDetectIPS:
                     sid=alert.sid,
                 )
         if canonical is not None:
-            if canonical in self._diverted and not self.slow_path.normalizer.is_live(canonical):
+            if not self.slow_path.normalizer.is_live(canonical):
                 # The connection ended on the slow path; a future flow with
                 # the same five-tuple starts fresh on the fast path.
-                self._diverted.discard(canonical)
-                self._probation.pop(canonical, None)
-                if self._trace_enabled:
+                if self._undivert(canonical) and self._trace_enabled:
                     self.tracer.record(canonical, "engine", "flow_closed", ts)
             elif canonical in self._probation:
                 self._tick_probation(canonical, alerts, ts)
         return alerts
+
+    def _undivert(self, canonical: FlowKey) -> bool:
+        """Return a flow to the fast path's routing (both directions,
+        and its probation); False when it was not diverted."""
+        key = tuple_of_flow(canonical)
+        if self._diverted.pop(key, None) is None:
+            return False
+        self._diverted.pop((key[1], key[0], key[3], key[2], key[4]), None)
+        self._diverted_flows -= 1
+        self._probation.pop(canonical, None)
+        return True
 
     def _tick_probation(
         self, canonical: FlowKey, alerts: list[Alert], timestamp: float
@@ -866,8 +847,7 @@ class SplitDetectIPS:
             return
         if not self.slow_path.safe_to_release(canonical):
             return  # re-check on the next packet
-        del self._probation[canonical]
-        self._diverted.discard(canonical)
+        self._undivert(canonical)
         for direction, expected in self.slow_path.release_flow(canonical).items():
             # Stamp the seed with the releasing packet's clock: a seeded
             # entry with last_seen=0 would look ancient and be reclaimed
@@ -905,13 +885,15 @@ class SplitDetectIPS:
             now, self.slow_path.normalizer.idle_timeout
         )
         slow_live = self.slow_path.normalizer.live_flows()
-        self._diverted &= slow_live
-        for canonical in [k for k in self._probation if k not in slow_live]:
-            del self._probation[canonical]
+        for canonical in {pair[1] for pair in self._diverted.values()} - slow_live:
+            self._undivert(canonical)
         # A refused (fail-open) flow lives on the fast path; it is dead
         # once neither path tracks it, and forgetting it re-arms the
         # once-per-flow RESOURCE alert for any future five-tuple reuse.
-        self._refused &= slow_live | self.fast_path.live_flows()
+        # (The fast path's live set is O(monitor entries): built only
+        # when there is a refusal to check against it.)
+        if self._refused:
+            self._refused &= slow_live | self.fast_path.live_flows()
         if self._tel_on:
             if fast_evicted:
                 self._c_evict_fast.inc(fast_evicted)
@@ -968,7 +950,7 @@ class SplitDetectIPS:
             if count != published:
                 counter.inc(count - published)
         self._published = counts
-        self._g_diverted.set(len(self._diverted))
+        self._g_diverted.set(self._diverted_flows)
         self._g_monitor.set(fast.tracked_flows)
 
     def refresh_telemetry(self) -> None:

@@ -23,12 +23,16 @@ from ..packet import (
     TCP_RST,
     TCP_SYN,
     FlowKey,
+    FlowTuple,
     TimedPacket,
     decode_tcp,
     decode_udp,
     flow_key_of,
+    flow_of_tuple,
+    ip_u32_to_str,
     seq_add,
     seq_diff,
+    tuple_of_flow,
 )
 from ..packet.errors import PacketError
 from ..signatures import Piece, Signature, SplitRuleSet
@@ -113,11 +117,12 @@ class FastPathConfig:
     exact hot-set entry (1 == promoted on first anomaly)."""
 
 
-def _flow_key_bytes(flow: FlowKey) -> bytes:
-    """Serialize a five-tuple for the hardware hash unit."""
-    return (
-        f"{flow.src}|{flow.dst}|{flow.src_port}|{flow.dst_port}|{flow.protocol}"
-    ).encode()
+def _flow_key_bytes(key: FlowTuple) -> bytes:
+    """Serialize a five-tuple for the hardware hash unit: the rendered
+    ``src|dst|sport|dport|proto`` of the :class:`FlowKey` it names, so
+    table buckets and sketch slots are those a FlowKey would hash to."""
+    src, dst, sport, dport, proto = key
+    return f"{ip_u32_to_str(src)}|{ip_u32_to_str(dst)}|{sport}|{dport}|{proto}".encode()
 
 
 #: How long a monitor entry may sit idle before :meth:`FastPath.evict_idle`
@@ -367,7 +372,7 @@ class FastPath:
 
     def process_columns(
         self,
-        flow: FlowKey,
+        key: FlowTuple,
         hits: list[tuple[int, int]] | None,
         proto: int,
         plen: int,
@@ -382,12 +387,16 @@ class FastPath:
         Scalars in, verdict out: the batch loop passes a row's column
         values (it already holds the column arrays as locals), and
         :meth:`process` passes the fields of a decoded packet object.
-        This is the one function where THEORY.md's rules R4 (TTL
-        floor), R1 (size), R2 (order) and R5 (piece) are decided and
-        the only one that advances or retires a monitor record: TTL
-        floor, one ``get``, size/order check, advance, one ``put``, hit
-        resolution, anomaly bookkeeping, RST/FIN teardown.  ``hits`` are
-        the automaton's matches for this payload (``None`` or empty:
+        ``key`` is the packet's numeric five-tuple, the monitor's state
+        key (a :class:`FlowKey` is built from it only to resolve a hit;
+        the tracer names its spans from its own cache).  This is the one
+        function where THEORY.md's rules R4 (TTL floor), R1 (size), R2
+        (order) and R5 (piece) are decided and the only one that
+        advances or retires a monitor record: TTL floor, one ``get``,
+        size/order check, advance in place (a ``put`` for a new record,
+        or where the backend needs the write-back), hit resolution,
+        anomaly bookkeeping, RST/FIN teardown.  ``hits`` are the
+        automaton's matches for this payload (``None`` or empty:
         none); ``payload`` is read only when ``hits`` is non-empty.
 
         Returns ``None`` for the clean majority -- nothing is allocated
@@ -407,8 +416,10 @@ class FastPath:
                     divert=DivertReason.TTL_FLOOR,
                     detail=f"ttl={ttl} < floor={config.min_ttl}",
                 )
-            state = self._flows.get(flow)
-            if state is None and (syn or plen):
+            flows = self._flows
+            state = flows.get(key)
+            found = state is not None
+            if not found and (syn or plen):
                 # (A pure ACK carries no stream evidence worth monitoring;
                 # an entry for it would let the final ACK of a FIN
                 # handshake resurrect an already-closed direction.)
@@ -443,17 +454,18 @@ class FastPath:
                     else:
                         # In order, midstream pickup, or order check off.
                         state.expected_seq = seq_add(seq, plen + fin)
-                # Write-back completes the read/mutate/write discipline: a
-                # no-op for the dict (same object), the LRU position ``get``
-                # already granted for the table, and the only persistence
-                # point for the sketch backend's cold slots.
-                self._flows.put(flow, state)
+                # Write-back: inserts a new record; for a found one, the
+                # LRU position ``get`` already granted for the table and
+                # the only persistence point for the sketch's cold slots.
+                # The dict's ``get`` returned the stored record: done.
+                if not (found and flows.updates_in_place):
+                    flows.put(key, state)
         if plen and self.automaton is not None:
             self.bytes_scanned += plen
             if self._tel_on:
                 self._h_payload.observe(plen)
             if hits:
-                result = self._resolve_hits(flow, hits, payload, ts, result)
+                result = self._resolve_hits(key, hits, payload, ts, result)
         if result is not None:
             # Snapshotted before this packet advanced it: where in-order
             # delivery stood when the decision was made.
@@ -465,13 +477,13 @@ class FastPath:
                 if result.divert is not None:
                     # Feed the per-flow anomaly counters: the sketch backend's
                     # promotion signal (exact backends ignore this).
-                    self._flows.record_anomaly(flow)
+                    self._flows.record_anomaly(key)
                 if self._trace_enabled:
                     if result.divert is not None:
                         # The detail string carries the expected/observed
                         # seq pair (or the ttl/size bound).
                         self.tracer.record(
-                            flow,
+                            key,
                             "fast",
                             "anomaly",
                             ts,
@@ -481,7 +493,7 @@ class FastPath:
                         )
                     if result.piece_hits:
                         self.tracer.record(
-                            flow,
+                            key,
                             "fast",
                             "piece_hit",
                             ts,
@@ -493,13 +505,13 @@ class FastPath:
                 # A reset tears down the whole connection: retire the monitor
                 # entries for *both* directions, or the reverse one lives on
                 # forever in the unbounded-table configuration.
-                self._flows.pop(flow, None)
-                self._flows.pop(flow.reversed(), None)
+                self._flows.pop(key, None)
+                self._flows.pop((key[1], key[0], key[3], key[2], key[4]), None)
             elif fin:
                 # A FIN only half-closes: the sender is done sending, so only
                 # the sender's direction entry is retired; the reverse
                 # direction keeps its monitor until its own FIN or RST.
-                self._flows.pop(flow, None)
+                self._flows.pop(key, None)
         return result
 
     def process(self, packet: TimedPacket) -> FastPathResult:
@@ -531,7 +543,7 @@ class FastPath:
                 if payload and self.automaton is not None:
                     hits = self.automaton.find_all(payload)
                 result = self.process_columns(
-                    flow_key_of(ip),
+                    tuple_of_flow(flow_key_of(ip)),
                     hits,
                     proto,
                     len(payload),
@@ -560,7 +572,7 @@ class FastPath:
         so it reads via :meth:`~repro.core.state.StateBackend.peek` and
         leaves LRU order and hit/miss accounting untouched.
         """
-        state = self._flows.peek(flow)
+        state = self._flows.peek(tuple_of_flow(flow))
         return state.expected_seq if state else None
 
     def seed_flow(self, flow: FlowKey, expected_seq: int, now: float = 0.0) -> None:
@@ -571,12 +583,13 @@ class FastPath:
         flow looks 300+ seconds idle and the very next
         :meth:`evict_idle` sweep reclaims it before the flow sends
         another packet."""
-        self._flows.put(flow, FlowState(expected_seq=expected_seq, last_seen=now))
+        self._flows.put(tuple_of_flow(flow), FlowState(expected_seq, now))
 
     def forget_flow(self, flow: FlowKey) -> None:
         """Drop monitor state for both directions (called after diversion)."""
-        self._flows.pop(flow, None)
-        self._flows.pop(flow.reversed(), None)
+        key = tuple_of_flow(flow)
+        self._flows.pop(key, None)
+        self._flows.pop((key[1], key[0], key[3], key[2], key[4]), None)
 
     def evict_idle(
         self, now: float, idle_timeout: float = FASTPATH_IDLE_TIMEOUT
@@ -593,14 +606,15 @@ class FastPath:
         return count
 
     def live_flows(self) -> set[FlowKey]:
-        """Canonical keys of flows currently holding monitor entries."""
-        return {flow.canonical() for flow, _ in self._flows.items()}
+        """Canonical keys of flows currently holding monitor entries
+        (O(entries), and builds each one's strings: a sweep-time call)."""
+        return {flow_of_tuple(key).canonical() for key, _ in self._flows.items()}
 
     # -- internals --------------------------------------------------------
 
     def _resolve_hits(
         self,
-        flow: FlowKey,
+        key: FlowTuple,
         hits: list[tuple[int, int]],
         payload: bytes | memoryview,
         timestamp: float,
@@ -609,6 +623,7 @@ class FastPath:
         """Turn one payload's automaton matches into piece hits, alerts
         and (rule R5) a divert; a hit whose signature does not apply to
         this flow leaves ``result`` as it came -- ``None`` included."""
+        flow = flow_of_tuple(key)
         for entry_id, _end in hits:
             entry = self._entries[entry_id]
             if isinstance(entry, Piece):

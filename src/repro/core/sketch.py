@@ -40,7 +40,7 @@ from array import array
 from typing import Callable, Iterator
 
 from ..hashing import fnv1a_64, mix64
-from ..packet import FlowKey
+from ..packet import FlowTuple
 from .state import FAST_FLOW_STATE_BYTES, FlowState
 
 __all__ = ["CountMinSketch", "SketchBackend"]
@@ -142,6 +142,8 @@ class SketchBackend:
     capacity -- and never grows with flow count.
     """
 
+    updates_in_place = False
+
     def __init__(
         self,
         slots: int = 1 << 17,
@@ -150,7 +152,7 @@ class SketchBackend:
         width: int = 1 << 14,
         depth: int = 4,
         promote_threshold: int = 1,
-        key_bytes: Callable[[FlowKey], bytes],
+        key_bytes: Callable[[FlowTuple], bytes],
     ) -> None:
         if slots <= 0 or slots & (slots - 1):
             raise ValueError(f"slots must be a power of two, got {slots}")
@@ -164,7 +166,7 @@ class SketchBackend:
         self._slots = array("Q", bytes(8 * slots))
         self._slot_mask = slots - 1
         # Insertion order doubles as LRU order: reads re-insert.
-        self._hot: dict[FlowKey, FlowState] = {}
+        self._hot: dict[FlowTuple, FlowState] = {}
         self._cms = CountMinSketch(width, depth)
         self._occupied = 0  # live cold slots (nonzero fingerprint)
         self.promotions = 0  # cold -> hot (sketch crossed threshold)
@@ -173,12 +175,12 @@ class SketchBackend:
         # One-entry hash memo: a packet touches the same flow several
         # times (get, put, record_anomaly), and the FNV pass over the
         # serialized five-tuple is the expensive part.
-        self._memo_key: FlowKey | None = None
+        self._memo_key: FlowTuple | None = None
         self._memo_hash = 0
 
     # -- hashing -----------------------------------------------------------
 
-    def _hash(self, flow: FlowKey) -> int:
+    def _hash(self, flow: FlowTuple) -> int:
         if flow == self._memo_key:
             return self._memo_hash
         value = fnv1a_64(self._key_bytes(flow))
@@ -234,20 +236,20 @@ class SketchBackend:
 
     # -- StateBackend ------------------------------------------------------
 
-    def get(self, flow: FlowKey) -> FlowState | None:
+    def get(self, flow: FlowTuple) -> FlowState | None:
         state = self._hot.pop(flow, None)
         if state is not None:
             self._hot[flow] = state  # LRU touch
             return state
         return self._read_slot(self._hash(flow))
 
-    def peek(self, flow: FlowKey) -> FlowState | None:
+    def peek(self, flow: FlowTuple) -> FlowState | None:
         state = self._hot.get(flow)
         if state is not None:
             return state
         return self._read_slot(self._hash(flow))
 
-    def put(self, flow: FlowKey, state: FlowState) -> None:
+    def put(self, flow: FlowTuple, state: FlowState) -> None:
         if flow in self._hot:
             self._hot.pop(flow)
             self._hot[flow] = state
@@ -258,7 +260,7 @@ class SketchBackend:
         else:
             self._write_slot(key_hash, state)
 
-    def _promote(self, flow: FlowKey, state: FlowState, key_hash: int) -> None:
+    def _promote(self, flow: FlowTuple, state: FlowState, key_hash: int) -> None:
         self._clear_slot(key_hash)  # no stale cold duplicate
         self._hot[flow] = state
         self.promotions += 1
@@ -268,7 +270,7 @@ class SketchBackend:
             self._write_slot(self._hash(victim), victim_state)
             self.demotions += 1
 
-    def pop(self, flow: FlowKey, default: FlowState | None = None) -> FlowState | None:
+    def pop(self, flow: FlowTuple, default: FlowState | None = None) -> FlowState | None:
         state = self._hot.pop(flow, None)
         if state is not None:
             return state
@@ -282,14 +284,14 @@ class SketchBackend:
         self._slots = array("Q", bytes(8 * (self._slot_mask + 1)))
         self._occupied = 0
 
-    def items(self) -> Iterator[tuple[FlowKey, FlowState]]:
+    def items(self) -> Iterator[tuple[FlowTuple, FlowState]]:
         """The exact (hot) records only: cold slots are keyless."""
         return iter(self._hot.items())
 
     def __len__(self) -> int:
         return len(self._hot) + self._occupied
 
-    def record_anomaly(self, flow: FlowKey) -> None:
+    def record_anomaly(self, flow: FlowTuple) -> None:
         self._cms.add(self._hash(flow))
 
     def evict_idle(self, now: float, idle_timeout: float) -> int:

@@ -16,13 +16,13 @@ lives is the paper's whole state argument, so the storage is pluggable:
   of a bounded false-divert rate (``benchmarks/bench_state_scale.py``
   measures it).
 
-:class:`FastPath` talks to all three through :class:`StateBackend` and
-follows a read/mutate/write-back discipline, all of it inside
-``FastPath.process_columns``: one ``get``, mutate the returned
-:class:`FlowState`, one ``put`` -- two touches per TCP packet, on the
-batch route and the per-packet route alike.  The write-back is a no-op
-for the dict, an LRU touch for the table, and the one chance a compact
-backend gets to persist the update.  ``peek`` is for passive probes
+:class:`FastPath` talks to all three through :class:`StateBackend`, keyed
+by the numeric five-tuple, all of it inside ``FastPath.process_columns``:
+one ``get``, mutate the returned :class:`FlowState`, one ``put`` where
+the backend owes it -- one touch per TCP packet on the dict, whose
+``get`` hands back the stored record (only a new one is ``put``), two on
+the table (an LRU touch) and the sketch (the one chance a cold slot gets
+to persist the update); the same on both routes.  ``peek`` is for passive probes
 only; its one product caller is ``FastPath.expected_seq`` (the
 diversion-time snapshot of a direction that did not just send).
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
-from ..packet import FlowKey
+from ..packet import FlowTuple
 from .flowtable import FlowTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sketch imports us)
@@ -67,32 +67,36 @@ class StateBackend(Protocol):
     plus the accounting hooks the telemetry and benchmarks read.
     """
 
-    def get(self, flow: FlowKey) -> FlowState | None:
+    updates_in_place: bool
+    """``get`` returns the stored record and nothing else is owed: a
+    found record needs no write-back ``put``."""
+
+    def get(self, flow: FlowTuple) -> FlowState | None:
         """Active read (the flow just sent a packet); may promote/LRU-touch."""
         ...
 
-    def peek(self, flow: FlowKey) -> FlowState | None:
+    def peek(self, flow: FlowTuple) -> FlowState | None:
         """Passive probe: no LRU promotion, no hit/miss accounting."""
         ...
 
-    def put(self, flow: FlowKey, state: FlowState) -> None:
+    def put(self, flow: FlowTuple, state: FlowState) -> None:
         """Write back a (possibly new) record after mutation."""
         ...
 
-    def pop(self, flow: FlowKey, default: FlowState | None = None) -> FlowState | None:
+    def pop(self, flow: FlowTuple, default: FlowState | None = None) -> FlowState | None:
         """Remove and return the record (dict-compatible default)."""
         ...
 
     def clear(self) -> None: ...
 
-    def items(self) -> Iterator[tuple[FlowKey, FlowState]]:
+    def items(self) -> Iterator[tuple[FlowTuple, FlowState]]:
         """Iterate the *exact* records (a compact backend yields only its
         hot set -- cold slots are keyless and self-recycling)."""
         ...
 
     def __len__(self) -> int: ...
 
-    def record_anomaly(self, flow: FlowKey) -> None:
+    def record_anomaly(self, flow: FlowTuple) -> None:
         """Note that this flow triggered a divert-worthy anomaly (feeds
         the sketch backend's promotion counters; exact backends ignore it)."""
         ...
@@ -139,12 +143,13 @@ class DictBackend(dict):  # type: ignore[type-arg]
     costs this backend nothing per packet.
     """
 
+    updates_in_place = True
     peek = dict.get  # a dict read has no side effects to suppress
 
-    def put(self, flow: FlowKey, state: FlowState) -> None:
+    def put(self, flow: FlowTuple, state: FlowState) -> None:
         self[flow] = state
 
-    def record_anomaly(self, flow: FlowKey) -> None:
+    def record_anomaly(self, flow: FlowTuple) -> None:
         return None
 
     def evict_idle(self, now: float, idle_timeout: float) -> int:
@@ -171,16 +176,18 @@ class TableBackend(FlowTable):  # type: ignore[type-arg]
     not perturb replacement order.
     """
 
+    updates_in_place = False
+
     def __init__(
         self,
         buckets: int,
         ways: int,
         *,
-        key_bytes: Callable[[FlowKey], bytes] | None = None,
+        key_bytes: Callable[[FlowTuple], bytes] | None = None,
     ) -> None:
         super().__init__(buckets, ways, key_bytes=key_bytes)
 
-    def record_anomaly(self, flow: FlowKey) -> None:
+    def record_anomaly(self, flow: FlowTuple) -> None:
         return None
 
     def evict_idle(self, now: float, idle_timeout: float) -> int:

@@ -5,7 +5,7 @@ parsing and serialization so that traces are real pcap artifacts and the
 evasion toolkit manipulates genuine wire images.
 """
 
-from .batch import PacketBatch, ip_u32_to_str
+from .batch import FlowTuple, PacketBatch, flow_of_tuple, ip_u32_to_str, tuple_of_flow
 from .checksum import internet_checksum, pseudo_header, verify_checksum
 from .errors import (
     ChecksumError,
@@ -52,6 +52,7 @@ __all__ = [
     "ETHERTYPE_IPV4",
     "EthernetFrame",
     "FlowKey",
+    "FlowTuple",
     "IP_PROTO_ICMP",
     "IP_PROTO_TCP",
     "IP_PROTO_UDP",
@@ -77,6 +78,7 @@ __all__ = [
     "decode_tcp",
     "flags_to_str",
     "flow_key_of",
+    "flow_of_tuple",
     "fragment",
     "internet_checksum",
     "ip_to_bytes",
@@ -88,5 +90,6 @@ __all__ = [
     "seq_add",
     "seq_diff",
     "transport_fields",
+    "tuple_of_flow",
     "verify_checksum",
 ]

@@ -39,6 +39,11 @@ pay_len      ``I``      transport payload length (post snaplen check)
 tok          ``B``      1 when the transport header decoded cleanly
 ===========  =========  ====================================================
 
+A row's flow identity is its :data:`FlowTuple`, zipped from the columns
+in C: the engine and the fast path's state key on it.  A ``FlowKey``
+(dotted-quad strings) is built by :func:`flow_of_tuple` only where a
+string is read, and nothing keeps one per flow seen.
+
 No column carries a flow hash: the one-shard engine never needs one,
 and the two readers that do -- :meth:`PacketBatch.shard_rows` at more
 than one shard, :meth:`~repro.service.shedding.LoadShedder.shed_rows`
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from socket import inet_aton
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..hashing import fnv1a_64
@@ -66,7 +72,8 @@ from .ip import IPv4Packet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..runtime.sharding import ShardRouter
 
-__all__ = ["PacketBatch", "forget_interned_flows", "ip_u32_to_str"]
+__all__ = ["FlowTuple", "PacketBatch", "flow_of_tuple", "forget_interned_flows",
+           "ip_u32_to_str", "tuple_of_flow"]
 
 IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
@@ -91,11 +98,15 @@ _COLUMNS: tuple[tuple[str, str], ...] = (
 
 _COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 
-# Bounded intern caches.  Flow identities repeat heavily (a trace has
-# far fewer flows than packets), so string formatting and FNV hashing
-# are paid once per flow, not once per packet.  Cleared wholesale at the
-# cap -- an adversarial many-flow trace degrades to cache misses, never
-# to unbounded memory.
+# Bounded intern caches, for the readers that still turn a row's
+# integers into strings or hashes: the shard router at more than one
+# shard and the load shedder (FNV of the port-less address pair), and
+# the few rows that build a FlowKey (dotted-quad strings).  The
+# one-shard engine's clean rows never reach them.  Flow identities
+# repeat heavily, so formatting and hashing are paid once per address
+# pair, not once per packet.  Cleared wholesale at the cap -- an
+# adversarial many-flow trace degrades to cache misses, never to
+# unbounded memory.
 _INTERN_CAP = 65536
 _PORTLESS_HASHES: dict[tuple[int, int, int], int] = {}
 _TUPLE5_HASHES: dict[tuple[int, int, int, int, int], int] = {}
@@ -108,6 +119,23 @@ def ip_u32_to_str(value: int) -> str:
         f"{(value >> 24) & 0xFF}.{(value >> 16) & 0xFF}."
         f"{(value >> 8) & 0xFF}.{value & 0xFF}"
     )
+
+
+#: A directional ``(src, dst, sport, dport, proto)`` as the columns carry
+#: it (integer addresses); never mixed with FlowKeys in one container.
+FlowTuple = tuple[int, int, int, int, int]
+
+
+def flow_of_tuple(key: FlowTuple) -> FlowKey:
+    """The :class:`FlowKey` a numeric five-tuple names."""
+    return FlowKey(ip_u32_to_str(key[0]), ip_u32_to_str(key[1]), key[2], key[3], key[4])
+
+
+def tuple_of_flow(flow: FlowKey) -> FlowTuple:
+    """The numeric five-tuple of a :class:`FlowKey` (its inverse)."""
+    src = int.from_bytes(inet_aton(flow.src), "big")
+    dst = int.from_bytes(inet_aton(flow.dst), "big")
+    return (src, dst, flow.src_port, flow.dst_port, flow.protocol)
 
 
 def portless_flow_hash(src: int, dst: int, proto: int) -> int:
@@ -151,8 +179,8 @@ def forget_interned_flows() -> None:
     """Empty the intern caches; every entry is re-derived on demand.
 
     At their cap the caches hold tens of MB of strings and hashes for
-    flows long gone -- cheap beside a capture file that is resident
-    anyway, not for a daemon whose working set is one poll (see
+    address pairs long gone -- cheap beside a capture file that is
+    resident anyway, not for a daemon whose working set is one poll (see
     ``SplitDetectService.run``)."""
     _PORTLESS_HASHES.clear()
     _TUPLE5_HASHES.clear()

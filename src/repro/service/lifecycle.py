@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from time import monotonic, perf_counter
 from typing import Any
 
-from ..packet.batch import PacketBatch
+from ..packet.batch import PacketBatch, forget_interned_flows
 from ..runtime import Quarantine, RuntimeReport, merge_shard_reports
 from ..runtime.batching import iter_feed
 from ..signatures import RuleSet
@@ -285,12 +285,12 @@ class SplitDetectService:
             for batch in iter_feed(records, config.batch_size, self._quarantine):
                 batches_routed += self._dispose(batch)
             # A daemon's resident set is one poll plus live flow state.
-            # The batch route's intern caches would grow it by tens of
-            # MB of dead flows' strings (measured: 42 -> 85 MB on the
-            # ledger's serve_replay, against a 5 % bound), so they are
-            # released between polls; the cost is re-deriving a flow's
-            # key once per poll instead of once per flow.
-            self.table.forget_interned_flows()
+            # The engines key flows by their numeric five-tuples and hold
+            # nothing per dead flow; the packet module's address-string
+            # and shard/shed hash caches would still grow by every
+            # address pair ever seen, so they are released between polls
+            # (the cost: a string or hash re-derived once per poll).
+            forget_interned_flows()
         interrupted = self._stop_reason not in ("exhausted", "max_packets")
         # Drain: the same finish path the runners use, one report per
         # tenant pipeline; nothing already fed is dropped.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..packet import IP_PROTO_TCP, IP_PROTO_UDP, TimedPacket
-from ..packet.batch import PacketBatch, forget_interned_flows
+from ..packet.batch import PacketBatch
 from ..runtime import RunnerConfig, ShardProcessor
 from ..runtime.control import ControlMessage
 from ..runtime.spec import EngineSpec
@@ -193,12 +193,6 @@ class TenantTable:
         for row, address in enumerate(addresses):
             rows_by_tenant.setdefault(tenant_of_address(address), []).append(row)
         return rows_by_tenant
-
-    def forget_interned_flows(self) -> None:
-        """Release every pipeline's per-flow intern caches (not flow state)."""
-        for processor in self.processors.values():
-            processor.engine.forget_interned_flows()
-        forget_interned_flows()
 
     def processor(self, name: str) -> ShardProcessor:
         return self.processors[name]

@@ -43,7 +43,7 @@ from collections import deque
 from typing import Any
 
 from ..hashing import fnv1a_64
-from ..packet import FlowKey
+from ..packet import FlowKey, FlowTuple, flow_of_tuple
 
 __all__ = [
     "NULL_TRACER",
@@ -114,22 +114,25 @@ class FlowTracer:
         self.dropped = 0
         self._seq = 0
         self._forced: set[int] = set()
-        # Keyed by the *directional* flow (both directions land on the
-        # same id), so a cache hit skips canonicalization, the FNV pass,
-        # and the hex/str formatting -- the per-span hot costs.
-        self._ids: dict[FlowKey, tuple[int, str, str]] = {}
+        # Keyed by the *directional* flow as the caller names it (both
+        # directions land on the same id), so a cache hit skips
+        # canonicalization, the FNV pass, and the hex/str formatting --
+        # the per-span hot costs.  A numeric five-tuple never equals a
+        # FlowKey, so the batch route's keys and FlowKeys share it safely.
+        self._ids: dict[FlowKey | FlowTuple, tuple[int, str, str]] = {}
 
     def __len__(self) -> int:
         return len(self._spans)
 
-    def _entry(self, flow: FlowKey) -> tuple[int, str, str]:
+    def _entry(self, flow: FlowKey | FlowTuple) -> tuple[int, str, str]:
         """Cached ``(trace_id, hex_id, str(flow))`` for one direction."""
         entry = self._ids.get(flow)
         if entry is None:
             if len(self._ids) >= _ID_CACHE_LIMIT:
                 self._ids.clear()
-            tid = trace_id_of(flow)
-            entry = (tid, f"{tid:016x}", str(flow))
+            named = flow if isinstance(flow, FlowKey) else flow_of_tuple(flow)
+            tid = trace_id_of(named)
+            entry = (tid, f"{tid:016x}", str(named))
             self._ids[flow] = entry
         return entry
 
@@ -151,7 +154,7 @@ class FlowTracer:
 
     def record(
         self,
-        flow: FlowKey,
+        flow: FlowKey | FlowTuple,
         stage: str,
         event: str,
         ts: float,
@@ -159,7 +162,8 @@ class FlowTracer:
         force: bool = False,
         **fields: Any,
     ) -> None:
-        """Record one span for ``flow`` if it is sampled (or forced).
+        """Record one span for ``flow`` (a FlowKey, or the batch route's
+        numeric five-tuple) if it is sampled (or forced).
 
         ``force=True`` records unconditionally *and* pins the flow's
         trace id, so every later span of the same flow is kept too --
@@ -286,7 +290,7 @@ class NullTracer:
 
     def record(
         self,
-        flow: FlowKey,
+        flow: FlowKey | FlowTuple,
         stage: str,
         event: str,
         ts: float,

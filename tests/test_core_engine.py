@@ -20,6 +20,7 @@ from repro.core import (
     AlertKind,
     ConventionalIPS,
     DivertReason,
+    FastPathConfig,
     NaivePacketIPS,
     SplitDetectIPS,
 )
@@ -141,6 +142,17 @@ class TestDiversionPlumbing:
         ips.evict_idle(now=1e9)
         assert ips.diverted_flow_count == 0
 
+    def test_self_connection_counts_as_one_diverted_flow(self):
+        # Both directions of a self-connection are one five-tuple: one
+        # ``_diverted`` entry, one flow, nothing left after the sweep.
+        ips = fresh_split_detect()
+        ends = dict(src="10.0.0.2", dst="10.0.0.2", src_port=80, dst_port=80)
+        ips.process_batch(build_attack("tcp_seg_8", attack_payload(), **ends))
+        assert ips.stats.diversions == 1
+        assert ips.diverted_flow_count == len(ips._diverted) == 1
+        ips.evict_idle(now=1e9)
+        assert ips.diverted_flow_count == len(ips._diverted) == 0
+
     def test_slow_path_packets_do_not_copy_the_flow_set(self, monkeypatch):
         """``live_flows()`` builds a set of every slow-path flow: fine once
         per eviction sweep, an attacker-sized cost if paid per packet."""
@@ -160,6 +172,28 @@ class TestDiversionPlumbing:
         # The sweep is where the copy belongs: once per eviction.
         ips.evict_idle(now=1e9)
         assert copies and ips.diverted_flow_count == 0
+
+    def test_idle_sweep_builds_the_monitor_set_only_for_refusals(self, monkeypatch):
+        """``FastPath.live_flows()`` is O(monitor entries) and names each
+        one's flow in strings; the sweep needs it only to retire refused
+        (fail-open) flows, so it is built only when there are some."""
+        ips = fresh_split_detect(slow_capacity_flows=1, probation_packets=0)
+        copies = []
+        original = ips.fast_path.live_flows
+        monkeypatch.setattr(
+            ips.fast_path, "live_flows", lambda: copies.append(1) or original()
+        )
+        benign = build_attack("plain", b"nothing to see here " * 60, src="10.77.1.1")
+        run_ips(ips, benign[:-1])  # no FIN: its monitor records stay
+        run_ips(ips, build_attack("tcp_seg_8", attack_payload(), src="10.77.0.1"))
+        assert ips.fast_path.tracked_flows and ips.diverted_flow_count == 1
+        ips.evict_idle(now=0.0)
+        assert copies == []
+        # A second diverting flow finds the slow path full: refused.
+        run_ips(ips, build_attack("tcp_seg_8", attack_payload(), src="10.77.0.2"))
+        assert ips.overload_refusals > 0
+        ips.evict_idle(now=0.0)
+        assert copies == [1]
 
     def test_fragmented_flow_diverts_and_reassembles(self):
         ips = fresh_split_detect()
@@ -338,18 +372,56 @@ class TestConventionalBaseline:
 
 class TestFlowIdentityCost:
     """Noise-free tripwires for the batch route's per-row flow naming: a
-    flow's key is built once, and a clean row costs a fixed handful of
-    Python calls (the rest of the work runs in C)."""
+    clean row is routed by its numeric five-tuple and builds no
+    ``FlowKey`` at all, and it costs a fixed handful of Python calls (the
+    rest of the work runs in C)."""
 
     FLOWS = 24  # half send from the canonical endpoint, half towards it
     ROWS_PER_FLOW = 20
     BATCH = 128  # 480 rows -> 4 batches
-    CALLS_PER_CLEAN_ROW = 4.0
+    CALLS_PER_CLEAN_ROW = 3.0
     """Python ``call`` events per clean row under ``sys.setprofile``
-    (``c_call`` ignored): 3.59 measured on this trace -- one
-    ``FastPath.process_columns``, its ``seq_add`` and state ``put``, plus
-    the first batch's intern misses and the per-batch calls amortized.
-    A dataclass key interned row by row read 8.27."""
+    (``c_call`` ignored): 2.17 measured on this trace -- one
+    ``FastPath.process_columns`` and its ``seq_add`` (the dict record is
+    advanced in place, no ``put``), plus each flow's first record
+    (``FlowState`` + ``put``) and the per-batch calls amortized.  With a
+    ``FlowKey`` interned per flow and a ``put`` per row it read 3.59; a
+    dataclass key interned row by row read 8.27."""
+
+    GOLDEN_FLOWS = [
+        FlowKey("10.0.0.1", "10.0.0.2", 1234, 80, 6),
+        FlowKey("192.168.1.50", "8.8.8.8", 53211, 53, 17),
+        FlowKey("172.16.0.9", "172.16.0.10", 40000, 443, 6),
+        FlowKey("10.9.9.9", "10.0.0.2", 44000, 80, 6),
+        FlowKey("10.250.0.1", "10.0.0.2", 44000, 80, 6),
+        FlowKey("0.0.0.0", "255.255.255.255", 0, 65535, 6),
+    ]
+
+    @pytest.mark.parametrize(
+        "backend, where",
+        [
+            ("table", [592, 910, 418, 372, 691, 513]),
+            ("sketch", [78416, 100238, 61858, 45428, 70323, 16897]),
+        ],
+    )
+    def test_golden_state_placement(self, backend, where):
+        """A flow's table bucket and sketch slot are fixed by its key
+        bytes, the rendered ``src|dst|sport|dport|proto``: pinned to the
+        values they had when the state was keyed by ``FlowKey``, so
+        moving the key to the numeric five-tuple moved no record (the
+        default 1024 buckets and 2^17 slots)."""
+        fast = fresh_split_detect(
+            fast_config=FastPathConfig(state_backend=backend)
+        ).fast_path
+        placed = []
+        for flow in self.GOLDEN_FLOWS:
+            fast._flows.clear()
+            fast.seed_flow(flow, 1, now=0.0)
+            cells = fast._flows._buckets if backend == "table" else fast._flows._slots
+            (index,) = [i for i, cell in enumerate(cells) if cell]
+            placed.append(index)
+            assert fast.expected_seq(flow) == 1
+        assert placed == where
 
     @classmethod
     def clean_batches(cls):
@@ -397,10 +469,9 @@ class TestFlowIdentityCost:
             assert ips.process_column_batch(batch) == []
         assert ips.stats.fast_packets == self.FLOWS * self.ROWS_PER_FLOW
         assert ips.stats.diversions == 0
-        # Each reversal is one canonical key of an odd flow (no hand-over
-        # happens on clean rows); every other key names a data direction.
-        assert built["reversed"] == self.FLOWS // 2
-        assert built["new"] - built["reversed"] == self.FLOWS
+        # Clean rows never read a string: routing, the diverted-set test
+        # and the monitor all key on the numeric five-tuple.
+        assert built == {"new": 0, "reversed": 0}
 
     def test_python_calls_per_clean_row(self):
         ips = fresh_split_detect()

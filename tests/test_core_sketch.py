@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.core.fastpath import _flow_key_bytes
 from repro.hashing import fnv1a_64, mix64
-from repro.packet import FlowKey
+from repro.packet import FlowKey, tuple_of_flow
 from repro.signatures import SplitPolicy, split_ruleset
 
 
@@ -24,12 +24,17 @@ def flow_n(n: int) -> FlowKey:
     return FlowKey(f"10.{(n >> 8) & 255}.{n & 255}.1", "10.200.0.1", 1024 + (n % 40000), 80)
 
 
+def key_bytes(flow: FlowKey) -> bytes:
+    """The fast path's key bytes for a FlowKey-keyed test backend."""
+    return _flow_key_bytes(tuple_of_flow(flow))
+
+
 def make_backend(**kw) -> SketchBackend:
     kw.setdefault("slots", 1 << 10)
     kw.setdefault("hot_capacity", 8)
     kw.setdefault("width", 1 << 8)
     kw.setdefault("depth", 4)
-    return SketchBackend(key_bytes=_flow_key_bytes, **kw)
+    return SketchBackend(key_bytes=key_bytes, **kw)
 
 
 class TestHashing:
@@ -268,7 +273,7 @@ class TestSketchBackendHotSet:
         flow = flow_n(43)
         backend.record_anomaly(flow)
         snapshot = backend.sketch_snapshot()
-        h = fnv1a_64(_flow_key_bytes(flow))
+        h = fnv1a_64(key_bytes(flow))
         assert snapshot.estimate(h) == 1
         snapshot.add(h, 100)
         assert backend.sketch_snapshot().estimate(h) == 1
@@ -361,7 +366,8 @@ class TestFastPathSketchBackend:
     def test_seed_flow_lands_hot_after_anomaly(self):
         fp = _fastpath(_sketch_config())
         flow = FlowKey("10.9.9.9", "10.0.0.2", 44000, 80)
-        fp._flows.record_anomaly(flow)  # the diversion that probationed it
+        # The diversion that probationed it (the state key is numeric).
+        fp._flows.record_anomaly(tuple_of_flow(flow))
         fp.seed_flow(flow, 5000, now=100.0)
         assert fp._flows.hot_entries == 1
         assert fp.expected_seq(flow) == 5000

@@ -25,13 +25,18 @@ import urllib.request
 import pytest
 
 from repro.packet import (
+    IP_PROTO_TCP,
+    TCP_FIN,
+    TCP_RST,
     IPv4Packet,
     ip_u32_to_str,
     TcpSegment,
     TimedPacket,
     build_tcp_packet,
+    decode_tcp,
     flow_key_of,
     fragment,
+    tuple_of_flow,
 )
 from repro.runtime import (
     ControlMessage,
@@ -845,8 +850,29 @@ class TestServeEquivalence:
         assert served.runtime.quarantined == batch.quarantined
         assert served.examined_packets == len(good)
         assert served.accounting_closed
-        # The daemon's memory policy: no per-flow intern cache outlives a poll.
-        assert not _service.table.processor(DEFAULT_TENANT).engine._flow_intern
+        # The daemon's memory policy: the engine's per-flow containers
+        # hold live flows only -- a diversion names a flow the slow path
+        # still tracks, a monitor record a direction that sent data and
+        # has not closed -- and no module intern outlives a poll.
+        engine = _service.table.processor(DEFAULT_TENANT).engine
+        diverted = {canonical for _flow, canonical in engine._diverted.values()}
+        assert diverted <= engine.slow_path.normalizer.live_flows()
+        assert engine.diverted_flow_count == len(diverted)
+        open_directions = set()
+        for packet in trace:
+            ip = packet.ip
+            if ip.protocol != IP_PROTO_TCP or ip.is_fragment:
+                continue
+            key = tuple_of_flow(flow_key_of(ip))
+            flags = decode_tcp(ip).flags
+            if flags & (TCP_FIN | TCP_RST):
+                open_directions.discard(key)
+                if flags & TCP_RST:
+                    open_directions.discard((key[1], key[0], key[3], key[2], key[4]))
+            else:
+                open_directions.add(key)
+        monitored = {key for key, _state in engine.fast_path._flows.items()}
+        assert monitored <= open_directions
         assert ip_u32_to_str.cache_info().currsize == 0
 
     def test_dst_port_tenants_route_on_columns_as_per_packet(self):

@@ -181,14 +181,13 @@ class TestSplitRuleSet:
         assert len(split.udp_whole) == 8
         assert all(s.protocol == "udp" for s in split.udp_whole)
 
-    @pytest.mark.parametrize("trained", [False, True], ids=["no_model", "trained_skip"])
-    def test_every_bundled_signature_splits_under_the_theorem(self, trained):
+    @staticmethod
+    def assert_splits_under_the_theorem(rules, trained):
         import random
 
         from repro.theory import find_evading_boundaries
         from repro.traffic import benign_payload
 
-        rules = load_bundled_rules()
         policy, model = SplitPolicy(), None
         if trained:
             policy = SplitPolicy(skip_common_prefix=True)
@@ -209,6 +208,18 @@ class TestSplitRuleSet:
             assert find_evading_boundaries(piece_split) is None
         if trained:
             assert any(s.start_offset > 0 for s in split.splits.values())
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["no_model", "trained_skip"])
+    def test_every_bundled_signature_splits_under_the_theorem(self, trained):
+        self.assert_splits_under_the_theorem(load_bundled_rules(), trained)
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["no_model", "trained_skip"])
+    def test_every_synthetic_signature_splits_under_the_theorem(self, trained):
+        """The same checks over a 10x synthetic corpus (3,231 rules, 65
+        of them too short to split)."""
+        rules = synthesize_corpus(families=80)
+        assert len(rules) == 3231
+        self.assert_splits_under_the_theorem(rules, trained)
 
     def test_global_threshold(self):
         rules = RuleSet()

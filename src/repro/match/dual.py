@@ -30,7 +30,7 @@ from typing import Any
 
 from .aho_corasick import DENSE_STATE_LIMIT, PIECE_PREFILTER_MAX_PATTERNS, AhoCorasick
 from .streaming import StreamMatch, StreamMatcher
-from .sweep import GramSweep, build_sweep
+from .sweep import GramSweep, Occurrence, build_sweep
 
 
 class DualAutomaton:
@@ -104,6 +104,17 @@ class DualAutomaton:
             (self.sensitive or self.folded).sweep_table_bytes = sweep.table_bytes()
         return sweep
 
+    @cached_property
+    def _swept_ids(self) -> dict[tuple[bool, bytes], tuple[int, ...]]:
+        """Global ids per swept ``(nocase, pattern)``, ascending: the
+        tuples one verified occurrence stands for (a duplicate pattern
+        reports every id, as its automaton state does)."""
+        ids_of: dict[tuple[bool, bytes], tuple[int, ...]] = {}
+        for side, ids, fold, _ in self.sides:
+            for pid, pattern in enumerate(side.patterns):
+                ids_of[fold, pattern] = ids_of.get((fold, pattern), ()) + (ids[pid],)
+        return ids_of
+
     def scan_stats(self) -> dict[str, int | float | bool]:
         """Summed scan accounting across both sides.
 
@@ -157,34 +168,57 @@ class DualAutomaton:
         Match ordering within a payload is identical to ``find_all``
         (case-sensitive hits first, then folded hits).
 
-        With a q-gram sweep, each side walks only the payloads the sweep
-        could not prove match-free on that side; the rest are counted as
-        prefilter skips, so ``scans`` / ``scanned_bytes`` /
-        ``matches_emitted`` equal the unswept accounting.
+        With a q-gram sweep, only the sweep's hot rows are walked; every
+        other payload's tuples are built from the occurrences the sweep
+        verified, and a payload with none on a side is counted as a
+        prefilter skip there, so ``scans`` / ``scanned_bytes`` /
+        ``matches_emitted`` equal the walk's accounting.
         """
         results: list[list[tuple[int, int]]] = [[] for _ in payloads]
-        dirty = self._sweep.dirty_rows(payloads) if self._sweep is not None else None
-        sensitive_rows, folded_rows = dirty or (None, None)
-        offered_bytes = sum(map(len, payloads)) if dirty else 0
-        for side, ids, fold, rows in (
-            (self.sensitive, self._sensitive_ids, False, sensitive_rows),
-            (self.folded, self._folded_ids, True, folded_rows),
-        ):
-            if side is None:
-                continue
-            chosen, targets = payloads, results
-            if rows is not None:
-                chosen = [payloads[row] for row in rows]
-                targets = [results[row] for row in rows]
-                side.account_prefilter_skips(
-                    len(payloads) - len(rows),
-                    offered_bytes - sum(map(len, chosen)),
-                )
-            if fold:
-                chosen = [bytes(payload).lower() for payload in chosen]
-            for result, hits in zip(targets, side.scan_many(chosen)):
-                result.extend((ids[pid], end) for pid, end in hits)
+        swept = self._sweep.dirty_rows(payloads) if self._sweep is not None else None
+        walked: Sequence[int] = range(len(payloads))
+        chosen = payloads
+        if swept is not None:
+            walked = swept[0]
+            chosen = [payloads[row] for row in walked]
+        if chosen:
+            for side, ids, fold, _ in self.sides:
+                scanned = [bytes(payload).lower() for payload in chosen] if fold else chosen
+                for row, hits in zip(walked, side.scan_many(scanned)):
+                    results[row].extend((ids[pid], end) for pid, end in hits)
+        if swept is not None:
+            self._book_occurrences(payloads, chosen, swept[1], results)
         return results
+
+    def _book_occurrences(
+        self,
+        payloads: Sequence[Any],
+        walked: Sequence[Any],
+        occurrences: Sequence[Occurrence],
+        results: list[list[tuple[int, int]]],
+    ) -> None:
+        """Turn the sweep's occurrences into match tuples, and book each
+        side's scan counters as the walk would have: a payload with an
+        occurrence as one scan of its bytes emitting its tuples (the
+        walk's prefilter cannot skip it), every other unwalked payload
+        as a prefilter skip."""
+        answered: tuple[set[int], set[int]] = (set(), set())
+        emitted = [0, 0]
+        ids_of = self._swept_ids
+        for row, nocase, end, pattern in occurrences:
+            pids = ids_of[nocase, pattern]
+            results[row].extend([(pid, end) for pid in pids])
+            answered[nocase].add(row)
+            emitted[nocase] += len(pids)
+        unwalked = len(payloads) - len(walked)
+        unwalked_bytes = sum(map(len, payloads)) - sum(map(len, walked))
+        for side, _, fold, _ in self.sides:
+            rows = answered[fold]
+            nbytes = sum(len(payloads[row]) for row in rows)
+            side.scans += len(rows)
+            side.scanned_bytes += nbytes
+            side.matches_emitted += emitted[fold]
+            side.account_prefilter_skips(unwalked - len(rows), unwalked_bytes - nbytes)
 
     #: The columnar prescan entry point (payloads are memoryviews there).
     prescan_batch = scan_many

@@ -1,34 +1,40 @@
-"""Batch q-gram sweep: prove most payloads of a batch match-free at C speed.
+"""Batch q-gram sweep: find every pattern occurrence of a batch at C speed.
 
 The compiled automaton steps an interpreter loop per payload byte.  For
 pattern sets too large for the literal sweep (``range_clear``: one
-``bytes.find`` per pattern), :class:`GramSweep` is the batch prefilter
-in front of it -- the hashed q-gram filter the DPI survey (arXiv
+``bytes.find`` per pattern), :class:`GramSweep` replaces that walk for
+almost every payload -- the hashed q-gram filter the DPI survey (arXiv
 0803.0037, PAPERS.md) catalogues for software matchers, with the
-two-stage shape of arXiv 1904.10786: an over-approximating first stage
-may only *add* candidates, an exact second stage decides.
+two-stage shape of arXiv 1904.10786: over-approximating stages may only
+*add* candidates, an exact last stage decides.
 
 Compile time: every distinct pattern's first four bytes (its *gram*)
-are hashed into a fixed bit table; a gram -> patterns map and the sorted
-set of eight-byte prefixes back the later stages.  Scan time, per batch:
+are hashed into a fixed bool table; its first eight bytes -- or, for a
+pattern shorter than eight, its gram alone -- into one of two smaller
+tables; a gram -> patterns map backs the exact last stage.  Scan time,
+per batch:
 
 1. join the payloads into one buffer (case-folded once when any pattern
    is ``nocase``; case-sensitive patterns are then *keyed* by their
    folded gram but still verified against the raw bytes);
 2. hash the gram at every byte position with numpy -- four unaligned
    ``<u4`` views, one multiply-shift, one table gather, ``flatnonzero``;
-3. keep a candidate only if its first eight bytes are some pattern's
-   first eight bytes (exact ``searchsorted`` membership; patterns
-   shorter than eight bytes pass on the gram alone);
+3. keep a candidate only if its first eight bytes hash into the prefix
+   table or its gram into the short-pattern table (one multiply-shift
+   and one gather each; a collision only adds a candidate);
 4. verify the survivors with ``startswith`` bounded by the end of the
-   candidate's own payload, so nothing matches across a join.
+   candidate's own payload, so nothing matches across a join, and report
+   every occurrence found.
 
 Soundness: an occurrence of pattern ``P`` at position ``p`` puts ``P``'s
-gram at ``p`` (``len(P) >= 4`` is a build precondition), so ``p`` is a
-stage-2 candidate; hash collisions only add candidates; stages 3-4 are
-exact.  A payload with no verified occurrence therefore has none, and
-the caller may count it as a prefilter skip.  The sweep only *selects*
-payloads: the table walk stays the authority for match tuples.
+gram at ``p`` (``len(P) >= 4`` is a build precondition) and ``P``'s
+prefix key at ``p``, so ``p`` survives stages 2-3; hash collisions only
+add candidates (one whose gram is no pattern's is verified against
+nothing); stage 4 is exact and tries every pattern of the candidate's
+gram.  So :meth:`GramSweep.dirty_rows` reports *every* occurrence in
+every row it examines, and only real ones: for those rows its
+occurrences are the automaton's match tuples (``DualAutomaton`` builds
+them from it), and the table walk is left only the hot rows below.
 
 Worst case: a row (payload) whose candidate count makes filtering or
 verifying it cost a sizeable fraction of simply walking it is handed to
@@ -44,15 +50,26 @@ import numpy as np
 
 GRAM = 4
 
-#: log2 of the stage-1 table size (one byte per slot: 256 KiB, L2-sized;
-#: a 1 MiB table gathered slower and pruned no better once stage 3 is
-#: exact).
+#: log2 of the stage-2 table size (one byte per slot: 256 KiB, L2-sized;
+#: a 1 MiB table gathered slower and pruned no better, since stage 3
+#: removes what it lets through).
 TABLE_BITS = 18
 
-#: Below this many joined bytes the ~15 numpy calls of a sweep (~40 us
-#: fixed) cost more than walking the payloads (~35 ns/byte).  Never
-#: below ``GRAM``: the lane views need one whole gram.
-MIN_SWEEP_BYTES = 2048
+#: log2 of the stage-3 tables' sizes: the eight-byte prefixes' and the
+#: short patterns' grams (one byte per slot).  Measured on the bundled
+#: piece set over benign text: 64 + 16 KiB let ~13 % more candidates
+#: reach stage 4 than exact membership did; 4x larger tables, ~3 %.
+PREFIX_BITS = 16
+SHORT_BITS = 14
+
+#: Below this many joined bytes a swept ``DualAutomaton.scan_many``
+#: costs more than walking the payloads.  Measured on the bundled
+#: fast-path set over ``repro.traffic`` benign batches (CPython 3.11,
+#: numpy 2.4, 2-CPU host): swept ~130 us + 32 ns/byte, walked (both
+#: sides) ~20 us + 124 ns/byte -- break-even near 1.2 KiB; at 1.5 KiB the
+#: sweep is 17 % cheaper.  Never below ``GRAM``: the lane views need one
+#: whole gram.
+MIN_SWEEP_BYTES = 1536
 
 #: The same break-even for one stream chunk (:meth:`GramSweep.dirty_sides`).
 #: Measured on the bundled slow-path set (four automaton sides, one of
@@ -66,22 +83,37 @@ MIN_SWEEP_BYTES = 2048
 #: swept and walked chunks never costs more than the unswept matcher.
 MIN_STREAM_SWEEP_BYTES = 256
 
-# Worst-case bound.  Measured on the bundled piece set (CPython 3.11,
-# numpy 2.4): the table walk costs ~35 ns per payload byte, the stage-3
-# prefix filter ~40 ns per stage-2 candidate, a stage-4 verify ~400 ns
-# per surviving candidate.  A row is handed straight to the walk when a
-# stage would cost more than about a sixth of walking it:
-#   40 ns * candidates > 35 ns * bytes / 7  <=>  candidates * 8 > bytes
-#   400 ns * candidates > 35 ns * bytes / 5.6  <=>  candidates * 64 > bytes
-# so a hostile row costs at most sweep + ~5 + ~6 ns/byte over today's
-# walk (an all-candidate batch measures 1.15-1.3x the unswept walk).
-# Benign text sits far below both lines (0.2 % of bundled-corpus
-# rows cross either; those mostly hold real occurrences anyway).
+# Worst-case bound.  Measured on the bundled fast-path set (same host):
+# the table walk costs ~70 ns per payload byte (~77 on the rows that
+# hold occurrences), the stage-3 probe ~35 ns per stage-2 candidate, a
+# stage-4 verify ~1.5 us per surviving candidate (a gram stands for up to
+# 78 patterns).  A row is *hot* -- walked on both sides, unverified --
+# when a stage would cost a sizeable share of walking it:
+#   35 ns * candidates > 70 ns * bytes / 16  <=>  candidates * 8 > bytes
+#   1.5 us * candidates > 70 ns * bytes / 3  <=>  candidates * 64 > bytes
+# A row that is not hot is never walked: it costs the sweep plus at
+# most ~4 + ~23 ns/byte, well under its walk.  A hot row costs its walk
+# plus the stages it passed (an all-candidate batch measures 1.05-1.1x
+# the unswept walk).  Benign text sits far below both lines (0.2 % of
+# bundled-corpus rows cross either).  The bound counts candidates, not
+# patterns: rows holding the 78-pattern gram's eight-byte prefix once
+# per 65 bytes verify at ~3.5x their walk.
 FILTER_BYTES_PER_CANDIDATE = 8
 VERIFY_BYTES_PER_CANDIDATE = 64
 
 _MULTIPLIER = 0x9E3779B1  # 2**32 / golden ratio: Knuth's multiplicative hash
+# Stage 3's own odd multipliers (MurmurHash3's finaliser constants), so
+# its collisions are independent of stage 2's.  Each gram of a prefix is
+# mixed before the two are combined: XOR-ing the raw second gram in let
+# frequent English eight-grams collide, and sent six times as many
+# candidates to stage 4.
+_MIX_FIRST = 0x85EBCA6B
+_MIX_SECOND = 0xC2B2AE35
 _PAD = bytes(GRAM)  # keeps stage 3's read of the second gram inside the buffer
+
+#: One verified occurrence: ``(row, nocase, end offset inside the row,
+#: pattern)``.
+Occurrence = tuple[int, bool, int, bytes]
 
 
 def build_sweep(
@@ -102,7 +134,7 @@ def build_sweep(
 
 
 class GramSweep:
-    """Selects the payloads of a batch that can hold a pattern occurrence.
+    """Finds the pattern occurrences of a batch (or of a stream chunk).
 
     Built through :func:`build_sweep`, which checks the preconditions.
     """
@@ -119,8 +151,9 @@ class GramSweep:
         #: Every side bit of :meth:`dirty_sides` ("walk everything").
         self.all_sides = 0
         by_gram: dict[int, list[tuple[bytes, bool, int]]] = {}
-        short: set[int] = set()
-        prefixes: set[int] = set()
+        short: list[int] = []
+        first: list[int] = []
+        second: list[int] = []
         sided = zip(patterns, groups if groups is not None else [0] * len(patterns))
         for (pattern, nocase), group in dict.fromkeys(sided):
             side = 1 << (2 * group + nocase)
@@ -129,35 +162,64 @@ class GramSweep:
             gram = int.from_bytes(key[:GRAM], "little")
             by_gram.setdefault(gram, []).append((pattern, nocase, side))
             if len(key) < 2 * GRAM:
-                short.add(gram)
+                short.append(gram)
             else:
-                prefixes.add(gram << 32 | int.from_bytes(key[GRAM : 2 * GRAM], "little"))
+                first.append(gram)
+                second.append(int.from_bytes(key[GRAM : 2 * GRAM], "little"))
         self._by_gram = {gram: tuple(entries) for gram, entries in by_gram.items()}
-        self._shift = np.uint32(32 - TABLE_BITS)
-        self._multiplier = np.uint32(_MULTIPLIER)
         self._table = np.zeros(1 << TABLE_BITS, dtype=np.bool_)
-        grams = np.array(sorted(by_gram), dtype=np.uint32)
-        self._table[(grams * self._multiplier) >> self._shift] = True
-        self._short = np.array(sorted(short), dtype=np.uint32)
-        self._prefixes = np.array(sorted(prefixes), dtype=np.uint64)
+        self._table[self._gram_slots(np.array(list(by_gram), dtype=np.uint32))] = True
+        self._prefix_table = np.zeros(1 << PREFIX_BITS, dtype=np.bool_)
+        self._prefix_table[
+            self._prefix_slots(
+                np.array(first, dtype=np.uint32), np.array(second, dtype=np.uint32)
+            )
+        ] = True
+        self._short_table = np.zeros(1 << SHORT_BITS, dtype=np.bool_)
+        self._short_table[self._short_slots(np.array(short, dtype=np.uint32))] = True
         #: Stage-4 verify attempts so far (the worst-case bound's witness).
         self.verifies = 0
 
+    @staticmethod
+    def _gram_slots(grams: Any) -> Any:
+        """Stage-2 table slots of ``<u4`` grams."""
+        return (grams * np.uint32(_MULTIPLIER)) >> np.uint32(32 - TABLE_BITS)
+
+    @staticmethod
+    def _prefix_slots(first: Any, second: Any) -> Any:
+        """Prefix-table slots of eight-byte keys, given as their two grams."""
+        mixed = first * np.uint32(_MIX_FIRST)
+        mixed ^= second * np.uint32(_MIX_SECOND)
+        return (mixed * np.uint32(_MULTIPLIER)) >> np.uint32(32 - PREFIX_BITS)
+
+    @staticmethod
+    def _short_slots(grams: Any) -> Any:
+        """Short-pattern table slots of ``<u4`` grams."""
+        return (grams * np.uint32(_MIX_SECOND)) >> np.uint32(32 - SHORT_BITS)
+
     def table_bytes(self) -> int:
         """Memory the sweep holds beyond the patterns themselves: the
-        bit table, the prefix arrays and the gram map's slots."""
+        three hash tables and the gram map's slots."""
         return (
             self._table.nbytes
-            + self._short.nbytes
-            + self._prefixes.nbytes
+            + self._prefix_table.nbytes
+            + self._short_table.nbytes
             + sum(64 + 8 * len(entries) for entries in self._by_gram.values())
         )
 
-    def dirty_rows(self, payloads: Sequence[Any]) -> tuple[list[int], list[int]] | None:
-        """Indices of the payloads that may hold a case-sensitive /
-        a ``nocase`` occurrence (two ascending lists), every other
-        payload being proven match-free on that side.  ``None`` when the
-        batch is too small for a sweep to pay."""
+    def dirty_rows(
+        self, payloads: Sequence[Any]
+    ) -> tuple[list[int], list[Occurrence]] | None:
+        """The batch's hot rows and every occurrence in the others.
+
+        Hot rows (ascending) were too candidate-dense to verify and must
+        be walked on both sides.  Every other payload's occurrences are
+        listed, each once per distinct ``(pattern, nocase)``, in the
+        order the automata report them: by row, case-sensitive before
+        ``nocase``, then by end offset, longer pattern first.  A row
+        that is not hot and has no occurrence on a side is proven
+        match-free there.  ``None`` when the batch is too small for a
+        sweep to pay."""
         lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
         ends = np.cumsum(lengths)
         total = int(ends[-1]) if len(payloads) else 0
@@ -165,11 +227,10 @@ class GramSweep:
             return None
         raw = b"".join((*payloads, _PAD))
         text = raw.lower() if self._fold else raw
-        table, multiplier, shift = self._table, self._multiplier, self._shift
         found = []
         for lane in range(GRAM):
             grams = np.frombuffer(text, "<u4", (total - lane) // GRAM, lane)
-            index = np.flatnonzero(table[(grams * multiplier) >> shift])
+            index = np.flatnonzero(self._table[self._gram_slots(grams)])
             index *= GRAM
             index += lane
             found.append(index)
@@ -178,7 +239,7 @@ class GramSweep:
         hot = _hot_rows(np, rows, lengths, FILTER_BYTES_PER_CANDIDATE)
         keep = ~hot[rows]
         positions, rows = positions[keep], rows[keep]
-        # Stage 3: exact eight-byte prefix membership.
+        # Stage 3: one hashed probe of the eight-byte prefix.
         every_gram = np.ndarray((total + 1,), "<u4", text, 0, (1,))
         first, keep = self._prefix_cut(every_gram, positions)
         positions, rows, first = positions[keep], rows[keep], first[keep]
@@ -187,29 +248,31 @@ class GramSweep:
         positions, rows, first = positions[keep], rows[keep], first[keep]
         # Stage 4: exact verification inside the candidate's own payload.
         # Hot rows skip it: they are walked on both sides regardless.
-        sensitive = set(np.flatnonzero(hot | hotter).tolist())
-        folded = set(sensitive)
-        raw_startswith, text_startswith = raw.startswith, text.startswith
+        occurrences: list[Occurrence] = []
         by_gram = self._by_gram
         self.verifies += len(positions)
-        for position, gram, row, end in zip(
-            positions.tolist(), first.tolist(), rows.tolist(), ends[rows].tolist()
+        starts = ends - lengths
+        for position, gram, row, start, end in zip(
+            positions.tolist(),
+            first.tolist(),
+            rows.tolist(),
+            starts[rows].tolist(),
+            ends[rows].tolist(),
         ):
-            for pattern, nocase, _ in by_gram[gram]:
-                if nocase:
-                    if text_startswith(pattern, position, end):
-                        folded.add(row)
-                elif raw_startswith(pattern, position, end):
-                    sensitive.add(row)
-        return sorted(sensitive), sorted(folded)
+            for pattern, nocase, _ in by_gram.get(gram, ()):
+                if (text if nocase else raw).startswith(pattern, position, end):
+                    occurrences.append((row, nocase, position + len(pattern) - start, pattern))
+        occurrences.sort(key=_automaton_order)
+        return np.flatnonzero(hot | hotter).tolist(), occurrences
 
     def _prefix_cut(self, every_gram: Any, positions: Any) -> tuple[Any, Any]:
         """Stage 3 for both entry points: each candidate's gram, and
-        whether its first eight bytes are some pattern's (or its gram a
-        short pattern's) -- exact membership."""
+        whether its first eight bytes hash into the prefix table or its
+        gram into the short-pattern table (may over-approximate)."""
         first = every_gram[positions]
-        prefix = first.astype(np.uint64) << np.uint64(32) | every_gram[positions + GRAM]
-        return first, _member(np, self._prefixes, prefix) | _member(np, self._short, first)
+        keep = self._prefix_table[self._prefix_slots(first, every_gram[positions + GRAM])]
+        keep |= self._short_table[self._short_slots(first)]
+        return first, keep
 
     def dirty_sides(self, carry: bytes, chunk: bytes) -> int:
         """Which sides may hold an occurrence *ending inside* ``chunk``,
@@ -231,8 +294,7 @@ class GramSweep:
         raw = b"".join((carry, chunk, _PAD))
         text = raw.lower() if self._fold else raw
         every_gram = np.ndarray((total + 1,), "<u4", text, 0, (1,))
-        hashed = (every_gram[: total - GRAM + 1] * self._multiplier) >> self._shift
-        positions = np.flatnonzero(self._table[hashed])
+        positions = np.flatnonzero(self._table[self._gram_slots(every_gram[: total - GRAM + 1])])
         if len(positions) * FILTER_BYTES_PER_CANDIDATE > total:
             return self.all_sides
         first, keep = self._prefix_cut(every_gram, positions)
@@ -243,7 +305,7 @@ class GramSweep:
         dirty = 0
         by_gram = self._by_gram
         for position, gram in zip(positions.tolist(), first.tolist()):
-            for pattern, nocase, side in by_gram[gram]:
+            for pattern, nocase, side in by_gram.get(gram, ()):
                 if (
                     not dirty & side
                     and position + len(pattern) > start
@@ -253,15 +315,15 @@ class GramSweep:
         return dirty
 
 
+def _automaton_order(occurrence: Occurrence) -> tuple[int, bool, int, int]:
+    """Sort key giving an automaton's output order within a row: the
+    case-sensitive side's tuples first, each side by end offset, and at
+    one end the longest pattern first (its state's own output precedes
+    its failure chain's)."""
+    row, nocase, end, pattern = occurrence
+    return row, nocase, end, -len(pattern)
+
+
 def _hot_rows(np: Any, rows: Any, lengths: Any, bytes_per_candidate: int) -> Any:
     """Per row: does it hold more candidates than its length can pay for?"""
     return np.bincount(rows, minlength=len(lengths)) * bytes_per_candidate > lengths
-
-
-def _member(np: Any, sorted_keys: Any, values: Any) -> Any:
-    """Element-wise ``values in sorted_keys`` (exact)."""
-    if not len(sorted_keys):
-        return np.zeros(len(values), dtype=np.bool_)
-    slot = np.searchsorted(sorted_keys, values)
-    np.minimum(slot, len(sorted_keys) - 1, out=slot)
-    return sorted_keys[slot] == values

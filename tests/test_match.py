@@ -1,7 +1,10 @@
 """Unit, differential, and property tests for the matching engines."""
 
+import itertools
+import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from repro.match import (
     sweep,
 )
 from repro.signatures import load_bundled_rules
+from repro.traffic import benign_payload
 
 
 def naive_find_all(pattern, data):
@@ -433,6 +437,187 @@ def test_sweep_hostile_density_falls_back_to_the_walk():
     stats = automaton.scan_stats()
     assert stats["sweep_verifies"] == len(sparse)
     assert stats["prefilter_skips"] == len(sparse)
+
+
+# Filler outside the sweep alphabet: pads random rows until they are
+# sparse, so the sweep answers them instead of handing them to the walk.
+_SPARSE_FILL = b"0123456789 -./:;" * 64
+_SPARSE_PAD = st.tuples(st.integers(0, 15), st.integers(256, 1000)).map(
+    lambda cut: _SPARSE_FILL[cut[0] : cut[0] + cut[1]]
+)
+
+
+@st.composite
+def sparse_sweep_cases(draw):
+    """:func:`sweep_cases` with every payload padded, on one end, by
+    filler no pattern can start in: most rows then hold few candidates,
+    so they are not hot, and occurrences still sit at either edge."""
+    patterns, payloads = draw(sweep_cases())
+    return patterns, [
+        payload + draw(_SPARSE_PAD) if draw(st.booleans()) else draw(_SPARSE_PAD) + payload
+        for payload in payloads
+    ]
+
+
+def test_sparse_swept_scan_equals_reference_find_all():
+    """The Hypothesis differential on rows the sweep answers itself: the
+    occurrences it verified are the match tuples, tuple for tuple."""
+    answered = []
+
+    @given(sparse_sweep_cases())
+    @settings(max_examples=60, deadline=None)
+    def check(case):
+        patterns, payloads = case
+        reference = DualAutomaton(patterns, dense_state_limit=0)
+        expected = [reference.find_all(payload) for payload in payloads]
+        wanted = reference.scan_stats()
+        with mock.patch.object(sweep, "MIN_SWEEP_BYTES", sweep.GRAM):
+            for entry, wrap in (("scan_many", bytes), ("prescan_batch", memoryview)):
+                swept = DualAutomaton(patterns)
+                assert getattr(swept, entry)([wrap(p) for p in payloads]) == expected
+                stats = swept.scan_stats()
+                for counter in ("scans", "scanned_bytes", "matches_emitted"):
+                    assert stats[counter] == wanted[counter], (entry, counter)
+            hot, occurrences = swept._sweep.dirty_rows(payloads)
+        answered.append(len({row for row, *_ in occurrences} - set(hot)))
+
+    check()
+    assert sum(answered) >= len(answered)  # two planted rows a case, unless they run hot
+
+
+def _pattern_list(automaton):
+    """The ``(pattern, nocase)`` list a DualAutomaton was built from (folded)."""
+    patterns = [None] * automaton.pattern_count
+    for side, ids, fold, _ in automaton.sides:
+        for pid, pattern in enumerate(side.patterns):
+            patterns[ids[pid]] = (pattern, fold)
+    return patterns
+
+
+def _nested_and_overlapped(patterns):
+    """Two payloads for the same side: one pattern holding another inside
+    it, and two patterns whose occurrences overlap (neither holds the
+    other)."""
+    by_gram = {}
+    for pattern, nocase in set(patterns):
+        by_gram.setdefault((pattern[:4], nocase), []).append(pattern)
+    nested = overlapped = None
+    for outer, nocase in sorted(set(patterns)):
+        for start in range(1, len(outer) - 3):
+            for other in by_gram.get((outer[start : start + 4], nocase), ()):
+                if other == outer:
+                    continue
+                if nested is None and outer.startswith(other, start):
+                    nested = outer
+                elif overlapped is None and other.startswith(outer[start:]):
+                    overlapped = outer + other[len(outer) - start :]
+    assert nested is not None and overlapped is not None
+    return [nested, overlapped]
+
+
+@pytest.fixture(scope="module")
+def bundled_fast_automaton():
+    return SplitDetectIPS(load_bundled_rules()).fast_path.automaton
+
+
+def test_bundled_swept_scan_equals_reference_on_benign_text(bundled_fast_automaton):
+    """Real corpus, real text: every fast-path pattern planted once in
+    benign payloads (``nocase`` ones case-flipped), in batches just under
+    and just over ``MIN_SWEEP_BYTES``.  Both batch entry points equal the
+    reference's ``find_all`` and its scan counters, and the table walk is
+    handed nothing but the sweep's hot rows."""
+    fast = bundled_fast_automaton
+    patterns = _pattern_list(fast)
+    assert len(set(patterns)) < len(patterns)  # the corpus holds duplicates
+    reference = DualAutomaton(patterns, dense_state_limit=0)
+    rng = random.Random(34)
+    plants = [p.swapcase() if nocase else p for p, nocase in patterns]
+    plants += _nested_and_overlapped(patterns)
+    rng.shuffle(plants)
+    targets = itertools.cycle(
+        (sweep.MIN_SWEEP_BYTES - 1, sweep.MIN_SWEEP_BYTES, sweep.MIN_SWEEP_BYTES + 1)
+    )
+    batches, batch, size, target = [], [], 0, next(targets)
+    for plant in plants:
+        payload = (
+            benign_payload(rng, rng.randrange(40, 300))
+            + plant
+            + benign_payload(rng, rng.randrange(40, 300))
+        )
+        if size + len(payload) > target - 40:  # close it with exact filler
+            batches.append(batch + [benign_payload(rng, target - size)])
+            batch, size, target = [], 0, next(targets)
+        batch.append(payload)
+        size += len(payload)
+    assert {sum(map(len, b)) for b in batches} == {
+        sweep.MIN_SWEEP_BYTES - 1, sweep.MIN_SWEEP_BYTES, sweep.MIN_SWEEP_BYTES + 1
+    }
+    expected = [[reference.find_all(payload) for payload in b] for b in batches]
+    wanted = reference.scan_stats()
+
+    sweeps, walked = [], []
+    dirty_rows = sweep.GramSweep.dirty_rows
+    scan_many = AhoCorasick.scan_many
+
+    def recording_dirty_rows(self, payloads):
+        sweeps.append(dirty_rows(self, payloads))
+        return sweeps[-1]
+
+    def counting_scan_many(self, payloads):
+        walked.append([bytes(p) for p in payloads])
+        return scan_many(self, payloads)
+
+    for entry in ("scan_many", "prescan_batch"):
+        before = fast.scan_stats()
+        answered = 0
+        with (
+            mock.patch.object(sweep.GramSweep, "dirty_rows", recording_dirty_rows),
+            mock.patch.object(AhoCorasick, "scan_many", counting_scan_many),
+        ):
+            for payloads, want in zip(batches, expected):
+                if entry == "prescan_batch":
+                    buffer = memoryview(b"".join(payloads))
+                    ends = list(itertools.accumulate(map(len, payloads)))
+                    payloads = [buffer[e - len(p) : e] for p, e in zip(payloads, ends)]
+                sweeps.clear()
+                walked.clear()
+                assert getattr(fast, entry)(payloads) == want
+                (swept,) = sweeps
+                rows = range(len(payloads)) if swept is None else swept[0]
+                if swept is not None:
+                    answered += len({row for row, *_ in swept[1]} - set(rows))
+                handed = [bytes(payloads[row]) for row in rows]
+                assert walked == ([handed, [p.lower() for p in handed]] if handed else [])
+        after = fast.scan_stats()
+        for counter in ("scans", "scanned_bytes", "matches_emitted"):
+            assert after[counter] - before[counter] == wanted[counter], (entry, counter)
+        assert answered > len(plants) // 4, entry
+
+
+def test_sweep_collision_without_a_gram_entry_reaches_stage_four():
+    """A foreign eight-byte string whose stage-2 and stage-3 slots are
+    taken passes both hash stages, but its gram is no pattern's: stage 4
+    verifies it against nothing, on both entry points."""
+    patterns = [(b"pattern-%03d" % i, i % 2 == 0) for i in range(130)]
+    foreign = b"zqxjkvwy"
+    first = np.array([int.from_bytes(foreign[:4], "little")], dtype=np.uint32)
+    second = np.array([int.from_bytes(foreign[4:], "little")], dtype=np.uint32)
+
+    def mark(gram_sweep):
+        assert first[0] not in gram_sweep._by_gram
+        gram_sweep._table[gram_sweep._gram_slots(first)] = True
+        gram_sweep._prefix_table[gram_sweep._prefix_slots(first, second)] = True
+
+    automaton = DualAutomaton(patterns)
+    reference = DualAutomaton(patterns, dense_state_limit=0)
+    mark(automaton._sweep)
+    payloads = [b"." * 1000 + foreign + b"." * 1000, b"." * 500 + b"pattern-007" + foreign]
+    assert automaton.scan_many(payloads) == [reference.find_all(p) for p in payloads]
+    assert automaton.scan_stats()["sweep_verifies"] == 3
+    union = build_stream_sweep([automaton])
+    mark(union)
+    assert union.dirty_sides(b"." * 100, b"." * 300 + foreign + b"." * 300) == 0
+    assert union.verifies == 1
 
 
 # -- the carried stream matcher: one union sweep, stale sides, lazy resync ----

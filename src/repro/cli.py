@@ -37,7 +37,6 @@ from .runtime import (
     FaultPlan,
     ParallelRunner,
     RunnerConfig,
-    ShardPolicy,
     WorkerFailure,
     iter_batches,
 )
@@ -153,7 +152,6 @@ def _cmd_run_parallel(args: argparse.Namespace, rules: RuleSet) -> int:
     trace_on = args.trace_out is not None or args.serve_telemetry is not None
     config = RunnerConfig(
         batch_size=args.batch_size,
-        shard_policy=ShardPolicy(args.shard_policy),
         backpressure=Backpressure.SHED if args.shed else Backpressure.BLOCK,
         queue_depth=args.queue_depth,
         evict_interval=args.evict_interval,
@@ -819,13 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="shard the split engine across N worker processes behind a "
              "flow-consistent hash (default: single-process)",
-    )
-    run.add_argument(
-        "--shard-policy",
-        choices=tuple(policy.value for policy in ShardPolicy),
-        default=ShardPolicy.FLOW.value,
-        help="shard key: 'flow' hashes the address pair (fragment-safe, "
-             "default); 'tuple5' adds ports for finer balance",
     )
     pressure = run.add_mutually_exclusive_group()
     pressure.add_argument(

@@ -73,7 +73,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..runtime.sharding import ShardRouter
 
 __all__ = ["FlowTuple", "PacketBatch", "flow_of_tuple", "forget_interned_flows",
-           "ip_u32_to_str", "tuple_of_flow"]
+           "ip_u32_to_str", "portless_flow_hash", "portless_key_hash",
+           "tuple_of_flow"]
 
 IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
@@ -100,16 +101,15 @@ _COLUMN_NAMES = tuple(name for name, _ in _COLUMNS)
 
 # Bounded intern caches, for the readers that still turn a row's
 # integers into strings or hashes: the shard router at more than one
-# shard and the load shedder (FNV of the port-less address pair), and
-# the few rows that build a FlowKey (dotted-quad strings).  The
-# one-shard engine's clean rows never reach them.  Flow identities
+# shard, the load shedder and the tracer (FNV of the port-less address
+# pair), and the few rows that build a FlowKey (dotted-quad strings).
+# The one-shard engine's clean rows never reach them.  Flow identities
 # repeat heavily, so formatting and hashing are paid once per address
 # pair, not once per packet.  Cleared wholesale at the cap -- an
 # adversarial many-flow trace degrades to cache misses, never to
 # unbounded memory.
 _INTERN_CAP = 65536
 _PORTLESS_HASHES: dict[tuple[int, int, int], int] = {}
-_TUPLE5_HASHES: dict[tuple[int, int, int, int, int], int] = {}
 
 
 @lru_cache(maxsize=_INTERN_CAP)
@@ -138,40 +138,30 @@ def tuple_of_flow(flow: FlowKey) -> FlowTuple:
     return (src, dst, flow.src_port, flow.dst_port, flow.protocol)
 
 
-def portless_flow_hash(src: int, dst: int, proto: int) -> int:
-    """FNV-1a of the port-less canonical shard key for an address pair.
+def portless_key_hash(src: str, dst: str, proto: int) -> int:
+    """FNV-1a of the port-less canonical flow key: the one serialization.
 
-    Matches ``fnv1a_64(shard_key_bytes(flow, with_ports=False))`` for
-    every ``FlowKey`` over this address pair: the port-less key only
-    depends on the canonically ordered addresses, and tuple ordering on
-    ``(addr, port)`` reduces to string ordering on ``addr`` whenever the
-    addresses differ (and is irrelevant when they are equal).
+    ``"lo|hi|proto"`` with the two dotted-quad addresses in string order
+    -- :meth:`FlowKey.canonical`'s order whenever they differ; when they
+    are equal the order is moot.  The shard of every packet and fragment
+    of a connection, its trace id and its shed slot all derive from it,
+    so both directions and every fragment of a flow agree on all three.
     """
+    if dst < src:
+        src, dst = dst, src
+    return fnv1a_64(f"{src}|{dst}|{proto}".encode())
+
+
+def portless_flow_hash(src: int, dst: int, proto: int) -> int:
+    """:func:`portless_key_hash` of a row's integer address pair,
+    intern-cached: a flow's FNV pass is paid once, not once per row."""
     key = (src, dst, proto)
     cached = _PORTLESS_HASHES.get(key)
     if cached is None:
         if len(_PORTLESS_HASHES) >= _INTERN_CAP:
             _PORTLESS_HASHES.clear()
-        a = ip_u32_to_str(src)
-        b = ip_u32_to_str(dst)
-        if b < a:
-            a, b = b, a
-        cached = fnv1a_64(f"{a}|{b}|{proto}".encode())
+        cached = portless_key_hash(ip_u32_to_str(src), ip_u32_to_str(dst), proto)
         _PORTLESS_HASHES[key] = cached
-    return cached
-
-
-def _tuple5_flow_hash(src: int, dst: int, sport: int, dport: int, proto: int) -> int:
-    key = (src, dst, sport, dport, proto)
-    cached = _TUPLE5_HASHES.get(key)
-    if cached is None:
-        from ..runtime.sharding import shard_key_bytes
-
-        if len(_TUPLE5_HASHES) >= _INTERN_CAP:
-            _TUPLE5_HASHES.clear()
-        flow = FlowKey(ip_u32_to_str(src), ip_u32_to_str(dst), sport, dport, proto)
-        cached = fnv1a_64(shard_key_bytes(flow, with_ports=True))
-        _TUPLE5_HASHES[key] = cached
     return cached
 
 
@@ -183,7 +173,6 @@ def forget_interned_flows() -> None:
     resident anyway, not for a daemon whose working set is one poll (see
     ``SplitDetectService.run``)."""
     _PORTLESS_HASHES.clear()
-    _TUPLE5_HASHES.clear()
     ip_u32_to_str.cache_clear()
 
 
@@ -365,23 +354,18 @@ class PacketBatch:
         """Row indices per shard: the runners' packet-to-shard assignment.
 
         Non-TCP/UDP rows pin to shard 0 (they carry no flow state, so
-        placement only needs to be deterministic); fragments hash the
-        port-less address pair; everything else follows the router's
-        policy.  Hashes come from the intern caches behind
-        :func:`portless_flow_hash` / ``_tuple5_flow_hash`` (the port-less
-        ones looked up for every row in one C-level pass), so a flow's FNV
-        pass is paid once, not once per row.
+        placement only needs to be deterministic); every other row --
+        fragment or not -- goes where :func:`portless_flow_hash` of its
+        address pair sends it.  The hashes are looked up in the intern
+        cache for every row in one C-level pass, so a flow's FNV pass is
+        paid once, not once per row.
         """
-        from ..runtime.sharding import ShardPolicy
-
         shards = router.shards
         buckets: list[list[int]] = [[] for _ in range(shards)]
         if shards == 1:
             buckets[0] = list(range(len(self)))
             return buckets
-        tuple5 = router.policy is ShardPolicy.TUPLE5
         proto = self.proto
-        fragflags = self.fragflags
         src = self.src
         dst = self.dst
         portless = list(map(_PORTLESS_HASHES.get, zip(src, dst, proto)))
@@ -389,11 +373,6 @@ class PacketBatch:
             p = proto[row]
             if p != IP_PROTO_TCP and p != IP_PROTO_UDP:
                 buckets[0].append(row)
-            elif tuple5 and not (fragflags[row] & 0x3FFF):
-                digest = _tuple5_flow_hash(
-                    src[row], dst[row], self.sport[row], self.dport[row], p
-                )
-                buckets[digest % shards].append(row)
             else:
                 digest = portless[row] or portless_flow_hash(src[row], dst[row], p)
                 buckets[digest % shards].append(row)

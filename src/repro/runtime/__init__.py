@@ -17,8 +17,8 @@ Quick tour::
     report = runner.run(read_trace("big.pcap"))   # streams lazily
     print(report.alerts[:10], report.digest())
 
-- :mod:`~repro.runtime.sharding` -- the symmetric FNV-1a flow hash and
-  the fragmentation-safe default shard key;
+- :mod:`~repro.runtime.sharding` -- the fragmentation-safe shard key:
+  the port-less symmetric FNV-1a flow hash;
 - :class:`SerialRunner` -- same router + merge, one thread, for tests
   and bit-for-bit comparison against :class:`ParallelRunner`;
 - :class:`ParallelRunner` -- multiprocessing workers behind bounded
@@ -52,7 +52,7 @@ from .report import (
     merge_shard_reports,
 )
 from .serial import SerialRunner
-from .sharding import ShardPolicy, ShardRouter, shard_key_bytes
+from .sharding import ShardPolicy, ShardRouter
 from .spec import EngineSpec
 from .worker import ShardProcessor
 
@@ -82,5 +82,4 @@ __all__ = [
     "iter_batches",
     "merge_shard_reports",
     "rebatch_columns",
-    "shard_key_bytes",
 ]

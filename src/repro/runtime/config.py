@@ -32,7 +32,8 @@ class RunnerConfig:
     """Packets per routed batch (also the prescan amortization unit)."""
 
     shard_policy: ShardPolicy = ShardPolicy.FLOW
-    """Shard-key policy; see :mod:`repro.runtime.sharding`."""
+    """Shard-key policy; see :mod:`repro.runtime.sharding` (``FLOW`` is
+    the only one)."""
 
     backpressure: Backpressure = Backpressure.BLOCK
     """Full-queue behaviour (parallel runner only; the serial runner is

@@ -10,20 +10,21 @@ slice of the traffic.
 
 The one subtlety is IP fragmentation, the classic RSS pitfall: non-first
 fragments carry no transport header, so a port-inclusive hash would tear
-a fragmented connection across shards -- the fragments would land on one
-shard (port-less hash) while the connection's unfragmented packets land
-on another (five-tuple hash).  The engine's behaviour is *not* separable
-across that tear: the first fragment diverts the whole connection to the
-slow path, so the shard seeing only the unfragmented packets would keep
-them on the fast path and the sharded system would stop matching the
-unsharded one.  The default :attr:`ShardPolicy.FLOW` key therefore
-hashes the canonical flow key with the ports cleared -- src/dst address
-pair plus protocol -- which every packet of a connection *and* every
-fragment of its datagrams agree on.  :attr:`ShardPolicy.TUPLE5` adds the
-canonical port pair for finer balance on fragment-free workloads,
-accepting exactly the RSS caveat above.
+a fragmented connection across shards -- the fragments on one shard
+(port-less hash), the connection's whole packets on another (five-tuple
+hash).  The engine's behaviour is *not* separable across that tear: the
+first fragment diverts the whole connection to the slow path, but the
+shard seeing only the whole packets never gets the fragments' bytes,
+and the sharded system stops matching the unsharded one (THEORY.md's
+placement condition has a connection that alerts unsharded and is
+silent at two shards).  The shard key is therefore the canonical flow
+key with the ports cleared -- src/dst address pair plus protocol --
+which every packet of a connection *and* every fragment of its
+datagrams agree on, and there is no port-inclusive alternative.
 
-The hash is 64-bit FNV-1a over a canonical byte serialization: pure
+The hash is :func:`repro.packet.batch.portless_key_hash`, the one
+serialization of that key (also the trace id and the shed slot; rows
+reach it through the intern-cached ``portless_flow_hash``): pure
 integer arithmetic, so assignments are identical across platforms,
 Python builds, and runs (no ``PYTHONHASHSEED`` dependence).
 """
@@ -32,10 +33,10 @@ from __future__ import annotations
 
 import enum
 
-from ..hashing import fnv1a_64
 from ..packet import FlowKey
+from ..packet.batch import portless_key_hash
 
-__all__ = ["ShardPolicy", "ShardRouter", "shard_key_bytes"]
+__all__ = ["ShardPolicy", "ShardRouter"]
 
 
 class ShardPolicy(enum.Enum):
@@ -44,27 +45,6 @@ class ShardPolicy(enum.Enum):
     FLOW = "flow"
     """Canonical address pair + protocol (fragmentation-safe; every
     packet that can ever share engine state lands on one shard)."""
-
-    TUPLE5 = "tuple5"
-    """Canonical five-tuple including ports (finer spreading; fragments
-    still fall back to the address pair, so a connection that both
-    fragments and sends whole packets may straddle two shards)."""
-
-
-def shard_key_bytes(flow: FlowKey, *, with_ports: bool) -> bytes:
-    """Serialize the direction-insensitive shard identity of a flow.
-
-    Uses :meth:`FlowKey.canonical` so both directions serialize
-    identically; the port pair is included only when the policy (and the
-    packet -- fragments have no visible ports) allows.
-    """
-    canonical = flow.canonical()
-    if with_ports:
-        return (
-            f"{canonical.src}|{canonical.dst}|{canonical.src_port}|"
-            f"{canonical.dst_port}|{canonical.protocol}"
-        ).encode()
-    return f"{canonical.src}|{canonical.dst}|{canonical.protocol}".encode()
 
 
 class ShardRouter:
@@ -76,7 +56,6 @@ class ShardRouter:
         self.shards = shards
         self.policy = policy
 
-    def shard_of_flow(self, flow: FlowKey, *, fragment: bool = False) -> int:
-        """Shard index for a flow key (``fragment`` forces the port-less key)."""
-        with_ports = self.policy is ShardPolicy.TUPLE5 and not fragment
-        return fnv1a_64(shard_key_bytes(flow, with_ports=with_ports)) % self.shards
+    def shard_of_flow(self, flow: FlowKey) -> int:
+        """Shard index for a flow key (its ports play no part)."""
+        return portless_key_hash(flow.src, flow.dst, flow.protocol) % self.shards

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..hashing import fnv1a_64
 from ..packet import FlowKey
 from ..packet.batch import PacketBatch, ip_u32_to_str, portless_flow_hash
 
@@ -78,27 +77,8 @@ class ShedPolicy:
             raise ValueError(f"calm_updates must be >= 1, got {self.calm_updates}")
 
 
-def _shed_slot(flow: FlowKey) -> int:
-    """Deterministic position of a flow in the shed hash space.
-
-    Port-less canonical key, same serialization discipline as the trace
-    id and the fragment-safe shard policy: both directions and every IP
-    fragment of a flow land on one slot, so a shed flow is shed wholly.
-    (The same hash :func:`~repro.packet.batch.portless_flow_hash`
-    computes from a batch row's address columns, which is what
-    :meth:`LoadShedder.shed_rows` calls.)
-    """
-    canonical = flow.canonical()
-    return (
-        fnv1a_64(
-            f"{canonical.src}|{canonical.dst}|{canonical.protocol}".encode()
-        )
-        % _SHED_SCALE
-    )
-
-
 class LoadShedder:
-    """The level state machine plus the per-packet shed decision."""
+    """The level state machine plus the per-row shed decision."""
 
     def __init__(self, policy: ShedPolicy | None = None) -> None:
         self.policy = policy or ShedPolicy()
@@ -157,38 +137,23 @@ class LoadShedder:
             return 0.0
         return self.policy.levels[self.level] * _SHED_SCALE
 
-    def _shed_unless_protected(self, flow: FlowKey, engine: Any, tracer: Any) -> bool:
-        """The never-shed invariants, for a flow inside the shed space.
-
-        A currently-diverted or force-traced flow is never shed at any
-        level -- the invariant the shedding test asserts under injected
-        overload."""
-        if engine.is_diverted(flow):
-            self.protected_packets += 1
-            return False
-        if tracer is not None and tracer.is_forced(flow):
-            self.protected_packets += 1
-            return False
-        self.shed_packets += 1
-        return True
-
-    def should_shed(self, flow: FlowKey, *, engine: Any, tracer: Any = None) -> bool:
-        """The per-packet decision, with the never-shed invariants."""
-        if _shed_slot(flow) >= self._threshold():
-            return False
-        return self._shed_unless_protected(flow, engine, tracer)
-
     def shed_rows(
         self, batch: PacketBatch, rows: list[int], *, engine: Any, tracer: Any = None
     ) -> tuple[list[int], list[tuple[int, FlowKey]]]:
-        """:meth:`should_shed` over batch rows: ``(kept, shed)``.
+        """The shed decision over batch rows: ``(kept, shed)``.
 
-        The slot comes from the intern-cached
-        :func:`~repro.packet.batch.portless_flow_hash` of the row's
-        address columns, so a flow key is only built for rows inside the
-        shed space.  A non-first fragment has no ports to name its flow
-        and is always kept.  Shed rows come back with their flow for the
-        caller's counters and trace spans.
+        A row's slot in the shed space is the intern-cached
+        :func:`~repro.packet.batch.portless_flow_hash` of its address
+        pair and protocol -- the key the shard router places by -- so
+        both directions and every packet of a flow share one slot and a
+        shed flow is shed wholly.  A flow key is only built for rows
+        inside the shed space.  A non-first fragment has no ports to name
+        its flow and is always kept.
+
+        The never-shed invariants: a currently-diverted or force-traced
+        flow is never shed at any level (counted in
+        ``protected_packets``).  Shed rows come back with their flow for
+        the caller's counters and trace spans.
         """
         threshold = self._threshold()
         if threshold <= 0:
@@ -211,10 +176,14 @@ class LoadShedder:
                 batch.dport[row],
                 proto,
             )
-            if self._shed_unless_protected(flow, engine, tracer):
-                shed.append((row, flow))
-            else:
+            if engine.is_diverted(flow) or (
+                tracer is not None and tracer.is_forced(flow)
+            ):
+                self.protected_packets += 1
                 kept.append(row)
+            else:
+                self.shed_packets += 1
+                shed.append((row, flow))
         return kept, shed
 
     def state(self) -> dict[str, Any]:

@@ -37,7 +37,6 @@ from .registry import (
     Histogram,
     NullRegistry,
     TelemetryRegistry,
-    merge_snapshots,
 )
 from .serve import TelemetryPublisher, TelemetryServer, TelemetrySession
 from .trace import (
@@ -74,7 +73,6 @@ __all__ = [
     "TelemetryServer",
     "TelemetrySession",
     "histogram_quantile",
-    "merge_snapshots",
     "merge_trace_snapshots",
     "span_sort_key",
     "stage_profile",

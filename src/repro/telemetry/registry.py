@@ -553,125 +553,6 @@ class TelemetryRegistry:
         }
 
 
-def _merge_labeled_values(target: list, incoming: list, combine) -> None:
-    """Merge snapshot ``values`` lists in place, keyed by label dict."""
-    by_labels = {tuple(sorted(entry["labels"].items())): entry for entry in target}
-    for entry in incoming:
-        key = tuple(sorted(entry["labels"].items()))
-        mine = by_labels.get(key)
-        if mine is None:
-            copied = dict(entry)
-            target.append(copied)
-            by_labels[key] = copied
-        else:
-            combine(mine, entry)
-
-
-def merge_snapshots(*snapshots: dict) -> dict:
-    """Combine :meth:`TelemetryRegistry.snapshot` dicts (e.g. loaded from
-    the JSON a previous run exported) under the same per-metric rules as
-    :meth:`TelemetryRegistry.merge`.
-
-    Counters and histogram buckets add (cumulative counts are linear, so
-    adding them per slot is exact); gauges follow the ``merge`` mode the
-    snapshot recorded (``max`` when absent -- snapshots predating the
-    mode declaration); journals concatenate sorted by timestamp, keeping
-    the larger declared capacity and summing ``recorded``/``dropped``.
-    Empty snapshots (disabled registries) are skipped.  Histogram edge
-    disagreement raises ``ValueError``.
-    """
-    merged: dict = {
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "journal": {"capacity": 0, "recorded": 0, "dropped": 0, "events": []},
-    }
-
-    def add_counter(mine, theirs):
-        mine["value"] += theirs["value"]
-
-    def add_histogram(mine, theirs):
-        if len(mine["cumulative_counts"]) != len(theirs["cumulative_counts"]):
-            raise ValueError("histogram children disagree on bucket count")
-        mine["cumulative_counts"] = [
-            a + b for a, b in zip(mine["cumulative_counts"], theirs["cumulative_counts"])
-        ]
-        mine["sum"] += theirs["sum"]
-        mine["count"] += theirs["count"]
-
-    for snapshot in snapshots:
-        if not snapshot:
-            continue
-        for name, family in snapshot.get("counters", {}).items():
-            mine = merged["counters"].setdefault(
-                name,
-                {
-                    "help": family["help"],
-                    "label_names": list(family["label_names"]),
-                    "values": [],
-                },
-            )
-            _merge_labeled_values(
-                mine["values"],
-                [dict(v) for v in family["values"]],
-                add_counter,
-            )
-        for name, family in snapshot.get("gauges", {}).items():
-            mode = family.get("merge", "max")
-            mine = merged["gauges"].setdefault(
-                name,
-                {
-                    "help": family["help"],
-                    "label_names": list(family["label_names"]),
-                    "merge": mode,
-                    "values": [],
-                },
-            )
-            if mine["merge"] != mode:
-                raise ValueError(f"gauge {name} snapshots disagree on merge mode")
-
-            def combine_gauge(a, b, mode=mode):
-                if mode == "sum":
-                    a["value"] += b["value"]
-                elif mode == "last":
-                    a["value"] = b["value"]
-                else:
-                    a["value"] = max(a["value"], b["value"])
-
-            _merge_labeled_values(
-                mine["values"], [dict(v) for v in family["values"]], combine_gauge
-            )
-        for name, family in snapshot.get("histograms", {}).items():
-            mine = merged["histograms"].setdefault(
-                name,
-                {
-                    "help": family["help"],
-                    "label_names": list(family["label_names"]),
-                    "bucket_edges": list(family["bucket_edges"]),
-                    "values": [],
-                },
-            )
-            if mine["bucket_edges"] != list(family["bucket_edges"]):
-                raise ValueError(f"histogram {name} snapshots disagree on bucket edges")
-            _merge_labeled_values(
-                mine["values"],
-                [
-                    {**v, "cumulative_counts": list(v["cumulative_counts"])}
-                    for v in family["values"]
-                ],
-                add_histogram,
-            )
-        journal = snapshot.get("journal")
-        if journal:
-            mine = merged["journal"]
-            mine["capacity"] = max(mine["capacity"], journal.get("capacity", 0))
-            mine["recorded"] += journal.get("recorded", 0)
-            mine["dropped"] += journal.get("dropped", 0)
-            mine["events"].extend(journal.get("events", []))
-    merged["journal"]["events"].sort(key=lambda event: event.get("ts", 0.0))
-    return merged
-
-
 class _NullInstrument:
     """One object impersonating every disabled metric family and child."""
 

@@ -15,8 +15,8 @@ Design constraints, mirroring the registry's (PR 2 discipline):
    splitcheck rule SD107), so an untraced run pays one boolean test per
    site and nothing else.
 2. **Deterministic.**  Trace ids are 64-bit FNV-1a over the *port-less*
-   canonical flow key -- the same serialization the shard router's
-   default ``flow`` policy hashes -- so both directions of a connection
+   canonical flow key -- :func:`repro.packet.batch.portless_key_hash`,
+   the hash the shard router places by -- so both directions of a connection
    AND every IP fragment of its datagrams share one trace id, and ids
    are identical across platforms and runs.  Span timestamps are packet
    time (never a wall clock), and the sampling decision is a pure
@@ -42,8 +42,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from ..hashing import fnv1a_64
 from ..packet import FlowKey, FlowTuple, flow_of_tuple
+from ..packet.batch import portless_flow_hash, portless_key_hash
 
 __all__ = [
     "NULL_TRACER",
@@ -67,16 +67,12 @@ _ID_CACHE_LIMIT = 1 << 16
 def trace_id_of(flow: FlowKey) -> int:
     """The flow-consistent 64-bit trace id.
 
-    Hashes the canonical *port-less* address pair + protocol -- the same
-    key :func:`repro.runtime.sharding.shard_key_bytes` serializes for
-    the fragment-safe ``flow`` shard policy (re-implemented here so the
-    telemetry layer never imports the runtime) -- so IP fragments share
-    their connection's trace and both directions agree on one id.
+    :func:`~repro.packet.batch.portless_key_hash` of the flow's address
+    pair and protocol -- the key the shard router places by -- so IP
+    fragments share their connection's trace and both directions agree
+    on one id.
     """
-    canonical = flow.canonical()
-    return fnv1a_64(
-        f"{canonical.src}|{canonical.dst}|{canonical.protocol}".encode()
-    )
+    return portless_key_hash(flow.src, flow.dst, flow.protocol)
 
 
 def span_sort_key(span: dict[str, Any]) -> tuple:
@@ -130,8 +126,11 @@ class FlowTracer:
         if entry is None:
             if len(self._ids) >= _ID_CACHE_LIMIT:
                 self._ids.clear()
-            named = flow if isinstance(flow, FlowKey) else flow_of_tuple(flow)
-            tid = trace_id_of(named)
+            if isinstance(flow, FlowKey):
+                named, tid = flow, trace_id_of(flow)
+            else:
+                named = flow_of_tuple(flow)
+                tid = portless_flow_hash(flow[0], flow[1], flow[4])
             entry = (tid, f"{tid:016x}", str(named))
             self._ids[flow] = entry
         return entry

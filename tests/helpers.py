@@ -11,7 +11,7 @@ from repro.pcap.columnar import encode_batches
 from repro.runtime import EngineSpec
 from repro.signatures import RuleSet, Signature
 
-ATTACK_SIGNATURE = b"EVIL/shellcode\x90\x90\x90:run/bin/sh"  # 31 bytes
+ATTACK_SIGNATURE = b"EVIL/shellcode\x90\x90\x90:run/bin/sh"  # 28 bytes
 SIGNATURE_OFFSET = 100
 
 CLIENT = "10.9.9.9"

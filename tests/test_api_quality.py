@@ -1,8 +1,10 @@
 """Library-quality gates: public API shape and documentation coverage."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +89,21 @@ def test_public_methods_of_core_classes_documented():
 
 def test_version_is_exposed():
     assert repro.__version__ == "1.0.0"
+
+
+def test_fnv1a_64_has_one_home_per_key():
+    """``fnv1a_64`` is called in exactly three modules: the port-less
+    placement key (shards, trace ids, shed slots) in ``packet/batch.py``,
+    and the directional state key in the flow table and the sketch.  A
+    fourth caller would be a second serialization of a key one of them
+    already owns -- and one more site a per-run hash key must reach."""
+    src = Path(repro.__file__).resolve().parent
+    callers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "fnv1a_64":
+                    callers.add(path.relative_to(src).as_posix())
+    assert callers == {"packet/batch.py", "core/flowtable.py", "core/sketch.py"}

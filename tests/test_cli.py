@@ -354,10 +354,9 @@ class TestParallelRun:
         assert "shard[0]:" in out and "shard[1]:" in out
         assert "alerts:" in out
 
-    def test_workers_with_shed_and_tuple5(self, attack_pcap, small_rules, capsys):
+    def test_workers_with_shed(self, attack_pcap, small_rules, capsys):
         code = main(["run", str(attack_pcap), "--workers", "2", "--shed",
-                     "--shard-policy", "tuple5", "--queue-depth", "4",
-                     "--rules", str(small_rules)])
+                     "--queue-depth", "4", "--rules", str(small_rules)])
         assert code == 0
         assert "across 2 shards" in capsys.readouterr().out
 
@@ -390,12 +389,6 @@ class TestParallelRun:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", str(attack_pcap), "--workers", "2", "--shed", "--block"]
-            )
-
-    def test_bad_shard_policy_rejected(self, attack_pcap):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", str(attack_pcap), "--shard-policy", "random"]
             )
 
     def test_bad_evict_interval_rejected(self, attack_pcap):

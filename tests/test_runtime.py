@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import SplitDetectIPS
 from repro.evasion import build_attack
+from repro.hashing import fnv1a_64
 from repro.packet import (
     FlowKey,
     IPv4Packet,
@@ -37,14 +38,16 @@ from repro.runtime import (
     equivalence_digest,
     iter_batches,
     merge_shard_reports,
-    shard_key_bytes,
 )
 from repro.runtime.report import ShardReport
 from repro.signatures import SplitPolicy
+from repro.telemetry import trace_id_of
 from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 
 from helpers import (
     ATTACK_SIGNATURE,
+    CLIENT,
+    SERVER,
     SIGNATURE_OFFSET,
     as_batch,
     attack_payload,
@@ -103,10 +106,24 @@ def test_golden_assignments_are_platform_stable():
     """Hard-coded FNV results: the hash must never drift across platforms,
     Python versions, or PYTHONHASHSEED -- shard layouts are part of the
     on-disk/benchmark contract."""
-    flow_router = ShardRouter(4, ShardPolicy.FLOW)
-    tuple_router = ShardRouter(4, ShardPolicy.TUPLE5)
-    assert [flow_router.shard_of_flow(f) for f in GOLDEN_FLOWS] == [0, 2, 3, 2, 1]
-    assert [tuple_router.shard_of_flow(f) for f in GOLDEN_FLOWS] == [0, 2, 2, 2, 3]
+    router = ShardRouter(4, ShardPolicy.FLOW)
+    assert [router.shard_of_flow(f) for f in GOLDEN_FLOWS] == [0, 2, 3, 2, 1]
+
+
+def test_golden_trace_ids_share_the_placement_hash():
+    """Trace ids are the shard key's FNV, hard-coded: a flow's trace id
+    and its shard never drift apart, nor across platforms."""
+    assert [trace_id_of(f) for f in GOLDEN_FLOWS] == [
+        0xB1F080EF1FE6CDA4,
+        0x11F1B5AD219B059A,
+        0xF7FB9A09348A71D3,
+        0xCBCC43B65A8B8AA6,
+        0xE1E87CB4E1E08049,
+    ]
+    router = ShardRouter(4)
+    assert [trace_id_of(f) % 4 for f in GOLDEN_FLOWS] == [
+        router.shard_of_flow(f) for f in GOLDEN_FLOWS
+    ]
 
 
 def shards_of(router: ShardRouter, packets: list[IPv4Packet]) -> list[int]:
@@ -143,26 +160,15 @@ def golden_packets() -> list[IPv4Packet]:
     ("policy", "expected"),
     [
         (ShardPolicy.FLOW, [0, 2, 3, 2, 1, 1, 0]),
-        (ShardPolicy.TUPLE5, [0, 2, 2, 2, 3, 1, 0]),
     ],
 )
 def test_golden_batch_row_placement(policy, expected):
     """The runners' row routing (:meth:`PacketBatch.shard_rows`) lands the
     golden flows where :meth:`ShardRouter.shard_of_flow` does, a non-first
-    fragment on its address pair's shard under either policy, and ICMP
-    on shard 0 -- hard-coded, so no change to how a row is hashed can
-    move a row unnoticed."""
+    fragment on its connection's shard, and ICMP on shard 0 --
+    hard-coded, so no change to how a row is hashed can move a row
+    unnoticed."""
     assert shards_of(ShardRouter(4, policy), golden_packets()) == expected
-
-
-def test_shard_key_bytes_is_canonical():
-    flow = FlowKey("9.9.9.9", "1.1.1.1", 5555, 80, 6)
-    for with_ports in (False, True):
-        assert shard_key_bytes(flow, with_ports=with_ports) == shard_key_bytes(
-            flow.reversed(), with_ports=with_ports
-        )
-    assert b"5555" in shard_key_bytes(flow, with_ports=True)
-    assert b"5555" not in shard_key_bytes(flow, with_ports=False)
 
 
 def test_fragments_colocate_with_their_connection_under_flow_policy():
@@ -182,26 +188,6 @@ def test_fragments_colocate_with_their_connection_under_flow_policy():
     shards = shards_of(router, [whole, *frags])
     assert len(set(shards)) == 1
     assert shards[0] == router.shard_of_flow(FlowKey("10.1.2.3", "10.4.5.6", 1234, 80, 6))
-
-
-def test_tuple5_fragments_fall_back_to_address_pair():
-    router = ShardRouter(4, ShardPolicy.TUPLE5)
-    whole = IPv4Packet(
-        src="10.1.2.3",
-        dst="10.4.5.6",
-        protocol=6,
-        payload=(1234).to_bytes(2, "big") + (80).to_bytes(2, "big") + b"\x00" * 16
-        + b"y" * 1600,
-    )
-    frags = fragment(whole, 600)
-    expected = router.shard_of_flow(
-        FlowKey("10.1.2.3", "10.4.5.6", 0, 0, 6), fragment=True
-    )
-    assert shards_of(router, frags) == [expected] * len(frags)
-    # ...while the unfragmented connection hashes its ports too.
-    assert shards_of(router, [whole]) == [
-        router.shard_of_flow(FlowKey("10.1.2.3", "10.4.5.6", 1234, 80, 6))
-    ]
 
 
 def test_non_tcp_udp_goes_to_shard_zero():
@@ -338,6 +324,61 @@ def test_serial_runner_shard_count_is_transparent():
     assert one.mode == four.mode == "serial"
     assert len(four.shards) == 4
     assert sum(s.stats.packets_total for s in four.shards) == len(trace)
+
+
+#: A client port for which, at two shards, a port-inclusive five-tuple
+#: key and the port-less shard key pick different shards.
+SPLIT_PORT = 40001
+
+
+def fragmented_middle_connection() -> list[TimedPacket]:
+    """One connection carrying sid 5001 (28 bytes, pieces at 0/10/19,
+    B = 16) across three segments, the middle one IP-fragmented.  The
+    first fragment diverts the connection and the slow path reassembles
+    the signature from byte 9 on: an alert only an engine that sees the
+    fragments *and* the last segment can raise."""
+    sig = ATTACK_SIGNATURE
+    filler = b"x" * 40
+
+    def segment(seq: int, payload: bytes, flags: int = 0x10) -> TcpSegment:
+        return TcpSegment(
+            src_port=SPLIT_PORT, dst_port=80, seq=seq, flags=flags, payload=payload
+        )
+
+    middle = build_tcp_packet(
+        CLIENT, SERVER, segment(1050, sig[9:18]), dont_fragment=False, identification=7
+    )
+    packets = [
+        build_tcp_packet(CLIENT, SERVER, segment(1000, b"", flags=0x02)),
+        build_tcp_packet(CLIENT, SERVER, segment(1001, filler + sig[0:9])),
+        *fragment(middle, 36),
+        build_tcp_packet(CLIENT, SERVER, segment(1059, sig[18:] + filler)),
+    ]
+    assert len(packets) == 5
+    return [TimedPacket(float(i), packet) for i, packet in enumerate(packets)]
+
+
+def test_a_fragmented_connection_alerts_at_every_shard_count():
+    """The theorem needs every packet that can share engine state on one
+    shard: a port-inclusive key sent this connection's whole segments to
+    one shard and its fragments to the other, and it raised no alert at
+    two shards (the policy that did so is gone)."""
+    five_tuple_key = f"{SERVER}|{CLIENT}|80|{SPLIT_PORT}|6".encode()
+    assert fnv1a_64(five_tuple_key) % 2 != ShardRouter(2).shard_of_flow(
+        FlowKey(CLIENT, SERVER, SPLIT_PORT, 80)
+    )
+    trace = fragmented_middle_connection()
+    ref_alerts, ref_stats = run_unsharded(trace)
+    config = RunnerConfig(batch_size=BATCH)
+    reports = [
+        SerialRunner(make_spec(), shards=shards, config=config).run(trace)
+        for shards in (1, 2, 4)
+    ]
+    reports.append(ParallelRunner(make_spec(), workers=2, config=config).run(trace))
+    assert any(alert.sid == 5001 for alert in ref_alerts)
+    for report in reports:
+        assert any(alert.sid == 5001 for alert in report.alerts)
+        assert report.digest() == equivalence_digest(ref_alerts, ref_stats)
 
 
 def test_parallel_shed_accounting_invariant():

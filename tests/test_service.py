@@ -70,7 +70,8 @@ from repro.service import (
     open_source,
     send_records,
 )
-from repro.service.shedding import _SHED_SCALE, _shed_slot
+from repro.packet.batch import portless_flow_hash
+from repro.service.shedding import _SHED_SCALE
 from repro.signatures import RuleSet, Signature, SplitPolicy
 from repro.telemetry import trace_id_of
 from repro.telemetry.serve import TelemetryPublisher, TelemetryServer, TelemetrySession
@@ -642,14 +643,25 @@ class FakeTracer:
         return flow.canonical() in self.forced
 
 
-def sheddable_flow():
-    """A flow whose hash slot falls inside the level-1 (0.25) fraction."""
+def shed_slot(flow) -> int:
+    """A flow's position in the shed hash space."""
+    src, dst, _, _, proto = tuple_of_flow(flow)
+    return portless_flow_hash(src, dst, proto) % _SHED_SCALE
+
+
+def sheddable_packet() -> TimedPacket:
+    """A packet whose flow's slot falls inside the level-1 (0.25) fraction."""
     for host in range(1, 250):
         packet = tcp_packet(f"10.50.0.{host}", "10.0.0.2")
-        flow = flow_key_of(packet.ip)
-        if _shed_slot(flow) < 0.25 * _SHED_SCALE:
-            return flow
+        if shed_slot(flow_key_of(packet.ip)) < 0.25 * _SHED_SCALE:
+            return packet
     raise AssertionError("no sheddable flow in 250 candidates")
+
+
+def sheds(shedder: LoadShedder, packet: TimedPacket, **protections) -> bool:
+    """Does ``shedder`` shed the one row of ``packet``?"""
+    _kept, shed = shedder.shed_rows(as_batch([packet]), [0], **protections)
+    return bool(shed)
 
 
 class TestLoadShedder:
@@ -688,42 +700,47 @@ class TestLoadShedder:
             ShedPolicy(calm_updates=0)
 
     def test_never_sheds_diverted_or_forced_flows(self):
-        flow = sheddable_flow()
+        packet = sheddable_packet()
+        flow = flow_key_of(packet.ip)
         shedder = LoadShedder()
         shedder.level = 1
 
         # Unprotected: the hash says shed, so it sheds.
-        assert shedder.should_shed(flow, engine=FakeEngine()) is True
+        assert sheds(shedder, packet, engine=FakeEngine()) is True
         assert shedder.shed_packets == 1
 
         # Same flow, now diverted: absolutely protected.
         diverted = FakeEngine(diverted=[flow.canonical()])
-        assert shedder.should_shed(flow, engine=diverted) is False
+        assert sheds(shedder, packet, engine=diverted) is False
         # Same flow, force-traced: absolutely protected.
         forced = FakeTracer(forced=[flow.canonical()])
-        assert (
-            shedder.should_shed(flow, engine=FakeEngine(), tracer=forced)
-            is False
-        )
+        assert sheds(shedder, packet, engine=FakeEngine(), tracer=forced) is False
         assert shedder.protected_packets == 2
         assert shedder.shed_packets == 1
 
     def test_level_zero_and_disabled_never_shed(self):
-        flow = sheddable_flow()
+        packet = sheddable_packet()
         shedder = LoadShedder()
-        assert shedder.should_shed(flow, engine=FakeEngine()) is False
+        assert sheds(shedder, packet, engine=FakeEngine()) is False
         shedder.level = 1
         shedder.enabled = False
-        assert shedder.should_shed(flow, engine=FakeEngine()) is False
+        assert sheds(shedder, packet, engine=FakeEngine()) is False
         assert shedder.shed_packets == 0
 
     def test_whole_flow_decisions_are_deterministic(self):
-        flow = sheddable_flow()
+        packet = sheddable_packet()
+        reply = build_tcp_packet(
+            packet.ip.dst, packet.ip.src, TcpSegment(src_port=80, dst_port=40000, seq=9)
+        )
+        packets = [packet, TimedPacket(1.0, reply)] * 5
         shedder = LoadShedder()
         shedder.level = 1
-        engine = FakeEngine()
-        decisions = {shedder.should_shed(flow, engine=engine) for _ in range(10)}
-        assert decisions == {True}, "a shed flow is shed wholly, not per-packet"
+        kept, shed = shedder.shed_rows(
+            as_batch(packets), list(range(len(packets))), engine=FakeEngine()
+        )
+        assert kept == [] and len(shed) == len(packets), (
+            "a shed flow is shed wholly, both directions, not per-packet"
+        )
 
 
 class TestSheddingService:
@@ -926,8 +943,10 @@ class TestServeEquivalence:
                 expected.setdefault(table.tenant_of(packet), []).append(row)
             assert table.tenant_rows(as_batch(packets)) == expected
 
-    def test_shed_rows_never_sheds_a_protected_flow(self):
-        """Column shedding == per-flow shedding, protections included."""
+    @staticmethod
+    def shed_batch_packets() -> list[TimedPacket]:
+        """119 one-packet flows, a fragmented datagram of the first, and
+        an ICMP packet."""
         packets = [tcp_packet(f"10.50.0.{host}", "10.0.0.2") for host in range(1, 120)]
         whole = build_tcp_packet(
             "10.50.0.1", "10.0.0.2",
@@ -938,44 +957,64 @@ class TestServeEquivalence:
         packets.append(
             TimedPacket(1.0, IPv4Packet("10.50.0.9", "10.0.0.2", 1, b"\x08\x00\x00\x00"))
         )
+        return packets
+
+    def test_shed_rows_never_sheds_a_protected_flow(self):
+        """Every row of a flow in the shed space is shed, protections
+        and non-first fragments excepted."""
+        packets = self.shed_batch_packets()
         batch = as_batch(packets)
         flows = [
             None if p.ip.fragment_offset else flow_key_of(p.ip) for p in packets
         ]
         sheddable = [
             flow for flow in flows
-            if flow is not None and _shed_slot(flow) < 0.5 * _SHED_SCALE
+            if flow is not None and shed_slot(flow) < 0.5 * _SHED_SCALE
         ]
         diverted = {flow.canonical() for flow in sheddable[0::3]}
         forced = {flow.canonical() for flow in sheddable[1::3]}
         assert diverted and forced and len(sheddable) > len(diverted) + len(forced)
 
-        def shedder_at_level_two() -> LoadShedder:
-            shedder = LoadShedder(ShedPolicy(levels=(0.0, 0.25, 0.5)))
-            shedder.level = 2
-            return shedder
-
-        by_rows = shedder_at_level_two()
-        kept, shed = by_rows.shed_rows(
+        shedder = LoadShedder(ShedPolicy(levels=(0.0, 0.25, 0.5)))
+        shedder.level = 2
+        kept, shed = shedder.shed_rows(
             batch,
             list(range(len(batch))),
             engine=FakeEngine(diverted),
             tracer=FakeTracer(forced),
         )
-        by_flow = shedder_at_level_two()
         expected_shed = [
             (row, flow)
             for row, flow in enumerate(flows)
             if flow is not None
-            and by_flow.should_shed(
-                flow, engine=FakeEngine(diverted), tracer=FakeTracer(forced)
-            )
+            and shed_slot(flow) < 0.5 * _SHED_SCALE
+            and flow.canonical() not in diverted | forced
         ]
         assert shed == expected_shed and shed
         assert kept == [row for row in range(len(batch)) if row not in dict(shed)]
-        assert by_rows.shed_packets == by_flow.shed_packets == len(shed)
-        assert by_rows.protected_packets == by_flow.protected_packets > 0
-        assert not {flow.canonical() for _, flow in shed} & (diverted | forced)
+        assert shedder.shed_packets == len(shed)
+        assert shedder.protected_packets == sum(
+            1
+            for flow in flows
+            if flow is not None and flow.canonical() in diverted | forced
+        ) > 0
+
+    def test_shed_rows_golden_split(self):
+        """Hard-coded shed rows at half the flow space: no change to how
+        a slot is hashed can move a flow in or out of it unnoticed."""
+        batch = as_batch(self.shed_batch_packets())
+        shedder = LoadShedder(ShedPolicy(levels=(0.0, 0.25, 0.5)))
+        shedder.level = 2
+        kept, shed = shedder.shed_rows(
+            batch, list(range(len(batch))), engine=FakeEngine()
+        )
+        assert [row for row, _ in shed] == [
+            0, 2, 3, 8, 9, 14, 15, 17, 19, 22, 24, 26, 27, 33, 35, 38, 40, 45,
+            46, 48, 49, 51, 53, 57, 59, 62, 63, 65, 70, 73, 76, 80, 81, 82, 83,
+            85, 86, 88, 90, 91, 92, 93, 97, 98, 100, 102, 104, 105, 107, 109,
+            112, 115, 119, 123,
+        ]
+        assert len(kept) == 70
 
     def test_max_packets_stop(self):
         records = records_of(first_wave() + second_wave())

@@ -634,7 +634,7 @@ class TestPublishedCounters:
 
 
 class TestRegistryMerge:
-    """Registry.merge / merge_snapshots: the sharded runtime's fold."""
+    """Registry.merge: the sharded runtime's fold."""
 
     def test_counters_sum(self):
         a, b = TelemetryRegistry(), TelemetryRegistry()
@@ -710,17 +710,3 @@ class TestRegistryMerge:
         tel.merge(NULL_REGISTRY)
         assert tel.get("repro_m_total").value == 2
         assert NULL_REGISTRY.merge(tel) is NULL_REGISTRY
-
-    def test_merge_snapshots_function(self):
-        from repro.telemetry import merge_snapshots
-
-        a, b = TelemetryRegistry(), TelemetryRegistry()
-        a.counter("repro_m_total", "h").inc(1)
-        b.counter("repro_m_total", "h").inc(2)
-        a.gauge("repro_g", "h", merge="max").set(4)
-        b.gauge("repro_g", "h", merge="max").set(6)
-        merged = merge_snapshots(a.snapshot(), b.snapshot())
-        counter = merged["counters"]["repro_m_total"]["values"]
-        assert counter[0]["value"] == 3
-        gauge = merged["gauges"]["repro_g"]["values"]
-        assert gauge[0]["value"] == 6

@@ -80,7 +80,7 @@ class TestTraceId:
 
     def test_ports_do_not_matter(self):
         # IP fragments decode with no ports; they must land on their
-        # connection's trace, exactly like the 'flow' shard policy.
+        # connection's trace, exactly like the shard key.
         full = FlowKey("10.0.0.1", "10.0.0.2", 1025, 80)
         fragment = FlowKey("10.0.0.1", "10.0.0.2", 0, 0)
         assert trace_id_of(full) == trace_id_of(fragment)

@@ -129,8 +129,10 @@ def stream_bundled_row(data: bytes) -> dict:
     stream = data[:cut] + planted.pattern + data[cut:]
     chunks = slices(stream)
 
+    rows = [(flow, 0.0)]  # every chunk is one row's, at time 0
+
     def one_pass(slow):
-        alerts = [slow._match(flow, chunk, 0.0) for chunk in chunks]
+        alerts = [slow._match(flow, chunk, rows, [0], [len(chunk)]) for chunk in chunks]
         slow.release_flow(flow)
         return alerts
 
@@ -140,7 +142,7 @@ def stream_bundled_row(data: bytes) -> dict:
     assert swept._current.sweep is not None
     assert walked._current.sweep is None
     expected = one_pass(walked)
-    assert any(alert.sid == planted.sid for alerts in expected for alert in alerts)
+    assert any(alert.sid == planted.sid for alerts in expected for _, alert in alerts)
     identical = one_pass(swept) == expected
     walked_mbps = best_rate_mbps(lambda _: one_pass(walked), stream)
     swept_mbps = best_rate_mbps(lambda _: one_pass(swept), stream)

@@ -16,6 +16,7 @@ that logic once:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from ..match import DualAutomaton, DualStreamMatcher
@@ -113,10 +114,17 @@ class SignatureMatcher:
         chunk: bytes,
         flow: FlowKey | None,
         dirty: int = DualStreamMatcher.WALK_BOTH,
+        ends: list[int] | None = None,
     ) -> list[SignatureHit]:
         """Feed the next stream chunk (``dirty``: a sweep's verdict, see
-        :meth:`DualStreamMatcher.feed`); returns newly completed rules."""
+        :meth:`DualStreamMatcher.feed`); returns newly completed rules.
+        ``ends``: the chunk joins segments ending at these offsets in it;
+        hits are completed in segment order (each side walked the whole
+        chunk), as multi-content rules need."""
         hits = [(m.pattern_id, m.end_offset) for m in state.matcher.feed(chunk, dirty)]
+        if ends is not None and len(ends) > 1 and len(hits) > 1:
+            base = state.matcher.stream_offset - len(chunk)
+            hits.sort(key=lambda hit: bisect_left(ends, hit[1] - base))
         return self._complete(hits, flow, state.extras_seen, state.pending_primaries)
 
     def match_buffer(

@@ -195,3 +195,35 @@ class TestStreamHints:
         n.process(tcp_packet(b"hello", seq=500, ts=100.0))
         n.evict_idle(101.0)
         assert n._start_hints == {self.CLIENT.reversed(): 9000}
+
+
+class TestRuns:
+    """``feed`` with several rows of one flow decides as row-at-a-time feeding."""
+
+    @staticmethod
+    def outcome(normalizer, packets, as_run):
+        from repro.packet import packet_fields
+
+        rows = [packet_fields(packet)[1] for packet in packets]
+        canonical = rows[0][0].canonical()
+        feeds = [rows] if as_run else [[row] for row in rows]
+        outputs = [normalizer.feed(canonical, run) for run in feeds]
+        chunks = [chunk for output in outputs for chunk in output.chunks]
+        events = [record.event for output in outputs for record in output.events]
+        return chunks, events, normalizer.buffered_bytes, normalizer.stream_positions(canonical)
+
+    def test_a_pure_ack_below_an_unpinned_origin_still_moves_it(self):
+        """Before its direction delivered a byte, a pure ACK below the
+        origin a SYN set moves the origin down, so the data after it
+        lands beyond a hole: a run must handle that ACK alone."""
+        syn = tcp_packet(b"", seq=1000, flags=TCP_SYN)  # no hint: origin 1001, unpinned
+        ack = tcp_packet(b"", seq=900, ts=0.1)
+        data = tcp_packet(b"0123456789", seq=950, ts=0.2)
+        results = []
+        for as_run in (False, True):
+            normalizer = StreamNormalizer()
+            normalizer.process(syn)
+            results.append(self.outcome(normalizer, [ack, data], as_run))
+        alone, run = results
+        assert run == alone
+        assert alone[0] == [] and alone[2] == 10  # parked behind the 900..950 hole

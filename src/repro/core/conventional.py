@@ -25,10 +25,11 @@ from ..packet import (
     flow_key_of,
 )
 from ..signatures import RuleSet
-from ..streams import OverlapPolicy, StreamEvent, StreamNormalizer
+from ..streams import OverlapPolicy, StreamNormalizer
 from ..telemetry import LATENCY_NS_BUCKETS, NULL_REGISTRY
 from .alerts import Alert, AlertKind
 from .matching import SignatureMatcher, StreamMatchState
+from .slowpath import AMBIGUITY_EVENTS
 
 #: Reassembly buffering a conventional IPS must provision per connection
 #: (the paper's standards point: 1M connections, each able to buffer an
@@ -36,13 +37,10 @@ from .matching import SignatureMatcher, StreamMatchState
 #: state-ratio gauge, not for measurement.
 PROVISIONED_BUFFER_PER_FLOW = 4096
 
-_AMBIGUITY_EVENTS = frozenset(
-    {
-        StreamEvent.INCONSISTENT_OVERLAP,
-        StreamEvent.INCONSISTENT_FRAGMENT_OVERLAP,
-        StreamEvent.TTL_ANOMALY,
-    }
-)
+
+def _signature_alert(hit, flow: FlowKey, timestamp: float, path: str = "slow") -> Alert:
+    signature = hit.signature
+    return Alert(AlertKind.SIGNATURE, flow, signature.sid, signature.msg, hit.end_offset, timestamp, path)
 
 
 class ConventionalIPS:
@@ -142,15 +140,9 @@ class ConventionalIPS:
         if flow is None:
             return alerts
         for record in output.events:
-            if record.event in _AMBIGUITY_EVENTS:
+            if record.event in AMBIGUITY_EVENTS:
                 alerts.append(
-                    Alert(
-                        kind=AlertKind.AMBIGUITY,
-                        flow=flow,
-                        msg=str(record),
-                        stream_offset=record.offset,
-                        timestamp=packet.timestamp,
-                    )
+                    Alert(AlertKind.AMBIGUITY, flow, None, str(record), record.offset, packet.timestamp)
                 )
         if not self._matcher.empty:
             for chunk in output.chunks:
@@ -162,7 +154,7 @@ class ConventionalIPS:
                     state = self._matcher.new_stream_state()
                     self._streams[flow] = state
                 alerts.extend(
-                    self._signature_alert(hit, flow, packet.timestamp)
+                    _signature_alert(hit, flow, packet.timestamp)
                     for hit in self._matcher.match_chunk(state, chunk, flow)
                 )
             payload = output.datagram
@@ -171,24 +163,13 @@ class ConventionalIPS:
                 if self._tel_on:
                     self._c_bytes.inc(len(payload))
                 alerts.extend(
-                    self._signature_alert(hit, flow, packet.timestamp)
+                    _signature_alert(hit, flow, packet.timestamp)
                     for hit in self._matcher.match_buffer(payload, flow)
                 )
         if output.flow_closed:
             self._streams.pop(flow, None)
             self._streams.pop(flow.reversed(), None)
         return alerts
-
-    @staticmethod
-    def _signature_alert(hit, flow: FlowKey, timestamp: float) -> Alert:
-        return Alert(
-            kind=AlertKind.SIGNATURE,
-            flow=flow,
-            sid=hit.signature.sid,
-            msg=hit.signature.msg,
-            stream_offset=hit.end_offset,
-            timestamp=timestamp,
-        )
 
     def process_batch(self, packets: list[TimedPacket]) -> list[Alert]:
         """Batch driver for the conventional pipeline.
@@ -197,10 +178,7 @@ class ConventionalIPS:
         sequential sweep -- it exists so every engine exposes the same
         batched intake surface as :class:`SplitDetectIPS.process_batch`.
         """
-        alerts: list[Alert] = []
-        for packet in packets:
-            alerts.extend(self.process(packet))
-        return alerts
+        return [alert for packet in packets for alert in self.process(packet)]
 
     def evict_idle(self, now: float) -> int:
         """Expire idle flows and their matcher state."""
@@ -244,44 +222,8 @@ class NaivePacketIPS:
         return self.telemetry.snapshot()
 
     def process(self, packet: TimedPacket) -> list[Alert]:
-        """Scan one packet's transport payload in isolation."""
-        self.packets_processed += 1
-        if self._tel_on:
-            self._c_packets.inc()
-        alerts: list[Alert] = []
-        ip = packet.ip
-        if ip.is_fragment or self._matcher.empty:
-            return alerts
-        try:
-            if ip.protocol == IP_PROTO_TCP:
-                payload = decode_tcp(ip).payload
-            elif ip.protocol == IP_PROTO_UDP:
-                payload = decode_udp(ip).payload
-            else:
-                return alerts
-        except Exception:
-            return alerts
-        if not payload:
-            return alerts
-        flow = flow_key_of(ip)
-        self.bytes_scanned += len(payload)
-        for hit in self._matcher.match_buffer(payload, flow):
-            alerts.append(
-                Alert(
-                    kind=AlertKind.SIGNATURE,
-                    flow=flow,
-                    sid=hit.signature.sid,
-                    msg=hit.signature.msg,
-                    stream_offset=hit.end_offset,
-                    timestamp=packet.timestamp,
-                    path="fast",
-                )
-            )
-        if self._tel_on:
-            self._c_bytes.inc(len(payload))
-            if alerts:
-                self._c_alerts.inc(len(alerts))
-        return alerts
+        """Scan one packet's transport payload in isolation (a batch of one)."""
+        return self.process_batch([packet])
 
     def process_batch(self, packets: list[TimedPacket]) -> list[Alert]:
         """Batched per-packet matching: one automaton sweep for the whole
@@ -311,18 +253,7 @@ class NaivePacketIPS:
             [flow for _, flow, _ in scannable],
         )
         for (packet, flow, _), hits in zip(scannable, hit_lists):
-            alerts.extend(
-                Alert(
-                    kind=AlertKind.SIGNATURE,
-                    flow=flow,
-                    sid=hit.signature.sid,
-                    msg=hit.signature.msg,
-                    stream_offset=hit.end_offset,
-                    timestamp=packet.timestamp,
-                    path="fast",
-                )
-                for hit in hits
-            )
+            alerts += [_signature_alert(hit, flow, packet.timestamp, "fast") for hit in hits]
         if self._tel_on:
             self._c_packets.inc(len(packets))
             self._c_bytes.inc(sum(len(p) for _, _, p in scannable))

@@ -63,7 +63,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from socket import inet_aton
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..hashing import fnv1a_64
 from .flows import FlowKey, TimedPacket
@@ -247,11 +247,13 @@ class PacketBatch:
         return self.ts[-1]
 
     @classmethod
-    def from_lists(
-        cls, buffer: bytes, rows: dict[str, Iterable[int | float]]
-    ) -> "PacketBatch":
-        """A batch over *buffer* from pre-decoded column values."""
-        return cls(buffer, {name: array(typecode, rows[name]) for name, typecode in _COLUMNS})
+    def from_arrays(cls, buffer: bytes, rows: dict[str, Any]) -> "PacketBatch":
+        """A batch over *buffer* from decoded numpy columns, each converted
+        to its typecode and copied in whole (``array.frombytes``)."""
+        return cls(
+            buffer,
+            {name: array(code, rows[name].astype(code).tobytes()) for name, code in _COLUMNS},
+        )
 
     def columns(self) -> dict[str, array]:
         return {name: getattr(self, name) for name in _COLUMN_NAMES}

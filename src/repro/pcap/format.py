@@ -4,12 +4,16 @@ Implements the original ``.pcap`` container (not pcapng): a 24-byte global
 header followed by records, each with a 16-byte header carrying seconds,
 microseconds, captured length, and original length.  Both byte orders are
 read; files are written native little-endian with magic 0xa1b2c3d4.
+:func:`walk_records` is the one record framing: every reader -- the
+record reader, the columnar savefile reader and the service's tail
+source -- finds its records with it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
@@ -25,6 +29,13 @@ _GLOBAL_FMT = "IHHiIII"
 _RECORD_FMT = "IIII"
 GLOBAL_HEADER_SIZE = struct.calcsize("<" + _GLOBAL_FMT)
 RECORD_HEADER_SIZE = struct.calcsize("<" + _RECORD_FMT)
+#: What a read needs of a record header: seconds, fraction, captured length.
+_RECORD = {order: struct.Struct(order + "III4x") for order in "<>"}
+
+#: libpcap's ``MAXIMUM_SNAPLEN``: a record may capture more only when the
+#: global header's snaplen says so.  A larger claim is a corrupt record
+#: header, rejected where it is read rather than waited on to EOF.
+MAXIMUM_SNAPLEN = 262144
 
 
 class PcapFormatError(Exception):
@@ -107,16 +118,48 @@ def encode_record_header(timestamp: float, captured: int, original: int) -> byte
     return struct.pack("<" + _RECORD_FMT, sec, usec, captured, original)
 
 
-def decode_record_header(
-    raw: bytes, byte_order: str, *, nanosecond: bool = False
-) -> tuple[float, int, int]:
-    """Decode a record header into (timestamp, captured_len, original_len)."""
-    if len(raw) < RECORD_HEADER_SIZE:
-        raise PcapFormatError(
-            f"truncated record header: {len(raw)} < {RECORD_HEADER_SIZE} bytes"
-        )
-    sec, frac, captured, original = struct.unpack_from(byte_order + _RECORD_FMT, raw)
-    scale = 1_000_000_000 if nanosecond else 1_000_000
-    if frac >= scale:
-        raise PcapFormatError(f"record sub-second field {frac} out of range")
-    return sec + frac / scale, captured, original
+def walk_records(
+    data: bytes, header: PcapHeader, at_eof: bool
+) -> tuple[list[float], list[int], list[int], int, PcapFormatError | None]:
+    """Timestamps, body offsets and lengths of the records wholly in *data*.
+
+    *data* starts on a record header.  Also returned: where the last of
+    them ends, and the error for the damage the walk stopped on, if any
+    -- returned, not raised, so the records before it come first.  A
+    record that *data* cuts short is damage only *at_eof*; one longer
+    than ``max(snaplen, MAXIMUM_SNAPLEN)`` is damage wherever it is.
+    """
+    unpack = _RECORD[header.byte_order].unpack_from
+    scale = 1_000_000_000 if header.nanosecond else 1_000_000
+    largest = max(header.snaplen, MAXIMUM_SNAPLEN)
+    fields: list[tuple[int, int, int]] = []
+    keep = fields.append
+    pos = 0
+    end = len(data)
+    # One unpack and one append per record; the record the walk stopped
+    # on is told apart once, below.
+    while pos + RECORD_HEADER_SIZE <= end:
+        record = unpack(data, pos)
+        following = pos + RECORD_HEADER_SIZE + record[2]
+        if following > end or record[1] >= scale or record[2] > largest:
+            break
+        keep(record)
+        pos = following
+    damage = None
+    body = pos + RECORD_HEADER_SIZE
+    if body > end:
+        if at_eof and pos < end:
+            damage = f"truncated record header: {end - pos} < {RECORD_HEADER_SIZE} bytes"
+    else:
+        _sec, frac, captured = unpack(data, pos)
+        if frac >= scale:
+            damage = f"record sub-second field {frac} out of range"
+        elif captured > largest:
+            damage = f"invalid record capture length {captured}, bigger than maximum of {largest}"
+        elif at_eof:
+            damage = f"truncated record body: need {captured} bytes, got {end - body}"
+    cap_list = [record[2] for record in fields]
+    starts = accumulate([RECORD_HEADER_SIZE + cap for cap in cap_list], initial=RECORD_HEADER_SIZE)
+    ts_list = [sec + frac / scale for sec, frac, _captured in fields]
+    error = PcapFormatError(damage) if damage else None
+    return ts_list, list(starts)[:-1], cap_list, pos, error

@@ -3,6 +3,8 @@
 ``PcapWriter``/``PcapReader`` move (timestamp, bytes) records; the
 ``write_trace``/``read_trace`` helpers convert to and from the library's
 ``TimedPacket`` view, handling both raw-IP and Ethernet link types.
+``PcapReader`` frames ``_WINDOW_BYTES`` windows with the columnar
+reader's walk (:func:`~repro.pcap.format.walk_records`).
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import io
 import os
 from collections.abc import Iterable, Iterator
+from itertools import chain
+from operator import add
 from typing import BinaryIO
 
 from ..packet import ETHERTYPE_IPV4, EthernetFrame, IPv4Packet, TimedPacket
@@ -17,14 +21,17 @@ from .format import (
     GLOBAL_HEADER_SIZE,
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
-    RECORD_HEADER_SIZE,
     PcapFormatError,
     PcapHeader,
     decode_global_header,
-    decode_record_header,
     encode_global_header,
     encode_record_header,
+    walk_records,
 )
+
+#: File bytes per record window: a hundred small records, enough to keep
+#: the per-window costs small, few enough to keep the window small.
+_WINDOW_BYTES = 1 << 14
 
 
 class PcapWriter:
@@ -96,19 +103,24 @@ class PcapReader:
         return self.header.linktype
 
     def __iter__(self) -> Iterator[tuple[float, bytes]]:
+        # Python runs once per window; the records come out in C.
+        return chain.from_iterable(self._windows())
+
+    def _windows(self) -> Iterator[Iterator[tuple[float, bytes]]]:
+        """Each window's records, as an iterator that slices each record
+        out as it is taken; damage raises after the records before it."""
+        carry = b""
         while True:
-            header = self._stream.read(RECORD_HEADER_SIZE)
-            if not header:
+            chunk = self._stream.read(_WINDOW_BYTES)
+            data = carry + chunk if carry else chunk
+            ts_list, off_list, cap_list, end, error = walk_records(data, self.header, not chunk)
+            ends = map(add, off_list, cap_list)
+            yield zip(ts_list, map(data.__getitem__, map(slice, off_list, ends)))
+            if error is not None:
+                raise error
+            if not chunk:
                 return
-            timestamp, captured, _original = decode_record_header(
-                header, self.header.byte_order, nanosecond=self.header.nanosecond
-            )
-            data = self._stream.read(captured)
-            if len(data) < captured:
-                raise PcapFormatError(
-                    f"truncated record body: need {captured} bytes, got {len(data)}"
-                )
-            yield timestamp, data
+            carry = data[end:]
 
     def close(self) -> None:
         if self._owns_stream:
@@ -153,6 +165,17 @@ def read_trace(path: str | os.PathLike) -> Iterator[TimedPacket]:
             yield TimedPacket(timestamp, IPv4Packet.parse(data))
 
 
+def ip_records(records: Iterable[tuple[float, bytes]]) -> Iterator[tuple[float, bytes]]:
+    """Ethernet records as :func:`read_records` yields them: the IPv4
+    payload; a record too short for the link header whole; other
+    ethertypes not at all."""
+    for timestamp, data in records:
+        if len(data) < 14:
+            yield timestamp, data
+        elif data[12:14] == b"\x08\x00":  # ETHERTYPE_IPV4
+            yield timestamp, data[14:]
+
+
 def read_records(path: str | os.PathLike) -> Iterator[tuple[float, bytes]]:
     """Yield undecoded ``(timestamp, IP bytes)`` records from a savefile.
 
@@ -164,21 +187,17 @@ def read_records(path: str | os.PathLike) -> Iterator[tuple[float, bytes]]:
     record too short to carry an Ethernet header passes through whole,
     for the same reason.
     """
+    return chain.from_iterable(_ip_windows(path))
+
+
+def _ip_windows(path: str | os.PathLike) -> Iterator[Iterator[tuple[float, bytes]]]:
     with PcapReader(path) as reader:
-        ethernet = reader.linktype == LINKTYPE_ETHERNET
-        if not ethernet and reader.linktype != LINKTYPE_RAW_IP:
+        if reader.linktype == LINKTYPE_ETHERNET:
+            yield ip_records(reader)
+        elif reader.linktype == LINKTYPE_RAW_IP:
+            yield from reader._windows()
+        else:
             raise PcapFormatError(f"unsupported linktype {reader.linktype}")
-        for timestamp, data in reader:
-            if ethernet:
-                try:
-                    frame = EthernetFrame.parse(data)
-                except Exception:
-                    yield timestamp, data
-                    continue
-                if frame.ethertype != ETHERTYPE_IPV4:
-                    continue
-                data = frame.payload
-            yield timestamp, data
 
 
 def trace_to_bytes(packets: Iterable[TimedPacket]) -> bytes:

@@ -41,16 +41,16 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from typing import Any
 
-from ..packet import ETHERTYPE_IPV4, EthernetFrame
 from ..pcap.format import (
     GLOBAL_HEADER_SIZE,
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
-    RECORD_HEADER_SIZE,
     PcapFormatError,
+    PcapHeader,
     decode_global_header,
-    decode_record_header,
+    walk_records,
 )
+from ..pcap.io import ip_records
 
 __all__ = [
     "FRAME_MAGIC",
@@ -72,6 +72,9 @@ _RECORD_HEADER = struct.Struct("!dI")
 #: Hard bound on one framed record's payload; larger claims are treated
 #: as protocol corruption (no IPv4 datagram is this big).
 MAX_FRAME_BYTES = 1 << 20
+
+#: File bytes a tail source reads when it has no framed record left.
+_TAIL_READ_BYTES = 1 << 16
 
 #: Listener/connection socket timeout: the granularity at which reader
 #: threads notice a shutdown request.
@@ -161,74 +164,62 @@ class PcapTailSource:
         self.path = os.fspath(path)
         self.poll_interval = poll_interval
         self._handle: Any = None
-        self._header: Any = None
-        self._buffer = bytearray()
+        self._header: PcapHeader | None = None
+        self._unframed = b""  # read, not yet a whole record (or header)
+        self._ready: list[tuple[float, bytes]] = []  # framed, not yet polled
+        self._damage: PcapFormatError | None = None
         self._closed = False
         self.records_out = 0
         self.bytes_read = 0
-        self.skipped_frames = 0
 
     @property
     def exhausted(self) -> bool:
         return self._closed
 
-    def _fill(self) -> None:
+    def _frame(self) -> None:
+        """Read on and frame every whole record the bytes now hold."""
+        if self._damage is not None:
+            raise self._damage  # the records before it went out first
         if self._handle is None:
             try:
                 self._handle = open(self.path, "rb")
             except FileNotFoundError:
                 return  # capture tool has not created the file yet
-        chunk = self._handle.read(1 << 20)
-        if chunk:
-            self._buffer.extend(chunk)
-            self.bytes_read += len(chunk)
-
-    def _take_records(self, max_records: int) -> list[tuple[float, bytes]]:
-        buffer = self._buffer
         if self._header is None:
-            if len(buffer) < GLOBAL_HEADER_SIZE:
-                return []
-            self._header = decode_global_header(bytes(buffer[:GLOBAL_HEADER_SIZE]))
-            if self._header.linktype not in (LINKTYPE_RAW_IP, LINKTYPE_ETHERNET):
-                raise PcapFormatError(
-                    f"unsupported linktype {self._header.linktype} in {self.path}"
+            head = self._unframed + self._handle.read(GLOBAL_HEADER_SIZE - len(self._unframed))
+            self.bytes_read = len(head)
+            if len(head) < GLOBAL_HEADER_SIZE:
+                self._unframed = head
+                return
+            header = decode_global_header(head)
+            if header.linktype not in (LINKTYPE_RAW_IP, LINKTYPE_ETHERNET):
+                self._damage = PcapFormatError(
+                    f"unsupported linktype {header.linktype} in {self.path}"
                 )
-            del buffer[:GLOBAL_HEADER_SIZE]
-        header = self._header
-        ethernet = header.linktype == LINKTYPE_ETHERNET
-        records: list[tuple[float, bytes]] = []
-        while len(records) < max_records and len(buffer) >= RECORD_HEADER_SIZE:
-            timestamp, captured, _original = decode_record_header(
-                bytes(buffer[:RECORD_HEADER_SIZE]),
-                header.byte_order,
-                nanosecond=header.nanosecond,
-            )
-            if len(buffer) < RECORD_HEADER_SIZE + captured:
-                break  # body still being written; re-poll later
-            data = bytes(
-                buffer[RECORD_HEADER_SIZE : RECORD_HEADER_SIZE + captured]
-            )
-            del buffer[: RECORD_HEADER_SIZE + captured]
-            if ethernet:
-                try:
-                    frame = EthernetFrame.parse(data)
-                except Exception:
-                    records.append((timestamp, data))  # quarantine decides
-                    continue
-                if frame.ethertype != ETHERTYPE_IPV4:
-                    self.skipped_frames += 1
-                    continue
-                data = frame.payload
-            records.append((timestamp, data))
-        return records
+                raise self._damage
+            self._header = header
+            self._unframed = b""
+        chunk = self._handle.read(_TAIL_READ_BYTES)
+        self.bytes_read += len(chunk)
+        data = self._unframed + chunk
+        # Never at end of file: a cut-short record is still being written.
+        ts_list, off_list, cap_list, end, self._damage = walk_records(data, self._header, False)
+        self._unframed = data[end:] if self._damage is None else b""
+        records = zip(ts_list, [data[off : off + cap] for off, cap in zip(off_list, cap_list)])
+        ethernet = self._header.linktype == LINKTYPE_ETHERNET
+        self._ready = list(ip_records(records) if ethernet else records)
+        if self._damage is not None and not self._ready:
+            raise self._damage
 
     def poll(
         self, max_records: int, timeout: float
     ) -> list[tuple[float, bytes]]:
         deadline = time.monotonic() + timeout
         while True:
-            self._fill()
-            records = self._take_records(max_records)
+            if not self._ready:
+                self._frame()
+            records = self._ready[:max_records]
+            del self._ready[:max_records]
             if records or time.monotonic() >= deadline or self._closed:
                 self.records_out += len(records)
                 return records
@@ -240,7 +231,7 @@ class PcapTailSource:
             "path": self.path,
             "records": self.records_out,
             "bytes_read": self.bytes_read,
-            "pending_bytes": len(self._buffer),
+            "pending_bytes": len(self._unframed) + sum(len(data) for _, data in self._ready),
             "header_seen": self._header is not None,
             "backlog_fraction": 0.0,
         }

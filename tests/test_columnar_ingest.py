@@ -644,6 +644,31 @@ class TestEncoderDifferential:
         assert out[3] is ready
 
 
+class TestEncodeDoor:
+    def test_every_batch_covers_batch_size_consecutive_items(self):
+        """The door closes a batch on every ``batch_size``-th item, of any
+        kind -- rows, rejected frames and unserializable objects alike --
+        and starts the count over after a flush."""
+        from repro.runtime import ControlMessage
+
+        frames = crafted_frames()
+        good = frames["valid_tcp"]
+        oversized = TimedPacket(
+            2.0, IPv4Packet("10.0.0.1", "10.0.0.2", IP_PROTO_UDP, b"z" * 70000)
+        )
+        items = [
+            (1.0, good), good, (1.0, frames["bad_version"]), oversized,
+            TimedPacket(3.0, IPv4Packet.parse(good)),
+        ] * 6  # fmt: skip
+        items[11:11] = [ControlMessage(op="reload", seq=1)]
+        out = list(encode_batches(items, 4))
+        covered = [
+            "ctl" if isinstance(item, ControlMessage) else len(item) + len(item.quarantined)
+            for item in out
+        ]
+        assert covered == [4, 4, 3, "ctl", 4, 4, 4, 4, 3]
+
+
 class TestBatchMechanics:
     def test_select_compact_pickle_roundtrip(self, mixed_pcaps):
         (batch, *_rest) = read_column_batches(mixed_pcaps[LINKTYPE_RAW_IP])

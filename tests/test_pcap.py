@@ -56,14 +56,18 @@ class TestGlobalHeader:
         assert header.nanosecond and header.byte_order == ">"
 
     def test_nanosecond_records_scale_correctly(self):
-        from repro.pcap.format import decode_record_header
+        from repro.pcap.format import PcapHeader, walk_records
 
-        body = struct.pack("<IIII", 10, 500_000_000, 3, 3)
-        ts, cap, orig = decode_record_header(body, "<", nanosecond=True)
-        assert ts == pytest.approx(10.5)
+        body = struct.pack("<IIII", 10, 500_000_000, 3, 3) + b"abc"
+        nano = PcapHeader(LINKTYPE_RAW_IP, 65535, "<", nanosecond=True)
+        ts_list, off_list, cap_list, end, error = walk_records(body, nano, True)
+        assert ts_list == [pytest.approx(10.5)] and (off_list, cap_list) == ([16], [3])
+        assert (end, error) == (len(body), None)
         # The same frac field read as microseconds would be out of range.
-        with pytest.raises(PcapFormatError):
-            decode_record_header(body, "<", nanosecond=False)
+        micro = PcapHeader(LINKTYPE_RAW_IP, 65535, "<")
+        ts_list, _offs, _caps, end, error = walk_records(body, micro, True)
+        assert (ts_list, end) == ([], 0)
+        assert isinstance(error, PcapFormatError)
 
     def test_nanosecond_file_reads_end_to_end(self):
         stream = io.BytesIO()

@@ -48,6 +48,8 @@ from typing import Any
 
 import numpy as np
 
+from .aho_corasick import fresh_copy
+
 GRAM = 4
 
 #: log2 of the stage-2 table size (one byte per slot: 256 KiB, L2-sized;
@@ -179,6 +181,10 @@ class GramSweep:
         self._short_table[self._short_slots(np.array(short, dtype=np.uint32))] = True
         #: Stage-4 verify attempts so far (the worst-case bound's witness).
         self.verifies = 0
+
+    def view(self) -> GramSweep:
+        """The same tables with a verify count of its own, from zero."""
+        return fresh_copy(self, verifies=0)
 
     @staticmethod
     def _gram_slots(grams: Any) -> Any:

@@ -67,12 +67,11 @@ import numpy as np
 from ..packet import EthernetFrame, IPv4Packet, PacketError, TimedPacket
 from ..packet.batch import PacketBatch
 from .format import (
-    GLOBAL_HEADER_SIZE,
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
     RECORD_HEADER_SIZE,
     PcapFormatError,
-    decode_global_header,
+    read_global_header,
     walk_records,
 )
 
@@ -177,7 +176,7 @@ class ColumnarPcapReader:
             self._stream = io.BytesIO(source) if isinstance(source, bytes) else source
             self._owns_stream = False
         try:
-            self.header = decode_global_header(self._stream.read(GLOBAL_HEADER_SIZE))
+            self.header = read_global_header(self._stream)
             if self.header.linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
                 raise PcapFormatError(f"unsupported linktype {self.header.linktype}")
         except PcapFormatError:

@@ -18,14 +18,13 @@ from typing import BinaryIO
 
 from ..packet import ETHERTYPE_IPV4, EthernetFrame, IPv4Packet, TimedPacket
 from .format import (
-    GLOBAL_HEADER_SIZE,
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
     PcapFormatError,
     PcapHeader,
-    decode_global_header,
     encode_global_header,
     encode_record_header,
+    read_global_header,
     walk_records,
 )
 
@@ -94,9 +93,7 @@ class PcapReader:
         else:
             self._stream = stream
             self._owns_stream = False
-        self.header: PcapHeader = decode_global_header(
-            self._stream.read(GLOBAL_HEADER_SIZE)
-        )
+        self.header: PcapHeader = read_global_header(self._stream)
 
     @property
     def linktype(self) -> int:

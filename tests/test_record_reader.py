@@ -10,9 +10,12 @@ source use too.  Held here:
   raises the same error after the same records -- on both byte orders,
   the nanosecond magics, Ethernet captures with short and non-IPv4
   records, and a stream that returns short reads and cannot seek;
-- a record header claiming more than ``max(snaplen, MAXIMUM_SNAPLEN)``
-  bytes is rejected where it stands, by every reader, after the records
-  before it and within two windows of memory;
+- a record header claiming more than ``MAXIMUM_SNAPLEN`` bytes is
+  rejected where it stands, by every reader, after the records before it
+  and within two windows of memory, whatever snaplen the global header
+  claims;
+- a stream that returns the global header a few bytes per read is read
+  as a buffered one is;
 - a tail of a file appended in arbitrary byte splits hands out exactly
   ``read_records``' records, and stops on damage where ``read_records``
   does.
@@ -212,6 +215,20 @@ class TestWindowIsInvisible:
             assert not stream.seekable()
             assert read_all(stream, window, linktype) == expected
 
+    @pytest.mark.parametrize("order,nanosecond,linktype", FORMATS[::3])
+    def test_short_reads_without_a_buffer_read_the_whole_header(
+        self, order, nanosecond, linktype
+    ):
+        """A raw stream may hand over the 24-byte global header in
+        pieces: both readers read on until they hold it."""
+        data = capture(order, nanosecond, linktype)
+        expected = read_all(data, len(data) + 1, linktype)
+        expected_rows = drain_columns(io.BytesIO(data))
+        for seed, window in enumerate((16, 4096)):
+            assert read_all(ShortReads(data, seed), window, linktype) == expected
+            with mock.patch.object(columnar, "_WINDOW_BYTES", window):
+                assert drain_columns(ShortReads(data, seed)) == expected_rows
+
 
 # ---------------------------------------------------------------------------
 # A corrupt record length is rejected where it stands
@@ -220,7 +237,7 @@ class TestWindowIsInvisible:
 WINDOW = 1 << 16
 
 
-def corrupt_capture(path, junk_windows: int) -> list[tuple[float, bytes]]:
+def corrupt_capture(path, junk_windows: int, snaplen: int = 65535) -> list[tuple[float, bytes]]:
     """Good records, then one header claiming 0x7FFFFFFF bytes and
     *junk_windows* windows of junk behind it; returns the good records."""
     datagram = build_tcp_packet(
@@ -228,7 +245,7 @@ def corrupt_capture(path, junk_windows: int) -> list[tuple[float, bytes]]:
     ).serialize()
     good = [(float(index), datagram) for index in range(20)]
     with open(path, "wb") as handle:
-        handle.write(struct.pack("<IHHiIII", MAGIC[False], 2, 4, 0, 0, 65535, LINKTYPE_RAW_IP))
+        handle.write(struct.pack("<IHHiIII", MAGIC[False], 2, 4, 0, 0, snaplen, LINKTYPE_RAW_IP))
         for ts, body in good:
             handle.write(struct.pack("<IIII", int(ts), 0, len(body), len(body)) + body)
         handle.write(struct.pack("<IIII", 99, 0, 0x7FFFFFFF, 0x7FFFFFFF))
@@ -301,9 +318,28 @@ class TestOversizedRecord:
         assert got == (good, message)
         assert peak <= 2 * WINDOW
 
-    def test_the_bound_is_the_larger_of_snaplen_and_libpcaps_maximum(self):
-        for snaplen in (65535, MAXIMUM_SNAPLEN + 1000):
-            largest = max(snaplen, MAXIMUM_SNAPLEN)
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_an_oversized_snaplen_does_not_lift_the_bound(self, tmp_path, reader):
+        """A global header claiming a 4 GiB snaplen must not let a corrupt
+        length send a reader to end of file: the claim is judged against
+        ``MAXIMUM_SNAPLEN`` alone."""
+        drain, module, window_name = READERS[reader]
+        path = tmp_path / "corrupt.pcap"
+        good = corrupt_capture(path, junk_windows=32, snaplen=0xFFFFFFFF)
+        with mock.patch.object(module, window_name, WINDOW):
+            tracemalloc.start()
+            try:
+                got = drain(path)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        message = f"invalid record capture length {0x7FFFFFFF}, bigger than maximum of 262144"
+        assert got == (good, message)
+        assert peak <= 2 * WINDOW
+
+    def test_the_bound_is_libpcaps_maximum_for_any_snaplen(self):
+        for snaplen in (65535, MAXIMUM_SNAPLEN + 1000, 0xFFFFFFFF):
+            largest = MAXIMUM_SNAPLEN
             header = struct.pack("<IHHiIII", MAGIC[False], 2, 4, 0, 0, snaplen, LINKTYPE_RAW_IP)
             fits = header + struct.pack("<IIII", 1, 0, largest, largest) + b"\x00" * largest
             assert [len(body) for _, body in PcapReader(io.BytesIO(fits))] == [largest]

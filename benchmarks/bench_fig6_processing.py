@@ -119,8 +119,9 @@ def test_fig6_cost_model(benchmark, capfd):
     assert by_label["conventional"].gbps < 10.0
     assert by_label["split-detect blended"].gbps > by_label["conventional"].gbps
 
-    # Software anchor: the same trace driven per-packet vs in batches
-    # through process_batch (one fast-path scan sweep per batch).
+    # Software anchor: the same trace driven per packet (process(), a
+    # one-row batch: encode, then one find_all per payload) vs in
+    # batches of 256 through process_batch (one sweep per batch).
     def software_mbps(drive) -> float:
         ips = SplitDetectIPS(rules)
         start = time.perf_counter()
@@ -137,9 +138,8 @@ def test_fig6_cost_model(benchmark, capfd):
             ips.process_batch(trace[i : i + 256]) for i in range(0, len(trace), 256)
         ]
     )
-    # One prescan sweep per batch used to be *slower* than per-packet
-    # scans (5.9 vs 6.2 MB/s: the same table walk plus list shuffling).
-    # With the batch q-gram sweep the batch form must win.
+    # The batch form must win: it pays the encode and the sweep once
+    # per 256 packets.
     assert batched_mbps > per_packet_mbps, (batched_mbps, per_packet_mbps)
     result = {
         "benchmark": "fig6_processing",

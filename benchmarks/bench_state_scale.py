@@ -36,7 +36,7 @@ from pathlib import Path
 from exp_common import emit, gauntlet_ruleset, mixed_trace
 from repro.core import FastPath, FastPathConfig
 from repro.metrics import provisioned_conventional_state
-from repro.packet import IPv4Packet, TcpSegment, TimedPacket
+from repro.packet import IP_PROTO_TCP, FlowTuple
 from repro.packet.tcp import TCP_ACK, TCP_SYN
 from repro.runtime import EngineSpec, ParallelRunner, RunnerConfig, SerialRunner
 from repro.signatures import RuleSet, split_ruleset
@@ -63,7 +63,10 @@ FALSE_DIVERT_BUDGET = 0.01
 #: conventional (per-connection reassembly buffer) provisioning.
 MAX_CONVENTIONAL_FRACTION = 0.10
 
-_PAYLOAD = b"x" * 64
+#: Data bytes per segment.
+_PAYLOAD_LEN = 64
+#: 10.200.0.1, every flow's destination.
+_DST = 0x0AC80001
 
 
 def monitor_fastpath(backend: str) -> FastPath:
@@ -76,19 +79,17 @@ def monitor_fastpath(backend: str) -> FastPath:
     return FastPath(split_ruleset(RuleSet()), config)
 
 
-def flow_packet(i: int, seq: int, payload: bytes, flags: int = TCP_ACK) -> TimedPacket:
-    """One TCP packet of synthetic flow *i* (unique source per flow)."""
-    segment = TcpSegment(
-        src_port=1024 + (i & 0x3FFF), dst_port=80, seq=seq, flags=flags,
-        payload=payload,
-    )
-    ip = IPv4Packet(
-        src=f"10.{(i >> 16) & 255}.{(i >> 8) & 255}.{i & 255}",
-        dst="10.200.0.1",
-        protocol=6,
-        payload=segment.serialize(),
-    )
-    return TimedPacket(0.0, ip)
+def flow_key(i: int) -> FlowTuple:
+    """The numeric five-tuple of synthetic flow *i*: source 10.x.y.z
+    from its low 24 bits (unique per flow), to 10.200.0.1:80."""
+    return (0x0A000000 | (i & 0xFFFFFF), _DST, 1024 + (i & 0x3FFF), 80, IP_PROTO_TCP)
+
+
+def diverts(fast: FastPath, i: int, seq: int, plen: int, flags: int = TCP_ACK) -> bool:
+    """One TCP segment of flow *i* (TTL 64, no piece hits) through the
+    fast path's one decision function; True when it diverts."""
+    result = fast.process_columns(flow_key(i), None, IP_PROTO_TCP, plen, flags, 64, seq, 0.0)
+    return result is not None and result.divert is not None
 
 
 def run_scale_point(backend: str, flows: int) -> dict:
@@ -97,7 +98,7 @@ def run_scale_point(backend: str, flows: int) -> dict:
     peak = fast.state_bytes()
     start = time.perf_counter()
     for i in range(flows):
-        fast.process(flow_packet(i, seq=1000, payload=_PAYLOAD))
+        diverts(fast, i, seq=1000, plen=_PAYLOAD_LEN)
         if i % 100_000 == 0:
             peak = max(peak, fast.state_bytes())
     wall = time.perf_counter() - start
@@ -113,8 +114,9 @@ def run_scale_point(backend: str, flows: int) -> dict:
     }
 
 
-def oracle_trace() -> list[TimedPacket]:
-    """Interleaved SYN + 3 data segments per flow, all flows concurrent.
+def oracle_trace() -> list[tuple[int, int, int, int]]:
+    """Interleaved SYN + 3 data segments per flow, all flows concurrent,
+    as ``(flow, seq, payload length, flags)``.
 
     Stage-major order (every flow's SYN, then every flow's first data
     segment, ...) keeps all ``ORACLE_FLOWS`` flows alive at once --
@@ -122,25 +124,24 @@ def oracle_trace() -> list[TimedPacket]:
     two data segments, which the exact monitor diverts.
     """
     base = 1000
-    stages: list[list[tuple[int, int, bytes]]] = [[] for _ in range(4)]
+    stages: list[list[tuple[int, int, int]]] = [[] for _ in range(4)]
     for i in range(ORACLE_FLOWS):
         ooo = (i % ORACLE_OOO_STRIDE) == ORACLE_OOO_STRIDE - 1
         data = [
-            (i, base + 1, _PAYLOAD),
-            (i, base + 1 + 64, _PAYLOAD),
-            (i, base + 1 + 128, _PAYLOAD),
+            (i, base + 1, _PAYLOAD_LEN),
+            (i, base + 1 + 64, _PAYLOAD_LEN),
+            (i, base + 1 + 128, _PAYLOAD_LEN),
         ]
         if ooo:
             data[0], data[1] = data[1], data[0]
-        stages[0].append((i, base, b""))
+        stages[0].append((i, base, 0))
         for stage, item in enumerate(data, start=1):
             stages[stage].append(item)
-    packets = [
-        flow_packet(i, seq=seq, payload=payload, flags=TCP_SYN if not payload else TCP_ACK)
+    return [
+        (i, seq, plen, TCP_ACK if plen else TCP_SYN)
         for stage in stages
-        for (i, seq, payload) in stage
+        for (i, seq, plen) in stage
     ]
-    return packets
 
 
 def run_divert_oracle() -> dict:
@@ -150,8 +151,8 @@ def run_divert_oracle() -> dict:
     sketch = monitor_fastpath("sketch")
     diverts_exact = diverts_sketch = false_diverts = missed_diverts = 0
     for packet in trace:
-        want = exact.process(packet).divert is not None
-        got = sketch.process(packet).divert is not None
+        want = diverts(exact, *packet)
+        got = diverts(sketch, *packet)
         diverts_exact += want
         diverts_sketch += got
         false_diverts += got and not want

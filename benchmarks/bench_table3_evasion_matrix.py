@@ -3,9 +3,10 @@
 Every FragRoute / Ptacek-Newsham strategy versus three engines.  Shape to
 reproduce: Split-Detect and the conventional IPS detect 100% of delivered
 attacks; the naive per-packet matcher misses exactly the strategies that
-hide the signature from single-packet inspection.  Split-Detect is scored
-on both of its routes: ``process()`` per packet, and ``process_batch``
-(the encoded batch route the CLI and runners take) at batch sizes 1 and 7.
+hide the signature from single-packet inspection.  Split-Detect has one
+route, the encoded batch route the CLI and runners take; it is scored
+through ``process()`` (a batch of one) and through ``process_batch`` at
+batch sizes 1 and 7.
 """
 
 import sys

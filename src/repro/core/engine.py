@@ -24,12 +24,13 @@ from ..packet import (
     FlowKey,
     FlowTuple,
     TimedPacket,
-    flow_key_of,
+    decode_tcp,
+    decode_udp,
     flow_of_tuple,
-    transport_fields,
     tuple_of_flow,
 )
 from ..packet.batch import PacketBatch
+from ..packet.errors import PacketError
 from ..pcap.columnar import encode_batches
 from ..signatures import ByteFrequencyModel, RuleSet, SplitPolicy, SplitRuleSet, split_ruleset
 from ..streams import FLOW_OVERHEAD_BYTES, OverlapPolicy
@@ -378,63 +379,20 @@ class SplitDetectIPS:
     # -- packet intake ------------------------------------------------------
 
     def process(self, packet: TimedPacket) -> list[Alert]:
-        """Route one packet object; returns alerts.  Decode, then the batch
-        route's own steps: :meth:`_fragment` for a fragment, :meth:`_feed_runs`
-        (a run of one) for a diverted flow, else :meth:`FastPath.process` +
-        :meth:`_settle_fast`."""
-        t0 = perf_counter_ns() if self._tel_on else 0
-        try:
-            ip = packet.ip
-            ts = packet.timestamp
-            transport = ip.protocol == IP_PROTO_TCP or ip.protocol == IP_PROTO_UDP
-            if transport and ip.is_fragment:
-                first = None if ip.fragment_offset else flow_key_of(ip)
-                return self._fragment(ip.fragment_header, ip.payload, ts, ip.ttl, first, t0)
-            flow = flow_key_of(ip) if transport else None
-            canonical = flow.canonical() if flow is not None else None
-            if flow is not None and tuple_of_flow(flow) in self._diverted:
-                if self._tel_on:
-                    self._stage_decode.observe(perf_counter_ns() - t0)
-                tagged: list[tuple[int, list[Alert]]] = []
-                row = (flow, ts, ip.ttl, *transport_fields(ip))
-                self._feed_runs({canonical: ([0], [row])}, tagged)
-                return [alert for _, (alert,) in tagged]
-            self.stats.packets_total += 1
-            self.stats.fast_packets += 1
-            if self._trace_enabled and flow is not None:
-                self.tracer.record(flow, "decode", "fast_route", ts)
-            before = self.fast_path.bytes_scanned
-            if self._tel_on:
-                t1 = perf_counter_ns()
-                self._stage_decode.observe(t1 - t0)
-            result = self.fast_path.process(packet)
-            self.stats.fast_bytes_scanned += self.fast_path.bytes_scanned - before
-            if self._tel_on:
-                fast_ns = perf_counter_ns() - t1
-                self._stage_fast.observe(fast_ns)
-                if self.profiler is not None and flow is not None:
-                    self.profiler.note("fast_path", str(canonical), fast_ns)
-            if result.decode_error is not None:
-                self.stats.decode_errors += 1
-                if self._tel_on:
-                    self._c_decode_errors.labels(cause=result.decode_error).inc()
-            fields = transport_fields(ip) if result.divert is not None else (0, 0, None)
-            return self._settle_fast(flow, canonical, result, ts, ip.ttl, *fields)
-        finally:
-            self._publish()
+        """Route one packet object: a batch of one (:meth:`process_batch`)."""
+        return self.process_batch([packet])
 
     def _settle_fast(self, flow, canonical, result, ts, ttl, seq, flags, payload) -> list[Alert]:
-        """Act on one fast-path result: book its alerts and, when it
-        diverts, move the flow and feed this packet's fields (as
-        :meth:`SlowPath.process` takes them) to the slow path.  The one
-        tail of :meth:`process` and of the batch row loop.
+        """Act on one fast-path result of the row loop: book its alerts
+        and, when it diverts, move the flow and feed this row's fields (as
+        :meth:`SlowPath.process` takes them) to the slow path.
         """
         alerts = result.alerts
         if alerts:
             self.stats.alerts += len(alerts)
             if self._tel_on:
                 self._c_alerts_fast.inc(len(alerts))
-            if self._trace_enabled and flow is not None:
+            if self._trace_enabled:
                 for alert in alerts:
                     self.tracer.record(
                         flow,
@@ -445,7 +403,7 @@ class SplitDetectIPS:
                         kind=alert.kind.value,
                         sid=alert.sid,
                     )
-        if result.divert is None or flow is None:
+        if result.divert is None:
             return alerts
         if not self._divert(flow, result.divert, ts, result.detail):
             alerts.extend(self._refusal_alert(flow, ts))
@@ -482,11 +440,10 @@ class SplitDetectIPS:
     def process_batch(self, packets: list[TimedPacket]) -> list[Alert]:
         """Route a batch of packet objects; returns all alerts in packet order.
 
-        Packet-for-packet identical to calling :meth:`process` in order
-        (the tested oracle): the objects are encoded at the door and go
-        the one batch route, :meth:`process_column_batch`.  The engine
-        has no quarantine ledger, so a packet that cannot be serialized
-        raises here (the runners quarantine it instead).
+        The objects are encoded at the door and go the one batch route,
+        :meth:`process_column_batch`.  The engine has no quarantine
+        ledger, so a packet that cannot be serialized raises here (the
+        runners quarantine it instead).
         """
         packets = list(packets)
         alerts: list[Alert] = []
@@ -499,19 +456,18 @@ class SplitDetectIPS:
     def process_column_batch(self, batch: PacketBatch) -> list[Alert]:
         """Route one columnar batch; returns all alerts in row order.
 
-        Row-for-row identical to calling :meth:`process` on every row's
-        packet object (the tested oracle: equal equivalence digests), by
-        construction rather than by replication: both routes share every
-        step after decode.  A decoded, unfragmented TCP/UDP row on a
-        non-diverted flow gets the :meth:`FastPath.process_columns` call
-        and the :meth:`_settle_fast` tail, fed from the columns and the
-        batch sweep's hits; most rows return ``None`` there and cost no
-        allocation.  A fragment row goes to :meth:`_fragment`; a
-        diverted flow's rows are column scalars plus payload views, fed
+        Row-for-row identical at every batch size (the tested oracle is
+        batch size 1, :meth:`process`: equal equivalence digests).  A
+        decoded, unfragmented TCP/UDP row on a non-diverted flow gets the
+        :meth:`FastPath.process_columns` call and the :meth:`_settle_fast`
+        tail, fed from the columns and the batch sweep's hits (a one-row
+        batch scans with ``find_all``); most rows return ``None`` there
+        and cost no allocation.  A fragment row goes to :meth:`_fragment`;
+        a diverted flow's rows are column scalars plus payload views, fed
         to the slow path one flow run at a time (:meth:`_feed_runs`).
         Only a row whose transport header did not decode (``tok == 0``)
-        builds a packet object, because only the object parser can name
-        its decode error.
+        builds a packet object (:meth:`_decode_error`), because only the
+        object parser can name its decode error.
 
         Rows are routed by their numeric five-tuples, zipped from the
         columns in one C-level pass; a :class:`FlowKey` is built only
@@ -597,7 +553,7 @@ class SplitDetectIPS:
         # is in DESIGN.md "Flow runs".
         runs: dict[FlowKey, tuple[list, list]] = {}
         open_ended = self.slow_path.normalizer.open_ended
-        # Per-batch stats accumulators: the slow-path helpers and process()
+        # Per-batch stats accumulators: the slow-path and decode-error helpers
         # mutate the same fields directly, so these locals are folded in
         # once, after the loop or when a row raises (pure counters --
         # nothing reads them mid-batch).
@@ -607,8 +563,7 @@ class SplitDetectIPS:
             for row in range(n):
                 p = proto_col[row]
                 if p != IP_PROTO_TCP and p != IP_PROTO_UDP:
-                    # process() waves non-TCP/UDP packets through untouched;
-                    # commit the counters without building the object.
+                    # Non-TCP/UDP packets pass through untouched.
                     fast_add += 1
                     fast.packets_processed += 1
                     continue
@@ -646,12 +601,7 @@ class SplitDetectIPS:
                         self._feed_runs({canonical: runs.pop(canonical)}, tagged)
                     continue
                 if not tok_col[row]:
-                    # The one row kind that builds a packet object: only
-                    # the object parser can name the error of a transport
-                    # header the columns just flag.
-                    tagged.append((row, self.process(batch.materialize(row))))
-                    if tel_on:
-                        self._c_materialized.labels(cause="decode_error").inc()
+                    self._decode_error(batch, row, key)
                     continue
                 hits = hits_by_row[row]
                 plen = paylen_col[row]
@@ -695,17 +645,44 @@ class SplitDetectIPS:
                     got = self._settle_fast(flow, canonical, result, ts, ttl, seq, flags, payload)
                     tagged.append((row, got))
         finally:
-            if runs:  # also when a row raised: the rows before it count
-                self._feed_runs(runs, tagged)
-            stats.packets_total += fast_add
-            stats.fast_packets += fast_add
-            stats.fast_bytes_scanned += fast_bytes_add
-            self._publish()
+            # Also when a row or a pending run raises: what came before counts.
+            try:
+                if runs:
+                    self._feed_runs(runs, tagged)
+            finally:
+                stats.packets_total += fast_add
+                stats.fast_packets += fast_add
+                stats.fast_bytes_scanned += fast_bytes_add
+                self._publish()
         if tel_on:
             self._c_ingest_rows.inc(n)
             self._c_ingest_batches.inc()
         tagged.sort(key=by_row)
         return [alert for _, got in tagged for alert in got]
+
+    def _decode_error(self, batch: PacketBatch, row: int, key: FlowTuple) -> None:
+        """Book a row whose transport header the columns only flag as bad
+        (``tok == 0``): it passes the fast path unexamined.  The one row
+        kind that builds a packet object, parsed only so the transport
+        decoder names the error."""
+        packet = batch.materialize(row)
+        ip = packet.ip
+        cause = "DecodeError"
+        try:
+            (decode_tcp if ip.protocol == IP_PROTO_TCP else decode_udp)(ip)
+        except PacketError as exc:
+            cause = type(exc).__name__
+        except Exception:  # counted as a decode error all the same
+            pass
+        self.stats.packets_total += 1
+        self.stats.fast_packets += 1
+        self.stats.decode_errors += 1
+        self.fast_path.packets_processed += 1
+        if self._trace_enabled:
+            self.tracer.record(key, "decode", "fast_route", packet.timestamp)
+        if self._tel_on:
+            self._c_decode_errors.labels(cause=cause).inc()
+            self._c_materialized.labels(cause="decode_error").inc()
 
     def _feed_runs(self, runs, tagged) -> None:
         """Feed each pending run (batch rows, their fields) to the slow
@@ -987,8 +964,8 @@ class SplitDetectIPS:
         """Add to each mirroring family what its plain count gained since
         this engine last published (engines sharing a registry still sum),
         and set the two occupancy gauges.  Runs at the end of
-        :meth:`process` and :meth:`process_column_batch` (in a ``finally``:
-        a row that raises leaves no lag) and of :meth:`evict_idle`; never
+        :meth:`process_column_batch` (in a ``finally``: a row that raises
+        leaves no lag) and of :meth:`evict_idle`; never
         from :meth:`refresh_telemetry`, which the live-scrape thread calls.
         """
         if not self._tel_on:

@@ -18,23 +18,17 @@ from ..match import DualAutomaton
 from ..telemetry import NULL_REGISTRY, NULL_TRACER, SIZE_BYTES_BUCKETS
 from ..packet import (
     IP_PROTO_TCP,
-    IP_PROTO_UDP,
     TCP_FIN,
     TCP_RST,
     TCP_SYN,
     FlowKey,
     FlowTuple,
-    TimedPacket,
-    decode_tcp,
-    decode_udp,
-    flow_key_of,
     flow_of_tuple,
     ip_u32_to_str,
     seq_add,
     seq_diff,
     tuple_of_flow,
 )
-from ..packet.errors import PacketError
 from ..signatures import Piece, Signature, SplitRuleSet
 from .alerts import Alert, AlertKind, DivertReason
 from .sketch import SketchBackend
@@ -157,16 +151,12 @@ FASTPATH_IDLE_TIMEOUT = 300.0
 @dataclass
 class FastPathResult:
     """Outcome of one packet through the fast path (built only for a
-    packet that alerts, diverts, hits a piece or fails to decode)."""
+    packet that alerts, diverts or hits a piece)."""
 
     divert: DivertReason | None = None
     alerts: list[Alert] = field(default_factory=list)
     piece_hits: list[Piece] = field(default_factory=list)
     detail: str = ""
-    decode_error: str | None = None
-    """Exception class name when the transport header failed to decode
-    (the packet passed unexamined) -- the engine's decode-quarantine
-    accounting reads this; None for a clean decode."""
     flow_expected_seq: int | None = None
     """The monitor's expected sequence number for this packet's direction,
     snapshotted *before* this packet advanced it -- i.e. where in-order
@@ -178,8 +168,7 @@ class FastPath:
     """Stateless-per-packet matcher with a minimal per-flow monitor.
 
     One fast path: :meth:`process_columns` decides every rule, on
-    scalars, for the batch route and the per-packet route alike;
-    :meth:`process` only decodes a packet object and calls it.
+    scalars, for every row of the engine's one batch route.
     """
 
     def __init__(
@@ -384,10 +373,9 @@ class FastPath:
         """The fast path for one decoded, unfragmented TCP/UDP packet.
 
         Scalars in, verdict out: the batch loop passes a row's column
-        values (it already holds the column arrays as locals), and
-        :meth:`process` passes the fields of a decoded packet object.
-        ``key`` is the packet's numeric five-tuple, the monitor's state
-        key (a :class:`FlowKey` is built from it only to resolve a hit;
+        values (it already holds the column arrays as locals).  ``key``
+        is the packet's numeric five-tuple, the monitor's state key (a
+        :class:`FlowKey` is built from it only to resolve a hit;
         the tracer names its spans from its own cache).  This is the one
         function where THEORY.md's rules R4 (TTL floor), R1 (size), R2
         (order) and R5 (piece) are decided and the only one that
@@ -513,54 +501,8 @@ class FastPath:
                 self._flows.pop(key, None)
         return result
 
-    def process(self, packet: TimedPacket) -> FastPathResult:
-        """Classify one packet object: decode it, scan its payload, and
-        hand the fields to :meth:`process_columns`.
-
-        No rule is decided here.  What never reaches
-        :meth:`process_columns` -- other protocols, fragments (the fast
-        path does not defragment; they only name their flow for
-        diversion), transport headers that fail to decode -- moves the
-        packet counter and nothing else.
-        """
-        ip = packet.ip
-        proto = ip.protocol
-        transport = proto == IP_PROTO_TCP or proto == IP_PROTO_UDP
-        if transport and not ip.is_fragment:
-            try:
-                if proto == IP_PROTO_TCP:
-                    segment = decode_tcp(ip)
-                    payload, flags, seq = segment.payload, segment.flags, segment.seq
-                else:
-                    payload, flags, seq = decode_udp(ip).payload, 0, 0
-            except PacketError as exc:
-                result = FastPathResult(decode_error=type(exc).__name__)
-            except Exception:
-                result = FastPathResult(decode_error="DecodeError")
-            else:
-                hits = None
-                if payload and self.automaton is not None:
-                    hits = self.automaton.find_all(payload)
-                result = self.process_columns(
-                    tuple_of_flow(flow_key_of(ip)),
-                    hits,
-                    proto,
-                    len(payload),
-                    flags,
-                    ip.ttl,
-                    seq,
-                    packet.timestamp,
-                    payload,
-                )
-                return result or FastPathResult()
-        elif transport and self.config.divert_fragments:
-            result = FastPathResult(divert=DivertReason.IP_FRAGMENT)
-            if self._tel_on:
-                self._c_anomaly[DivertReason.IP_FRAGMENT].inc()
-        else:
-            result = FastPathResult()
-        self.packets_processed += 1
-        return result
+    # benchmarks/pipeline/spans.py wraps this name; ROADMAP item 12(c) drops it.
+    process = process_columns
 
     def expected_seq(self, flow: FlowKey) -> int | None:
         """The monitor's next expected sequence number for one direction.

@@ -22,7 +22,7 @@ one ``get``, mutate the returned :class:`FlowState`, one ``put`` where
 the backend owes it -- one touch per TCP packet on the dict, whose
 ``get`` hands back the stored record (only a new one is ``put``), two on
 the table (an LRU touch) and the sketch (the one chance a cold slot gets
-to persist the update); the same on both routes.  ``peek`` is for passive probes
+to persist the update).  ``peek`` is for passive probes
 only; its one product caller is ``FastPath.expected_seq`` (the
 diversion-time snapshot of a direction that did not just send).
 """

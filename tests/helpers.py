@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core import Alert, SplitDetectIPS
+from repro.core import Alert, FastPath, FastPathResult, SplitDetectIPS
 from repro.packet import FlowKey, PacketBatch, TimedPacket
 from repro.pcap.columnar import encode_batches
 from repro.runtime import EngineSpec
@@ -51,9 +51,38 @@ def as_batch(packets: list[TimedPacket]) -> PacketBatch:
     return batch
 
 
+def fast_process(fast: FastPath, packet: TimedPacket) -> FastPathResult:
+    """One unfragmented, decodable TCP/UDP packet through
+    ``FastPath.process_columns``, fed as the engine's row loop feeds a
+    row the batch sweep did not cover: the row's columns and the
+    automaton's ``find_all`` hits.  A clean packet's ``None`` reads as
+    an empty result."""
+    batch = as_batch([packet])
+    assert batch.tok[0] and not batch.fragflags[0] & 0x3FFF
+    start, plen = batch.pay_off[0], batch.pay_len[0]
+    payload = batch.view[start : start + plen]
+    hits = None
+    if plen and fast.automaton is not None:
+        hits = fast.automaton.find_all(bytes(payload))
+    key = (batch.src[0], batch.dst[0], batch.sport[0], batch.dport[0], batch.proto[0])
+    result = fast.process_columns(
+        key,
+        hits,
+        batch.proto[0],
+        plen,
+        batch.tcpflags[0],
+        batch.ttl[0],
+        batch.seq[0],
+        batch.ts[0],
+        payload if hits else None,
+    )
+    return result or FastPathResult()
+
+
 def per_packet_oracle(ips: SplitDetectIPS, packets) -> list[Alert]:
     """The reference every batch route is compared against: the engine's
-    per-packet ``process()`` loop, no batching, no encoder."""
+    ``process()`` loop, each packet a batch of one (no batch sweep: each
+    payload is scanned with ``find_all``)."""
     return [alert for packet in packets for alert in ips.process(packet)]
 
 

@@ -269,7 +269,9 @@ class TestEngineParity:
     def test_no_packet_object_is_parsed_for_a_well_formed_row(self, monkeypatch):
         """The production route over the whole catalog: no IPv4 parse at
         all, at most one TCP parse per completed datagram (the defragmented
-        one, decoded once), and no row materialized."""
+        one, decoded once), and no row materialized.  ``process(packet)``
+        is that route with one row: one ``process_column_batch`` call per
+        packet, and still no IPv4 parse."""
         packets = inject_attacks(
             [],
             [
@@ -305,6 +307,14 @@ class TestEngineParity:
         assert datagrams > 0
         assert calls == {"ip": 0, "tcp": calls["tcp"]} and calls["tcp"] <= datagrams
         assert not any(value for _, value in tel.get("repro_ingest_materialized_total").samples())
+
+        one = SplitDetectIPS(attack_ruleset())
+        batches_seen = []
+        route = one.process_column_batch
+        one.process_column_batch = lambda batch: batches_seen.append(len(batch)) or route(batch)
+        assert [alert for packet in packets for alert in one.process(packet)] == alerts
+        assert batches_seen == [1] * len(packets)
+        assert calls["ip"] == 0
 
     @pytest.mark.parametrize("small_windows", [False, True])
     def test_table_backend_parity(self, mixed_pcaps, small_windows):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import ATTACK_SIGNATURE, attack_ruleset
+from helpers import ATTACK_SIGNATURE, attack_ruleset, fast_process
 from repro.core import (
     FAST_FLOW_STATE_BYTES,
     DivertReason,
@@ -38,7 +38,7 @@ def packets_for(payload, size=512, **conn):
 
 
 def run(fastpath, packets):
-    results = [fastpath.process(p) for p in packets]
+    results = [fast_process(fastpath, p) for p in packets]
     diverts = [r.divert for r in results if r.divert]
     return results, diverts
 
@@ -54,16 +54,16 @@ class TestCleanTraffic:
         fp = make_fastpath()
         packets = packets_for(b"benign data benign data benign data " * 30)
         for packet in packets[:-1]:
-            fp.process(packet)
+            fast_process(fp, packet)
         assert fp.tracked_flows == 1
-        fp.process(packets[-1])  # FIN frees the entry
+        fast_process(fp, packets[-1])  # FIN frees the entry
         assert fp.tracked_flows == 0
 
     def test_rst_frees_state(self):
         fp = make_fastpath()
-        fp.process(packets_for(b"x" * 600)[0])  # SYN
+        fast_process(fp, packets_for(b"x" * 600)[0])  # SYN
         rst = TcpSegment(src_port=44000, dst_port=80, seq=9, flags=TCP_RST)
-        fp.process(TimedPacket(1.0, build_tcp_packet("10.9.9.9", "10.0.0.2", rst)))
+        fast_process(fp, TimedPacket(1.0, build_tcp_packet("10.9.9.9", "10.0.0.2", rst)))
         assert fp.tracked_flows == 0
 
     def test_state_bytes_accounting(self):
@@ -72,7 +72,7 @@ class TestCleanTraffic:
         for packet in packets:
             if not packet.ip.payload:
                 continue
-            fp.process(packet)
+            fast_process(fp, packet)
         assert fp.state_bytes() == fp.tracked_flows * FAST_FLOW_STATE_BYTES
 
 
@@ -94,54 +94,54 @@ class TestStateLeakRegression:
 
     def _bidirectional(self, fp):
         """Data in both directions: one monitor entry per direction."""
-        fp.process(tcp_at(0.0, self.CLIENT, self.SERVER,
-                          self._client_seg(seq=1, flags=TCP_ACK, payload=b"c" * 600)))
-        fp.process(tcp_at(0.1, self.SERVER, self.CLIENT,
-                          self._server_seg(seq=1, flags=TCP_ACK, payload=b"s" * 600)))
+        fast_process(fp, tcp_at(0.0, self.CLIENT, self.SERVER,
+                                self._client_seg(seq=1, flags=TCP_ACK, payload=b"c" * 600)))
+        fast_process(fp, tcp_at(0.1, self.SERVER, self.CLIENT,
+                                self._server_seg(seq=1, flags=TCP_ACK, payload=b"s" * 600)))
         assert fp.tracked_flows == 2
 
     def test_rst_clears_both_directions(self):
         fp = make_fastpath()
         self._bidirectional(fp)
-        fp.process(tcp_at(0.2, self.CLIENT, self.SERVER,
-                          self._client_seg(seq=601, flags=TCP_RST)))
+        fast_process(fp, tcp_at(0.2, self.CLIENT, self.SERVER,
+                                self._client_seg(seq=601, flags=TCP_RST)))
         assert fp.tracked_flows == 0
 
     def test_fin_closes_only_the_sender_direction(self):
         fp = make_fastpath()
         self._bidirectional(fp)
-        fp.process(tcp_at(0.2, self.CLIENT, self.SERVER,
-                          self._client_seg(seq=601, flags=TCP_FIN | TCP_ACK)))
+        fast_process(fp, tcp_at(0.2, self.CLIENT, self.SERVER,
+                                self._client_seg(seq=601, flags=TCP_FIN | TCP_ACK)))
         # The server may still be sending; its monitor entry survives.
         assert fp.tracked_flows == 1
 
     def test_final_ack_does_not_resurrect_closed_flow(self):
         fp = make_fastpath()
         self._bidirectional(fp)
-        fp.process(tcp_at(0.2, self.CLIENT, self.SERVER,
-                          self._client_seg(seq=601, flags=TCP_FIN | TCP_ACK)))
-        fp.process(tcp_at(0.3, self.SERVER, self.CLIENT,
-                          self._server_seg(seq=601, flags=TCP_FIN | TCP_ACK)))
+        fast_process(fp, tcp_at(0.2, self.CLIENT, self.SERVER,
+                                self._client_seg(seq=601, flags=TCP_FIN | TCP_ACK)))
+        fast_process(fp, tcp_at(0.3, self.SERVER, self.CLIENT,
+                                self._server_seg(seq=601, flags=TCP_FIN | TCP_ACK)))
         assert fp.tracked_flows == 0
         # The handshake's final pure ACK must not recreate an entry.
-        fp.process(tcp_at(0.4, self.CLIENT, self.SERVER,
-                          self._client_seg(seq=602, flags=TCP_ACK)))
+        fast_process(fp, tcp_at(0.4, self.CLIENT, self.SERVER,
+                                self._client_seg(seq=602, flags=TCP_ACK)))
         assert fp.tracked_flows == 0
 
     def test_pure_ack_creates_no_state(self):
         fp = make_fastpath()
-        fp.process(tcp_at(0.0, self.CLIENT, self.SERVER,
-                          self._client_seg(seq=1, flags=TCP_ACK)))
+        fast_process(fp, tcp_at(0.0, self.CLIENT, self.SERVER,
+                                self._client_seg(seq=1, flags=TCP_ACK)))
         assert fp.tracked_flows == 0
 
     def test_evict_idle_reclaims_only_stale_entries(self):
         fp = make_fastpath()
-        fp.process(tcp_at(0.0, self.CLIENT, self.SERVER,
-                          TcpSegment(src_port=1001, dst_port=80, seq=1,
-                                     flags=TCP_ACK, payload=b"a" * 600)))
-        fp.process(tcp_at(200.0, self.CLIENT, self.SERVER,
-                          TcpSegment(src_port=1002, dst_port=80, seq=1,
-                                     flags=TCP_ACK, payload=b"b" * 600)))
+        fast_process(fp, tcp_at(0.0, self.CLIENT, self.SERVER,
+                                TcpSegment(src_port=1001, dst_port=80, seq=1,
+                                           flags=TCP_ACK, payload=b"a" * 600)))
+        fast_process(fp, tcp_at(200.0, self.CLIENT, self.SERVER,
+                                TcpSegment(src_port=1002, dst_port=80, seq=1,
+                                           flags=TCP_ACK, payload=b"b" * 600)))
         assert fp.tracked_flows == 2
         assert fp.evict_idle(now=350.0) == 1  # default timeout 300s
         assert fp.tracked_flows == 1
@@ -178,12 +178,14 @@ class TestAnomalyMonitor:
         assert DivertReason.RETRANSMISSION in diverts
 
     def test_fragment_diverts(self):
-        fp = make_fastpath()
+        # R3 is the engine's (a fragment never reaches the fast path).
+        ips = SplitDetectIPS(attack_ruleset(), split_policy=SplitPolicy(piece_length=8))
         seg = TcpSegment(src_port=44000, dst_port=80, seq=1, flags=TCP_ACK, payload=b"y" * 600)
         big = build_tcp_packet("10.9.9.9", "10.0.0.2", seg, dont_fragment=False)
         frags = fragment(big, 256)
-        result = fp.process(TimedPacket(0.0, frags[0]))
-        assert result.divert == DivertReason.IP_FRAGMENT
+        ips.process(TimedPacket(0.0, frags[0]))
+        assert ips.divert_reasons == {DivertReason.IP_FRAGMENT: 1}
+        assert ips.is_diverted(FlowKey("10.9.9.9", "10.0.0.2", 44000, 80))
 
     def test_monitor_checks_can_be_disabled(self):
         config = FastPathConfig(check_tiny=False, check_order=False, divert_fragments=False)
@@ -205,21 +207,21 @@ class TestAnomalyMonitor:
         fp = make_fastpath()
         seg = TcpSegment(src_port=44000, dst_port=80, seq=1, flags=TCP_ACK, payload=b"y" * 600)
         low = build_tcp_packet("10.9.9.9", "10.0.0.2", seg, ttl=2)
-        result = fp.process(TimedPacket(0.0, low))
+        result = fast_process(fp, TimedPacket(0.0, low))
         assert result.divert == DivertReason.TTL_FLOOR
 
     def test_low_ttl_pure_ack_tolerated(self):
         fp = make_fastpath()
         seg = TcpSegment(src_port=44000, dst_port=80, seq=1, flags=TCP_ACK)
         low = build_tcp_packet("10.9.9.9", "10.0.0.2", seg, ttl=2)
-        result = fp.process(TimedPacket(0.0, low))
+        result = fast_process(fp, TimedPacket(0.0, low))
         assert result.divert is None
 
     def test_ttl_floor_configurable(self):
         fp = make_fastpath(FastPathConfig(min_ttl=0))
         seg = TcpSegment(src_port=44000, dst_port=80, seq=1, flags=TCP_ACK, payload=b"y" * 600)
         low = build_tcp_packet("10.9.9.9", "10.0.0.2", seg, ttl=1)
-        result = fp.process(TimedPacket(0.0, low))
+        result = fast_process(fp, TimedPacket(0.0, low))
         assert result.divert is None
 
     def test_seed_flow_presets_expected_seq(self):
@@ -230,7 +232,7 @@ class TestAnomalyMonitor:
         fp.seed_flow(flow, 5000)
         assert fp.expected_seq(flow) == 5000
         seg = TcpSegment(src_port=44000, dst_port=80, seq=6000, flags=TCP_ACK, payload=b"z" * 600)
-        result = fp.process(TimedPacket(0.0, build_tcp_packet("10.9.9.9", "10.0.0.2", seg)))
+        result = fast_process(fp, TimedPacket(0.0, build_tcp_packet("10.9.9.9", "10.0.0.2", seg)))
         assert result.divert == DivertReason.OUT_OF_ORDER
         assert result.flow_expected_seq == 5000
 
@@ -308,7 +310,7 @@ class TestSeedFlowLifecycle:
         fp.evict_idle(1000.5)  # the sweep that used to kill the seed
         seg = TcpSegment(src_port=44000, dst_port=80, seq=5000,
                          flags=TCP_ACK, payload=b"z" * 600)
-        result = fp.process(
+        result = fast_process(fp, 
             TimedPacket(1001.0, build_tcp_packet("10.9.9.9", "10.0.0.2", seg))
         )
         assert result.divert is None  # in order from the seeded position
@@ -379,18 +381,18 @@ class TestSequenceWraparound:
 
         fp = make_fastpath()
         start = 2**32 - 300
-        fp.process(tcp_at(0.0, self.CLIENT, self.SERVER,
-                          self._seg(start, flags=TCP_SYN)))
-        r1 = fp.process(tcp_at(0.1, self.CLIENT, self.SERVER,
-                               self._seg(start + 1, payload=b"a" * 600)))
+        fast_process(fp, tcp_at(0.0, self.CLIENT, self.SERVER,
+                                self._seg(start, flags=TCP_SYN)))
+        r1 = fast_process(fp, tcp_at(0.1, self.CLIENT, self.SERVER,
+                                     self._seg(start + 1, payload=b"a" * 600)))
         assert r1.divert is None
         from repro.packet import FlowKey
 
         # 600 bytes from 2**32-299 crosses the wrap: expected is now 301.
         flow = FlowKey(self.CLIENT, self.SERVER, 44000, 80)
         assert fp.expected_seq(flow) == 301
-        r2 = fp.process(tcp_at(0.2, self.CLIENT, self.SERVER,
-                               self._seg(301, payload=b"b" * 600)))
+        r2 = fast_process(fp, tcp_at(0.2, self.CLIENT, self.SERVER,
+                                     self._seg(301, payload=b"b" * 600)))
         assert r2.divert is None
         assert fp.expected_seq(flow) == 901
 
@@ -398,24 +400,24 @@ class TestSequenceWraparound:
         from repro.packet import TCP_SYN
 
         fp = make_fastpath()
-        fp.process(tcp_at(0.0, self.CLIENT, self.SERVER,
-                          self._seg(2**32 - 1, flags=TCP_SYN)))
+        fast_process(fp, tcp_at(0.0, self.CLIENT, self.SERVER,
+                                self._seg(2**32 - 1, flags=TCP_SYN)))
         # Expected is 0 (the SYN consumed the last pre-wrap number); a
         # segment at 700 is 700 bytes ahead across the boundary.
-        result = fp.process(tcp_at(0.1, self.CLIENT, self.SERVER,
-                                   self._seg(700, payload=b"x" * 600)))
+        result = fast_process(fp, tcp_at(0.1, self.CLIENT, self.SERVER,
+                                         self._seg(700, payload=b"x" * 600)))
         assert result.divert == DivertReason.OUT_OF_ORDER
 
     def test_behind_across_wrap_is_retransmission(self):
         from repro.packet import TCP_SYN
 
         fp = make_fastpath()
-        fp.process(tcp_at(0.0, self.CLIENT, self.SERVER,
-                          self._seg(2**32 - 1, flags=TCP_SYN)))
+        fast_process(fp, tcp_at(0.0, self.CLIENT, self.SERVER,
+                                self._seg(2**32 - 1, flags=TCP_SYN)))
         # Expected is 0; a segment at 2**32-700 is 700 bytes *behind*
         # (seq_diff is negative), not ~4 billion ahead.
-        result = fp.process(tcp_at(0.1, self.CLIENT, self.SERVER,
-                                   self._seg(2**32 - 700, payload=b"x" * 600)))
+        result = fast_process(fp, tcp_at(0.1, self.CLIENT, self.SERVER,
+                                         self._seg(2**32 - 700, payload=b"x" * 600)))
         assert result.divert == DivertReason.RETRANSMISSION
 
 

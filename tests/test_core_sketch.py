@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from helpers import ATTACK_SIGNATURE, attack_ruleset
+from helpers import ATTACK_SIGNATURE, attack_ruleset, fast_process
 from repro.core import (
     FAST_FLOW_STATE_BYTES,
     CountMinSketch,
@@ -317,7 +317,7 @@ class TestFastPathSketchBackend:
                 src_port=10000 + n,
             )
             for packet in packets:
-                fp.process(packet)
+                fast_process(fp, packet)
         assert fp.state_bytes() == fixed
 
     def test_matches_dict_backend_on_mixed_traffic(self):
@@ -343,8 +343,8 @@ class TestFastPathSketchBackend:
         exact = _fastpath()
         sketch = _fastpath(_sketch_config())
         for exact_packet, sketch_packet in zip(trace(), trace()):
-            a = exact.process(exact_packet)
-            b = sketch.process(sketch_packet)
+            a = fast_process(exact, exact_packet)
+            b = fast_process(sketch, sketch_packet)
             assert a.divert == b.divert
             assert [alert.sid for alert in a.alerts] == [
                 alert.sid for alert in b.alerts
@@ -358,7 +358,7 @@ class TestFastPathSketchBackend:
         packets = plan_to_packets(even_segments(payload, 600))
         diverted = False
         for packet in packets:
-            result = fp.process(packet)
+            result = fast_process(fp, packet)
             diverted = diverted or result.divert is not None
         assert diverted
         assert fp._flows.promotions >= 1

@@ -19,7 +19,7 @@ from helpers import attack_payload, attack_ruleset, counter_state, signature_spa
 from repro.core import ConventionalIPS, DivertReason, NaivePacketIPS, SplitDetectIPS
 from repro.core.slowpath import SlowPath
 from repro.evasion import build_attack
-from repro.packet import IPv4Packet, PacketError, TimedPacket
+from repro.packet import IP_PROTO_TCP, IP_PROTO_UDP, IPv4Packet, PacketError, TimedPacket
 from repro.pcap.columnar import encode_batches
 from repro.signatures import SplitPolicy
 from repro.telemetry import (
@@ -359,17 +359,9 @@ class TestEngineTelemetry:
             stage = tel.get("repro_engine_stage_latency_ns")
             return {labels["stage"]: child.count for labels, child in stage.samples()}
 
-        tel = TelemetryRegistry()
-        ips = split_ips(tel)
-        for packet in sample_trace():
-            ips.process(packet)
-        observed = observed_stages(tel)
-        assert observed["decode"] == ips.stats.packets_total
-        assert observed["fast_path"] == ips.stats.fast_packets
-        assert observed["slow_path"] == ips.stats.slow_packets
-        # The batch route profiles the sweep once per batch and the rows
-        # it materializes; rows committed clean on their columns are not
-        # timed one by one.
+        # The batch route profiles the sweep once per batch, and the
+        # decode of the rows it routes to the slow path; rows committed
+        # clean on their columns are not timed one by one.
         tel = TelemetryRegistry()
         ips = split_ips(tel)
         ips.process_batch(sample_trace())
@@ -407,6 +399,44 @@ class TestEngineTelemetry:
         assert ips.stats.diversions > 0 and ips.stats.slow_packets > ips.stats.diversions
         assert by_cause == {"decode_error": 1}
         assert ips.stats.decode_errors == 1
+
+    # Transport headers the columns flag as bad, each with the exception
+    # class the transport parser raises for it.
+    MALFORMED = (
+        (IP_PROTO_TCP, b"x" * 10, "TruncatedPacketError"),  # 10-byte header
+        (IP_PROTO_UDP, b"x" * 5, "TruncatedPacketError"),  # 5-byte header
+        (IP_PROTO_TCP, bytes(12) + b"\x40" + bytes(7), "MalformedPacketError"),  # offset 4
+        (IP_PROTO_TCP, bytes(12) + b"\xf0" + bytes(15), "TruncatedPacketError"),  # 60 > 28 B
+    )
+
+    @pytest.mark.parametrize("route", ["process", "process_batch"])
+    def test_decode_error_cause_is_the_parsers(self, route):
+        packets = [
+            TimedPacket(float(i), IPv4Packet("10.9.9.12", "10.0.0.2", protocol=proto, payload=raw))
+            for i, (proto, raw, _) in enumerate(self.MALFORMED)
+        ]
+        engines = []
+        if route == "process":
+            for packet in packets:  # one engine each: every label is pinned
+                engines.append(split_ips(TelemetryRegistry()))
+                assert engines[-1].process(packet) == []
+            expected = [{cause: 1} for _, _, cause in self.MALFORMED]
+        else:
+            engines.append(split_ips(TelemetryRegistry()))
+            assert engines[0].process_batch(packets) == []
+            expected = [{"TruncatedPacketError": 3, "MalformedPacketError": 1}]
+        for ips, causes in zip(engines, expected, strict=True):
+            tel = ips.telemetry
+            booked = {
+                labels["cause"]: value
+                for labels, value in tel.get("repro_engine_decode_errors_total").samples()
+            }
+            rows = sum(causes.values())
+            assert booked == causes
+            assert tel.get("repro_ingest_materialized_total").value_for(cause="decode_error") == rows
+            assert ips.stats.decode_errors == ips.stats.packets_total == rows
+            assert ips.stats.fast_packets == ips.fast_path.packets_processed == rows
+            assert tel.get("repro_fastpath_packets_total").value == rows
 
     def test_journal_records_diversions_with_packet_time(self):
         tel = TelemetryRegistry()

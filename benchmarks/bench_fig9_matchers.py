@@ -18,8 +18,9 @@ the q-gram sweep must make that >= 2x the compiled walk (ROADMAP item
 walk may step only the sweep's hot rows: every other row's tuples come
 from the occurrences the sweep verified.  A last row,
 ``stream_bundled``, sends the same payload as an MTU-chunked stream
-through the slow path's matcher set (full + suffix automata, one union
-sweep): swept must be >= 2x the never-swept walk, alerts identical.
+through the slow path (its view of the piece automaton and sweep, with
+last-piece confirmation): swept must be >= 2x the never-swept walk,
+alerts identical.
 """
 
 import json
@@ -97,7 +98,7 @@ def sweep_census(dual: DualAutomaton, batch: list[bytes]) -> dict:
     """Clock-free record of one swept batch: the rows the sweep found
     too candidate-dense (hot), the rows the table walk stepped, and the
     rows whose tuples the sweep answered from its own occurrences."""
-    hot, occurrences = dual._sweep.dirty_rows(batch)
+    hot, occurrences = dual.sweep.dirty_rows(batch)
     walked: list[bytes] = []
     scan_many = AhoCorasick.scan_many
 
@@ -119,7 +120,7 @@ def sweep_census(dual: DualAutomaton, batch: list[bytes]) -> dict:
 def stream_bundled_row(data: bytes) -> dict:
     """The benign payload as one diverted flow's reassembled stream, in
     MTU chunks, with one bundled signature planted across a chunk
-    boundary: the slow path's matcher set swept vs never swept."""
+    boundary: the slow path's piece matching swept vs never swept."""
     split_rules = split_ruleset(bundled_rules())
     planted = next(
         sig for sig in bundled_rules() if sig.protocol_number == 6 and len(sig.pattern) > 40
@@ -137,26 +138,20 @@ def stream_bundled_row(data: bytes) -> dict:
         return alerts
 
     swept = slowpath.SlowPath(split_rules)
-    with mock.patch.object(slowpath, "build_stream_sweep", lambda automata: None):
-        walked = slowpath.SlowPath(split_rules)
+    walked = slowpath.SlowPath(split_rules)
     assert swept._current.sweep is not None
-    assert walked._current.sweep is None
+    walked._current.sweep = None
     expected = one_pass(walked)
     assert any(alert.sid == planted.sid for alerts in expected for _, alert in alerts)
     identical = one_pass(swept) == expected
     walked_mbps = best_rate_mbps(lambda _: one_pass(walked), stream)
     swept_mbps = best_rate_mbps(lambda _: one_pass(swept), stream)
-    current = swept._current
-    sides = [
-        stats
-        for dual in (current.matcher.automaton, current.suffix_automaton)
-        for _, stats in dual.side_stats()
-    ]
+    pieces = swept._current.automaton
+    sides = [stats for _, stats in pieces.side_stats()]
     skipped = sum(stats["swept_chunks"] for stats in sides)
     return {
         "workload": "stream_bundled",
-        "patterns": sum(len(dual.sweep_patterns()) for dual in (
-            current.matcher.automaton, current.suffix_automaton)),
+        "patterns": len(pieces.sweep_patterns()),
         "chunks": len(chunks),
         "engines": sorted({stats["engine"] for stats in sides}),
         "sweep": "enabled",

@@ -13,7 +13,9 @@ default, i.e. the checkout under test).  Two classes of metric:
   in the delta table but never gate.
 
 A metric is classified by key name: leaves matching
-:data:`TIMING_PATTERN` anywhere in their dotted path are info-only.
+:data:`TIMING_PATTERN` anywhere in their dotted path are info-only,
+unless they also match :data:`COUNTED_PATTERN` (a deterministic ratio
+whose name reads like a timing one).
 The delta table is written as Markdown to ``$GITHUB_STEP_SUMMARY``
 when that variable is set (GitHub renders it as the job summary) and
 always printed as text.  Files absent from the baseline ref (a brand
@@ -45,7 +47,17 @@ TIMING_PATTERN = re.compile(
     re.IGNORECASE,
 )
 
+#: Leaves gated although TIMING_PATTERN matches them: ratios of counted
+#: things (the paper's state ratio is peak state bytes over the
+#: conventional IPS's, both counted from the trace).
+COUNTED_PATTERN = re.compile(r"state_bytes_ratio$", re.IGNORECASE)
+
 DEFAULT_TOLERANCE = 0.20
+
+
+def is_timing(path: str) -> bool:
+    """True for an info-only (machine-dependent) leaf."""
+    return bool(TIMING_PATTERN.search(path)) and not COUNTED_PATTERN.search(path)
 
 
 def numeric_leaves(data, prefix: str = "") -> dict[str, float]:
@@ -92,7 +104,7 @@ def compare_file(name: str, ref: str, tolerance: float) -> tuple[list[dict], boo
     rows = []
     clean = True
     for path in sorted(set(fresh) | set(baseline)):
-        timing = bool(TIMING_PATTERN.search(path))
+        timing = is_timing(path)
         old = baseline.get(path)
         new = fresh.get(path)
         if old is None or new is None:

@@ -39,7 +39,7 @@ from ..telemetry import NULL_REGISTRY, NULL_TRACER, StageProfiler
 from .alerts import Alert, AlertKind, Diversion, DivertReason
 from .conventional import PROVISIONED_BUFFER_PER_FLOW
 from .fastpath import FastPath, FastPathConfig, PieceTables, compile_pieces
-from .slowpath import SlowPath, _MatcherSet, by_row, compile_matcher_set
+from .slowpath import SlowPath, by_row
 
 #: Diversion reasons eligible for probation (return to the fast path after
 #: a clean interval).  Fragmented flows stay diverted -- fragments keep
@@ -74,21 +74,20 @@ class EngineStats:
 
 
 #: One ruleset compiled, read-only, for engines built alike (DESIGN.md "The
-#: compiled set"): the split rules and the fast and slow paths' tables.
-CompiledRules = tuple[SplitRuleSet, PieceTables, _MatcherSet]
+#: compiled set"): the split rules and the piece tables both paths scan.
+CompiledRules = tuple[SplitRuleSet, PieceTables]
 
 
 def compile_rules(rules, split_policy=None, model=None, fast_config=None) -> CompiledRules:
-    """Split ``rules`` once and build both paths' matchers from the split."""
+    """Split ``rules`` once and build the piece tables from the split."""
     split_rules = split_ruleset(rules, split_policy, model)
-    fast = compile_pieces(split_rules, fast_config or FastPathConfig())
-    return split_rules, fast, compile_matcher_set(split_rules)
+    return split_rules, compile_pieces(split_rules, fast_config or FastPathConfig())
 
 
 def view_rules(compiled: CompiledRules) -> CompiledRules:
     """These tables behind scan counters of their own: each engine's after the first."""
-    split_rules, (threshold, entries, automaton), slow = compiled
-    return split_rules, (threshold, entries, automaton and automaton.view()), slow.view()
+    split_rules, (threshold, entries, automaton) = compiled
+    return split_rules, (threshold, entries, automaton and automaton.view())
 
 
 class SplitDetectIPS:
@@ -118,19 +117,19 @@ class SplitDetectIPS:
         self.rules_generation = 0
         """Completed :meth:`swap_rules` reloads (0 = the construction set)."""
         compiled = compiled or compile_rules(rules, split_policy, model, fast_config)
-        self.split_rules, fast, slow = compiled
+        self.split_rules, tables = compiled
         self.fast_path = FastPath(
-            self.split_rules, fast_config, telemetry=self.telemetry, tracer=self.tracer, tables=fast
+            self.split_rules, fast_config, telemetry=self.telemetry, tracer=self.tracer, tables=tables
         )
         self.slow_path = SlowPath(
             self.split_rules,
             policy=overlap_policy,
             telemetry=self.telemetry,
             tracer=self.tracer,
-            matchers=slow,
+            tables=tables,
         )
         self.ensemble_paths: list[SlowPath] = [
-            SlowPath(self.split_rules, policy=policy, matchers=slow.view())
+            SlowPath(self.split_rules, policy=policy, tables=tables)
             for policy in ensemble_policies
             if policy is not overlap_policy
         ]
@@ -164,6 +163,9 @@ class SplitDetectIPS:
         self.divert_reasons: Counter[DivertReason] = Counter()
         self.reinstated_flows = 0
         self.overload_refusals = 0
+        self.fragment_anomalies = 0
+        """First fragments of a flow on the fast path's routing: R3's
+        triggers, decided here because the fast path never sees a fragment."""
         self._refused: set[FlowKey] = set()
         self.stats = EngineStats()
         # Telemetry.  What has no plain home -- stage timings, alerts,
@@ -228,6 +230,9 @@ class SplitDetectIPS:
                 "Reassembled-and-normalized stream bytes matched on the slow path",
             ),
             *(diversions.labels(reason=reason.value) for reason in DivertReason),
+            tel.counter("repro_fastpath_anomaly_total", label_names=("cause",)).labels(
+                cause=DivertReason.IP_FRAGMENT.value
+            ),
         )
         self._published = (0,) * len(self._mirrors)
         alerts_total = tel.counter(
@@ -349,10 +354,10 @@ class SplitDetectIPS:
             self._model = model
         self.rules = rules
         self.split_rules = split_ruleset(rules, self._split_policy, self._model)
-        self.fast_path.swap_rules(self.split_rules)
-        self.slow_path.swap_rules(self.split_rules)
-        for path in self.ensemble_paths:
-            path.swap_rules(self.split_rules)
+        tables = compile_pieces(self.split_rules, self.fast_path.config)
+        self.fast_path.swap_rules(self.split_rules, tables)
+        for path in (self.slow_path, *self.ensemble_paths):
+            path.swap_rules(self.split_rules, tables)
         self.rules_generation += 1
         if self._tel_on:
             self.telemetry.counter(
@@ -426,6 +431,8 @@ class SplitDetectIPS:
         if first is not None:
             if self._trace_enabled:
                 self.tracer.record(first, "decode", "fragment", ts, force=True)
+            if tuple_of_flow(first) not in self._diverted:
+                self.fragment_anomalies += 1
             if not self._divert(first, DivertReason.IP_FRAGMENT, ts):
                 # Overloaded: fail open, fragment passes unexamined.
                 self.stats.fast_packets += 1
@@ -985,6 +992,7 @@ class SplitDetectIPS:
             slow.packets_processed,
             slow.bytes_normalized,
             *map(self.divert_reasons.__getitem__, DivertReason),
+            self.fragment_anomalies,
         )
         for counter, count, published in zip(self._mirrors, counts, self._published):
             if count != published:

@@ -256,8 +256,9 @@ class FastPath:
         self.split_rules = split_rules
         self.threshold, self._entries, self.automaton = tables
 
-    def swap_rules(self, split_rules: SplitRuleSet) -> None:
-        """Hot-swap the compiled piece set, keeping the flow monitor.
+    def swap_rules(self, split_rules: SplitRuleSet, tables: PieceTables) -> None:
+        """Hot-swap the compiled piece set (``tables``, compiled for
+        ``split_rules``), keeping the flow monitor.
 
         Every per-flow monitor entry (expected sequence numbers, idle
         clocks, sketch counters) survives untouched -- the monitor's
@@ -267,7 +268,7 @@ class FastPath:
         entry table they were produced against, so callers (the shard
         processors) apply swaps only at batch boundaries.
         """
-        self._install(split_rules, compile_pieces(split_rules, self.config))
+        self._install(split_rules, tables)
         self.rules_generation += 1
 
     # -- accounting ------------------------------------------------------

@@ -5,18 +5,20 @@ contents have all appeared?" -- over either a byte stream (TCP) or a
 self-contained buffer (UDP datagram, naive per-packet).  This module owns
 that logic once:
 
-- the :class:`DualAutomaton` indexes each signature's primary pattern and
-  every extra content (case-folded for ``nocase`` rules);
+- :func:`complete` fires a rule when its primary pattern has occurred and
+  every extra content has been seen (order-free, Snort-style), once per
+  primary occurrence -- the baselines and the Split-Detect slow path all
+  decide through it;
 - :class:`StreamMatchState` tracks, per flow direction, which extras have
   been seen and how many primary occurrences are awaiting them;
-- a rule fires when its primary pattern has occurred and every extra
-  content has been seen (order-free, Snort-style), once per primary
-  occurrence.
+- the baselines' :class:`SignatureMatcher` indexes each signature's
+  primary pattern and every extra content in one :class:`DualAutomaton`
+  (case-folded for ``nocase`` rules).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from ..match import DualAutomaton, DualStreamMatcher
@@ -42,17 +44,42 @@ class StreamMatchState:
     extras_seen: dict[int, set[int]] = field(default_factory=dict)
     pending_primaries: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def open_prefix_len(self) -> int:
-        return self.matcher.open_prefix_len
 
-    @property
-    def stream_offset(self) -> int:
-        return self.matcher.stream_offset
+def complete(
+    events: Iterable[tuple[int, int | None, int]],
+    signatures: Sequence[Signature],
+    flow: FlowKey | None,
+    extras_seen: dict[int, set[int]],
+    pending: dict[int, int],
+) -> list[SignatureHit]:
+    """Completed rules from content occurrences in stream order: each
+    event is ``(signature index, extra index or None for the primary,
+    end offset)``; ``extras_seen`` / ``pending`` carry across calls."""
+    out: list[SignatureHit] = []
+    for sig_index, extra_index, end in events:
+        signature = signatures[sig_index]
+        if flow is not None and not signature.applies_to_flow(flow):
+            continue
+        needed = len(signature.extra_contents)
+        if extra_index is not None:
+            seen = extras_seen.setdefault(sig_index, set())
+            if extra_index in seen:
+                continue
+            seen.add(extra_index)
+            if len(seen) == needed and pending.get(sig_index):
+                for _ in range(pending.pop(sig_index)):
+                    out.append(SignatureHit(signature, end))
+            continue
+        # Primary occurrence.
+        if needed == 0 or len(extras_seen.get(sig_index, ())) == needed:
+            out.append(SignatureHit(signature, end))
+        else:
+            pending[sig_index] = pending.get(sig_index, 0) + 1
+    return out
 
 
 class SignatureMatcher:
-    """Index of signatures' contents, shared by the matching engines."""
+    """Every content of every signature in one automaton (the baselines')."""
 
     def __init__(self, signatures: list[Signature]) -> None:
         self.signatures = list(signatures)
@@ -71,12 +98,10 @@ class SignatureMatcher:
     def empty(self) -> bool:
         return self.automaton is None
 
-    def new_stream_state(self, carry: int = 0) -> StreamMatchState:
-        """Fresh per-direction state; ``carry`` as in :class:`DualStreamMatcher`."""
+    def new_stream_state(self) -> StreamMatchState:
+        """Fresh per-direction state."""
         assert self.automaton is not None
-        return StreamMatchState(matcher=DualStreamMatcher(self.automaton, carry=carry))
-
-    # -- core completion logic ---------------------------------------------
+        return StreamMatchState(matcher=DualStreamMatcher(self.automaton))
 
     def _complete(
         self,
@@ -85,46 +110,15 @@ class SignatureMatcher:
         extras_seen: dict[int, set[int]],
         pending: dict[int, int],
     ) -> list[SignatureHit]:
-        out: list[SignatureHit] = []
-        for entry_id, end in hits:
-            sig_index, extra_index = self._entry_info[entry_id]
-            signature = self.signatures[sig_index]
-            if flow is not None and not signature.applies_to_flow(flow):
-                continue
-            needed = len(signature.extra_contents)
-            if extra_index is not None:
-                seen = extras_seen.setdefault(sig_index, set())
-                if extra_index in seen:
-                    continue
-                seen.add(extra_index)
-                if len(seen) == needed and pending.get(sig_index):
-                    for _ in range(pending.pop(sig_index)):
-                        out.append(SignatureHit(signature, end))
-                continue
-            # Primary occurrence.
-            if needed == 0 or len(extras_seen.get(sig_index, ())) == needed:
-                out.append(SignatureHit(signature, end))
-            else:
-                pending[sig_index] = pending.get(sig_index, 0) + 1
-        return out
+        info = self._entry_info
+        events = [(*info[entry_id], end) for entry_id, end in hits]
+        return complete(events, self.signatures, flow, extras_seen, pending)
 
     def match_chunk(
-        self,
-        state: StreamMatchState,
-        chunk: bytes,
-        flow: FlowKey | None,
-        dirty: int = DualStreamMatcher.WALK_BOTH,
-        ends: list[int] | None = None,
+        self, state: StreamMatchState, chunk: bytes, flow: FlowKey | None
     ) -> list[SignatureHit]:
-        """Feed the next stream chunk (``dirty``: a sweep's verdict, see
-        :meth:`DualStreamMatcher.feed`); returns newly completed rules.
-        ``ends``: the chunk joins segments ending at these offsets in it;
-        hits are completed in segment order (each side walked the whole
-        chunk), as multi-content rules need."""
-        hits = [(m.pattern_id, m.end_offset) for m in state.matcher.feed(chunk, dirty)]
-        if ends is not None and len(ends) > 1 and len(hits) > 1:
-            base = state.matcher.stream_offset - len(chunk)
-            hits.sort(key=lambda hit: bisect_left(ends, hit[1] - base))
+        """Feed the next stream chunk; returns newly completed rules."""
+        hits = [(m.pattern_id, m.end_offset) for m in state.matcher.feed(chunk)]
         return self._complete(hits, flow, state.extras_seen, state.pending_primaries)
 
     def match_buffer(

@@ -2,7 +2,7 @@
 stream matchers, and the q-gram sweep in front of them."""
 
 from .aho_corasick import DENSE_STATE_LIMIT, ROOT_STATE, AhoCorasick
-from .dual import DualAutomaton, DualStreamMatcher, build_stream_sweep
+from .dual import DualAutomaton, DualStreamMatcher
 from .streaming import StreamMatch, StreamMatcher
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "DualStreamMatcher",
     "StreamMatch",
     "StreamMatcher",
-    "build_stream_sweep",
 ]

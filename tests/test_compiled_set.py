@@ -1,13 +1,15 @@
 """Engines built from one ``EngineSpec`` share one compiled ruleset.
 
 ``EngineSpec.build`` compiles the spec's rules once (``CompiledRules``:
-the split, the fast path's piece tables, the slow path's matcher set)
-and every later engine from that spec -- every shard, every ensemble
-path -- scans through views of it.  Held here:
+the split and the piece tables) and every later engine from that spec
+-- every shard, every ensemble path -- scans through views of it; the
+slow path confirms on the fast path's piece automaton, so one engine
+builds one ``DualAutomaton``.  Held here:
 
 - a spec's engines split the rules once and build the automata of one
   plain engine, however many shards or ensemble paths share them; a
-  ruleset that gained a signature is compiled afresh;
+  ruleset that gained a signature is compiled afresh, and a hot reload
+  splits and compiles once for both paths;
 - scan counters stay per engine: four shards' counters sum to the
   one-shard run's, and two engines fed different traces each report
   only their own traffic;
@@ -41,8 +43,9 @@ from repro.traffic import TrafficProfile, generate_trace, inject_attacks
 #: tables reported it.
 GOLDEN_DIGEST = "8b6ff2b2782209f5950cbfd82886864576951540430be68dd97635e3a4890bb8"
 
-#: What one engine compiled from its own bundled-corpus rules builds.
-PLAIN_ENGINE_BUILDS = {"automata": 6, "splits": 1}
+#: What one engine compiled from its own bundled-corpus rules builds:
+#: the two sides of one piece ``DualAutomaton``.
+PLAIN_ENGINE_BUILDS = {"automata": 2, "splits": 1}
 
 #: ``DualAutomaton.scan_stats`` figures that count scans.
 SCAN_KEYS = ("scans", "scanned_bytes", "matches_emitted", "prefilter_skips", "sweep_verifies")
@@ -103,7 +106,7 @@ def built(monkeypatch):
 
 def figures(engines) -> dict[str, int]:
     """The engines' scan counters, summed: the fast path's piece
-    automaton and each slow-path automaton side's stream counters."""
+    automaton and each side of the slow path's view of it."""
     out: dict[str, int] = {}
 
     def add(key, value):
@@ -114,16 +117,15 @@ def figures(engines) -> dict[str, int]:
         for key in SCAN_KEYS:
             add(f"fast.{key}", stats[key])
         current = engine.slow_path._current
-        for name, dual in (("full", current.matcher.automaton), ("suffix", current.suffix_automaton)):
-            for side, stats in dual.side_stats():
-                for key in ("swept_chunks", "walked_chunks", "walked_bytes", *SCAN_KEYS[:4]):
-                    add(f"{name}.{side}.{key}", stats[key])
+        for side, stats in current.automaton.side_stats():
+            for key in ("swept_chunks", "walked_chunks", "walked_bytes", *SCAN_KEYS[:4]):
+                add(f"piece.{side}.{key}", stats[key])
         add("stream_sweep.verifies", current.sweep.verifies)
     return out
 
 
 class TestOneCompilePerSpec:
-    def test_a_plain_engine_builds_six_automata(self, builds):
+    def test_a_plain_engine_builds_two_automata(self, builds):
         bundled_spec().build()
         assert builds == PLAIN_ENGINE_BUILDS
 
@@ -141,8 +143,9 @@ class TestOneCompilePerSpec:
         assert len(engine.ensemble_paths) == 2
         assert builds == PLAIN_ENGINE_BUILDS
         paths = [engine.slow_path, *engine.ensemble_paths]
-        assert len({id(p._current.sweep) for p in paths}) == 3
-        assert len({id(p._current.sweep._table) for p in paths}) == 1
+        sweeps = [engine.fast_path.automaton.sweep, *(p._current.sweep for p in paths)]
+        assert len({id(sweep) for sweep in sweeps}) == 4
+        assert len({id(sweep._table) for sweep in sweeps}) == 1
 
     def test_a_ruleset_that_gained_a_signature_compiles_afresh(self, builds):
         spec = bundled_spec()
@@ -155,6 +158,19 @@ class TestOneCompilePerSpec:
         assert 4000 in engine.split_rules.splits
         payloads = [b"x" * 40 + b"FRESHLY-ADDED-SIGNATURE"]
         assert engine.fast_path.automaton.scan_many(payloads)[0]
+
+    def test_a_hot_reload_splits_once_and_both_paths_share_its_pieces(self, builds):
+        engine = bundled_spec(ensemble_policies=(OverlapPolicy.FIRST,)).build()
+        rules = bundled_spec().rules
+        rules.add(Signature(sid=4000, pattern=b"FRESHLY-ADDED-SIGNATURE", msg="late"))
+        engine.swap_rules(rules)
+        assert builds == {"automata": 4, "splits": 2}  # the build, then one reload
+        fast = engine.fast_path.automaton
+        for path in (engine.slow_path, *engine.ensemble_paths):
+            current = path._current
+            assert current.generation == 1 and current.automaton is not fast
+            assert current.automaton.sensitive._rows is fast.sensitive._rows
+            assert 4000 in {signature.sid for signature in current.signatures}
 
     def test_the_compiled_set_never_reaches_the_pickle(self):
         spec = bundled_spec()
@@ -177,7 +193,7 @@ class TestCountersArePerEngine:
             assert len(built) == shards
             runs[shards] = figures(built)
         assert runs[4] == runs[1]
-        assert runs[1]["fast.scans"] and runs[1]["full.sensitive.swept_chunks"]
+        assert runs[1]["fast.scans"] and runs[1]["piece.sensitive.swept_chunks"]
 
     def test_two_engines_report_only_their_own_traffic(self):
         mine = generate_trace(TrafficProfile(flows=40), seed=3)

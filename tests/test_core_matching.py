@@ -83,12 +83,6 @@ class TestStreamMatching:
         hits = m.match_chunk(state, b"...nEeDlE...", FLOW)
         assert len(hits) == 1
 
-    def test_open_prefix_len_tracks_tail(self):
-        m = matcher(Signature(sid=1, pattern=b"abcdef"))
-        state = m.new_stream_state()
-        m.match_chunk(state, b"...abc", FLOW)
-        assert state.open_prefix_len == 3
-
 
 @given(
     data=st.binary(max_size=300),

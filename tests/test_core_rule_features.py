@@ -47,12 +47,6 @@ class TestDualAutomaton:
             stitched.extend((m.pattern_id, m.end_offset) for m in matcher.feed(data[i:i+5]))
         assert sorted(stitched) == batch
 
-    def test_open_prefix_len_covers_both_sides(self):
-        auto = DualAutomaton([(b"ZZtail", False), (b"QQtail", True)])
-        matcher = DualStreamMatcher(auto)
-        matcher.feed(b"...qq")  # folded side open
-        assert matcher.open_prefix_len == 2
-
 
 class TestNocaseRules:
     def ruleset(self):

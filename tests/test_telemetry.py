@@ -354,6 +354,23 @@ class TestEngineTelemetry:
         }
         assert diversions.value == ips.stats.diversions
 
+    def test_a_fragmented_attack_books_ip_fragment_once(self):
+        """R3 is decided in the engine, not the fast path: its one trigger
+        (the first fragment, on a flow not yet diverted) is still booked
+        under the fast path's anomaly family, once."""
+        tel = TelemetryRegistry()
+        ips = split_ips(tel)
+        attack = build_attack("ip_frag_8", attack_payload(), signature_span=signature_span())
+        assert sum(packet.ip.is_fragment for packet in attack) > 2
+        ips.process_batch(attack)
+        anomalies = {
+            labels["cause"]: value
+            for labels, value in tel.get("repro_fastpath_anomaly_total").samples()
+            if value
+        }
+        assert anomalies["ip_fragment"] == 1 == ips.fragment_anomalies
+        assert ips.divert_reasons == {DivertReason.IP_FRAGMENT: 1}
+
     def test_stage_latency_histogram_observes_all_stages(self):
         def observed_stages(tel):
             stage = tel.get("repro_engine_stage_latency_ns")

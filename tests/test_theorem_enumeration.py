@@ -27,6 +27,15 @@ sees the chaff, so the flow is confirmed; without it the real copy lands
 below the slow path's anchor and is never matched, so its
 counterexample is a detected but unconfirmed flow.
 
+The probation hand-off is enumerated the same way (THEORY.md invariants
+2-4): every legal segmentation of context + signature, with segment
+``i + 1`` sent ahead of segment ``i`` for each ``i`` up to the
+signature's end (the out-of-order lead diverts the flow there), under
+every probation length, so each segment boundary after the diversion
+-- every one inside the signature included -- is the first point where
+the flow may return to the fast path.  ``safe_to_release``
+itself is held to a brute-force oracle by a Hypothesis differential.
+
 Run as a script for a wider scope (the nightly job): batch 256 and
 contexts up to 2B, counterexamples written as JSON::
 
@@ -46,12 +55,22 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AlertKind, FastPathConfig, SplitDetectIPS
+from repro.core.slowpath import SlowPath
 from repro.evasion import Seg, plan_to_packets
 from repro.packet import FlowKey, PacketBatch, TimedPacket
 from repro.pcap.columnar import encode_batches
-from repro.signatures import Piece, RuleSet, Signature, SplitPolicy, load_bundled_rules
+from repro.signatures import (
+    Piece,
+    RuleSet,
+    Signature,
+    SplitPolicy,
+    load_bundled_rules,
+    split_ruleset,
+)
 
 P = 4
 B = 2 * P
@@ -162,6 +181,30 @@ def resend_cases(signature: Signature) -> list[Case]:
     return cases
 
 
+def handoff_cases(signature: Signature) -> list[tuple[Case, int]]:
+    """Probation's family, as ``(case, how many packets it diverts)``:
+    each legal segmentation of context + signature, with segment ``i + 1``
+    sent ahead of segment ``i`` for every ``i``, after each context of
+    ``CONTEXTS``; and after a 2B context cut into two B-byte segments,
+    the second of them leading, so the first release point is the
+    signature's start and flows really return to the fast path ahead of
+    it (inside it an open prefix always refuses)."""
+    cases = []
+    for left in CONTEXTS:
+        stream = stream_of(signature, left, 0)
+        for lengths in compositions(len(stream))[1:]:
+            segs = cut(stream, lengths)
+            for i in range(len(segs) - 1):
+                planned = (*segs[:i], segs[i + 1], segs[i], *segs[i + 2 :])
+                cases.append((Case(f"handoff@{i}", left, 0, lengths, planned), len(segs) - i))
+    stream = stream_of(signature, 2 * B, 0)
+    for rest in compositions(len(signature.pattern)):
+        first, second, *segs = cut(stream, (B, B, *rest))
+        planned = (second, first, *segs)
+        cases.append((Case("handoff@0", 2 * B, 0, (B, B, *rest), planned), 2 + len(segs)))
+    return cases
+
+
 def chaff_cases(signature: Signature) -> list[Case]:
     """R4's family: each legal segmentation (no context) with a low-TTL
     garbage copy of one segment sent just before it."""
@@ -185,6 +228,7 @@ class Verdicts:
     detected: list[bool]
     confirmed: list[bool]
     alerts: list[tuple]
+    reinstated: int = 0
 
     def counterexamples(self, cases: list[Case]) -> dict[str, list[Case]]:
         return {
@@ -218,12 +262,18 @@ def run_cases(
     *,
     fast_config: FastPathConfig | None = None,
     patch=None,
+    probation: int = 8,
 ) -> Verdicts:
     """The cases (``whole``: as :func:`encode` made them) through one
     engine's ``process_column_batch``, ``batch_size`` rows at a time."""
     rules = RuleSet()
     rules.add(signature)
-    ips = SplitDetectIPS(rules, split_policy=SplitPolicy(piece_length=P), fast_config=fast_config)
+    ips = SplitDetectIPS(
+        rules,
+        split_policy=SplitPolicy(piece_length=P),
+        fast_config=fast_config,
+        probation_packets=probation,
+    )
     if patch is not None:
         patch(ips)
     alerts = []
@@ -243,6 +293,7 @@ def run_cases(
         detected=[f in diverted or f in alerted for f in flows],
         confirmed=[f in confirmed for f in flows],
         alerts=[(a.kind, a.sid, a.flow, a.stream_offset, a.timestamp, a.path) for a in alerts],
+        reinstated=ips.reinstated_flows,
     )
 
 
@@ -286,6 +337,101 @@ def test_every_legal_segmentation_is_detected_and_confirmed(capsys):
     assert total > 10_000
     for kind, bad in found.items():
         assert not bad, f"{kind}: {minimal(bad).describe()}"
+
+
+def test_every_probation_release_point_is_detected_and_confirmed(capsys):
+    """Probation length n >= 2 makes the end of the n-th diverted packet
+    (the lead is the first, the segment it skipped the second) the first
+    point the flow may go back to the fast path; over every n and every
+    segmentation that is every segment boundary after the diversion.
+    Wherever the release lands (or is refused), the signature is still
+    detected and confirmed."""
+    started = time.perf_counter()
+    total = reinstated = 0
+    found: dict[str, list[Case]] = {"undetected": [], "unconfirmed": []}
+    for signature in signatures():
+        cases = handoff_cases(signature)
+        for probation in range(2, max(diverted for _, diverted in cases) + 1):
+            chosen = [case for case, diverted in cases if diverted >= probation]
+            whole = encode(signature, chosen)
+            for batch_size in BATCHES:
+                verdicts = run_cases(signature, chosen, whole, batch_size, probation=probation)
+                total += len(chosen)
+                reinstated += verdicts.reinstated
+                for kind, bad in verdicts.counterexamples(chosen).items():
+                    found[kind] += bad
+    with capsys.disabled():
+        print(
+            f"\n[hand-off] {total} releases x batch {BATCHES}: {reinstated} reinstated, "
+            + ", ".join(f"{kind} {len(bad)}" for kind, bad in found.items())
+            + f" ({time.perf_counter() - started:.1f}s)"
+        )
+    assert reinstated > 0  # flows really go back to the fast path
+    for kind, bad in found.items():
+        assert not bad, f"{kind}: {minimal(bad).describe()}"
+
+
+def open_prefix_oracle(split_rules, stream: bytes) -> bool:
+    """Brute force: does a stream suffix equal a prefix (whole patterns
+    included) of any content, or of any tail ``s[o_j:]`` while that
+    occurrence would start before the longest missing prefix?"""
+    tails = [
+        (split.signature, split.signature.match_pattern[piece.offset :])
+        for split in split_rules.splits.values()
+        for piece in split.pieces[1:]
+    ]
+    latest = max((piece.offset for split in split_rules.splits.values() for piece in split.pieces[1:]), default=0)
+    signatures_ = [split.signature for split in split_rules.splits.values()] + split_rules.unsplittable
+    for size in range(1, len(stream) + 1):
+        for signature in signatures_:
+            tail = signature.fold(stream[-size:])
+            if any(c.startswith(tail) for c in (signature.match_pattern, *signature.match_extras)):
+                return True
+        if len(stream) - size < latest:
+            if any(t.startswith(signature.fold(stream[-size:])) for signature, t in tails):
+                return True
+    return False
+
+
+_ALPHABET = st.sampled_from([b"a", b"b", b"A", b"B", b"z"])
+
+
+@st.composite
+def release_cases(draw):
+    """Signatures over a tiny alphabet (some nocase, some with an extra
+    content) and a stream of their fragments and filler, in chunks."""
+    signatures_ = []
+    for sid in range(draw(st.integers(1, 3))):
+        pattern = b"".join(draw(st.lists(_ALPHABET, min_size=12, max_size=24)))
+        extras = (pattern[: draw(st.integers(1, 6))],) if draw(st.booleans()) else ()
+        signatures_.append(
+            Signature(sid=sid + 1, pattern=pattern, nocase=draw(st.booleans()), extra_contents=extras)
+        )
+    fragment = st.one_of(
+        st.builds(lambda s, a, b: s.pattern[a:b], st.sampled_from(signatures_), st.integers(0, 24), st.integers(0, 24)),
+        st.lists(_ALPHABET, max_size=6).map(b"".join),
+    )
+    stream = b"".join(draw(st.lists(fragment, min_size=1, max_size=10)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=5)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if b > a]
+    return signatures_, chunks
+
+
+@given(release_cases())
+@settings(max_examples=200, deadline=None)
+def test_safe_to_release_equals_the_brute_force_oracle(case):
+    signatures_, chunks = case
+    rules = RuleSet()
+    for signature in signatures_:
+        rules.add(signature)
+    split_rules = split_ruleset(rules, SplitPolicy(piece_length=P))
+    slow = SlowPath(split_rules)
+    flow = FlowKey("10.0.0.1", SERVER, CLIENT_PORT, 80)
+    stream = b""
+    for chunk in chunks:
+        slow._match(flow, chunk, [(flow, 0.0)], [0], [len(chunk)])
+        stream += chunk
+        assert slow.safe_to_release(flow) is not open_prefix_oracle(split_rules, stream)
 
 
 def _drop_piece_hits(ips: SplitDetectIPS) -> None:

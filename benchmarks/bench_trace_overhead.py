@@ -1,13 +1,13 @@
 """Trace overhead gate -- the flight recorder must stay near-free.
 
-The tracer inherits the telemetry registry's contract (PR 2 discipline,
-enforced statically by splitcheck SD107): one guarded boolean per hot
-site when tracing is off, a bounded ring append when on.  This benchmark
-enforces the "on" side: the mixed trace is driven through
-``SplitDetectIPS.process_batch`` twice per round -- once with the no-op
-tracer (the library default) and once fully traced at ``sample=1``, the
-worst case, with telemetry off in both arms so the ratio isolates the
-tracer -- and the best-of-N traced time must stay within
+The tracer inherits the telemetry registry's contract (the off side is
+held by ``tests/test_invariants.py::test_trace_emission_is_guarded``):
+one guarded boolean per hot site when tracing is off, a bounded ring
+append when on.  This benchmark enforces the "on" side: the mixed trace
+is driven through ``SplitDetectIPS.process_batch`` twice per round --
+once with the no-op tracer (the library default) and once fully traced
+at ``sample=1``, the worst case, with telemetry off in both arms so the
+ratio isolates the tracer -- and the best-of-N traced time must stay within
 ``MAX_OVERHEAD`` of the best-of-N no-op time.
 
 Tracing must also never change detection: the gate cross-checks that

@@ -712,12 +712,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    from .devtools.splitcheck.cli import run_check
-
-    return run_check(args)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     from .analysis import characterize, format_stats
 
@@ -1031,15 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--json", action="store_true",
                       help="emit findings as JSON for machine consumption")
     lint.set_defaults(func=cmd_lint)
-
-    check = sub.add_parser(
-        "check",
-        help="run the splitcheck static invariant analyzer over the codebase",
-    )
-    from .devtools.splitcheck.cli import configure_parser as _configure_check
-
-    _configure_check(check)
-    check.set_defaults(func=cmd_check)
 
     explain = sub.add_parser(
         "explain",

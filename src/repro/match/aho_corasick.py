@@ -123,7 +123,6 @@ class AhoCorasick:
                 state = nxt
             self._output[state] = self._output[state] + (pattern_id,)
         self._build_failure_links()
-        self._depth = self._compute_depths()
         # Compiled (dense) form; absent above the state-count threshold.
         self._rows: list[list] | None = None
         self._root_row: list | None = None
@@ -177,16 +176,6 @@ class AhoCorasick:
                 if self._fail[nxt] == nxt:  # root self-loop guard
                     self._fail[nxt] = ROOT_STATE
                 self._output[nxt] = self._output[nxt] + self._output[self._fail[nxt]]
-
-    def _compute_depths(self) -> list[int]:
-        depth = [0] * len(self._goto)
-        queue: deque[int] = deque([ROOT_STATE])
-        while queue:
-            state = queue.popleft()
-            for nxt in self._goto[state].values():
-                depth[nxt] = depth[state] + 1
-                queue.append(nxt)
-        return depth
 
     def _compile(self) -> None:
         """Resolve goto+fail into linked rows, one BFS pass.
@@ -258,10 +247,6 @@ class AhoCorasick:
         if self._rows is None:
             return self.sweep_table_bytes
         return len(self._rows) * 258 * 8 + self.sweep_table_bytes
-
-    def state_depth(self, state: int) -> int:
-        """Longest pattern prefix the state represents (streaming carryover)."""
-        return self._depth[state]
 
     def scan_stats(self) -> dict[str, int | float | bool]:
         """Cumulative scan accounting (``scan``/``find_all``/``scan_many``)."""

@@ -182,7 +182,7 @@ class PacketBatch:
     Instances are cheap to slice (:meth:`select` shares the buffer) and
     safe to pickle (:meth:`compact` first copies just the referenced
     bytes so a worker never receives the whole capture file; the lazy
-    memoryview is dropped on ``__getstate__`` -- SD103).
+    memoryview is dropped on ``__getstate__``: memoryviews do not pickle).
     """
 
     __slots__ = ("buffer", "quarantined", "_view") + _COLUMN_NAMES
@@ -258,7 +258,7 @@ class PacketBatch:
     def columns(self) -> dict[str, array]:
         return {name: getattr(self, name) for name in _COLUMN_NAMES}
 
-    # -- pickling (SD103: no memoryviews cross process boundaries) -----
+    # -- pickling (no memoryviews cross process boundaries) -----------
 
     def __getstate__(self) -> dict[str, object]:
         state: dict[str, object] = {"buffer": self.buffer}

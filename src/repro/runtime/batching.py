@@ -73,7 +73,7 @@ def iter_feed(
 
     Frames the decode rejected are absorbed into *quarantine* here, on
     the feeder side -- exception instances never cross a process
-    boundary (SD103) -- and a batch left with no rows is dropped.  A
+    boundary -- and a batch left with no rows is dropped.  A
     control message keeps its stream position, so every consumer
     applies the command between the same two packets: what makes a hot
     reload deterministic with respect to the packet sequence.

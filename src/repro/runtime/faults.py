@@ -9,7 +9,9 @@ plan, never a core dump).
 
 A plan is plain frozen data (it rides inside
 :class:`~repro.runtime.config.RunnerConfig` across the process boundary,
-so SD103's pickling rules apply); the mutable part is the per-worker
+so it must pickle under spawn, as
+``tests/test_invariants.py::test_worker_handoffs_are_picklable`` asks of
+every hand-off); the mutable part is the per-worker
 :class:`FaultInjector`, which each :class:`~repro.runtime.worker
 .ShardProcessor` builds for its own shard and consults once per batch.
 
@@ -273,8 +275,9 @@ class FaultInjector:
             return
         if kind is FaultKind.CRASH:
             # Simulated hard death: no cleanup, no status message -- the
-            # one exit path SD106 cannot see, which is the point.  The
-            # stderr line is for humans reading CI logs, not the parent.
+            # one exit path test_worker_handlers_report_before_exiting
+            # cannot see, which is the point.  The stderr line is for
+            # humans reading CI logs, not the parent.
             sys.stderr.write(
                 f"[fault-injection] shard {self.shard}: crash at packet {spec.at}\n"
             )

@@ -61,8 +61,3 @@ class Quarantine:
         examples = self.examples.setdefault(cause, [])
         if len(examples) < self.MAX_EXAMPLES:
             examples.append(str(exc))
-
-    def merge_into(self, counts: dict[str, int]) -> None:
-        """Fold this ledger's counts into an accumulating cause map."""
-        for cause in sorted(self.counts):
-            counts[cause] = counts.get(cause, 0) + self.counts[cause]

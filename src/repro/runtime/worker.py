@@ -25,10 +25,11 @@ fleet's latest control per op and applies them before reading its queue):
   batch).  The worker reports *immediately* and exits; the supervisor
   restarts it or fails the run.
 
-Every worker exit path must put a status message first -- enforced
-statically by splitcheck rule SD106.  The one exception is an injected
-``crash`` (``os._exit`` in :mod:`repro.runtime.faults`), which simulates
-the silent death SD106 exists to prevent in our own code.
+Every worker exit path must put a status message first -- held by
+``tests/test_invariants.py::test_worker_handlers_report_before_exiting``.
+The one exception is an injected ``crash`` (``os._exit`` in
+:mod:`repro.runtime.faults`), which simulates the silent death that test
+keeps out of our own code.
 """
 
 from __future__ import annotations
@@ -305,8 +306,8 @@ def shard_worker_main(
     replacement applies them to its fresh engine before its first
     ``get``, so it rejoins at the current rule generation whatever is
     still queued ahead of it.  The worker's last act before any exit is
-    a status message on ``out_queue`` (SD106) -- the supervisor treats
-    silence as death.
+    a status message on ``out_queue`` (see the module docstring) -- the
+    supervisor treats silence as death.
     """
     interval = config.heartbeat_interval
 

@@ -24,9 +24,9 @@ magic ``SDS1``, then carries length-prefixed records -- ``!dI`` (float64
 packet timestamp, uint32 payload length) followed by that many bytes of
 raw IPv4.  Oversized or malformed frames terminate that connection (and
 are counted); other connections and the service are unaffected.  Every
-blocking socket/queue call in this module carries an explicit timeout --
-enforced statically by splitcheck rule SD108 -- so no producer can wedge
-the ingest loop.
+blocking socket/queue call in this module carries an explicit timeout
+(held by ``tests/test_invariants.py::test_service_blocking_calls_are_bounded``),
+so no producer can wedge the ingest loop.
 """
 
 from __future__ import annotations

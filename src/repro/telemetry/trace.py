@@ -11,9 +11,9 @@ Design constraints, mirroring the registry's (PR 2 discipline):
 
 1. **Zero cost when disabled.**  Engines default to the shared
    :data:`NULL_TRACER`; every hot-path emission site additionally sits
-   behind a single ``_trace_enabled`` check (enforced statically by
-   splitcheck rule SD107), so an untraced run pays one boolean test per
-   site and nothing else.
+   behind a single ``_trace_enabled`` check (held by
+   ``tests/test_invariants.py::test_trace_emission_is_guarded``), so an
+   untraced run pays one boolean test per site and nothing else.
 2. **Deterministic.**  Trace ids are 64-bit FNV-1a over the *port-less*
    canonical flow key -- :func:`repro.packet.batch.portless_key_hash`,
    the hash the shard router places by -- so both directions of a connection

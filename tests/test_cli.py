@@ -464,25 +464,3 @@ class TestLintCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rules"] == 351
         assert payload["errors"] == 0
-
-
-class TestCheckCommand:
-    def test_repo_is_clean(self, capsys):
-        """`splitdetect check src/repro` exits 0 against the committed config."""
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        assert main(["check", str(root / "src" / "repro"),
-                     "--root", str(root)]) == 0
-        assert "0 new finding" in capsys.readouterr().out
-
-    def test_check_json_mode(self, capsys):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        code = main(["check", str(root / "src" / "repro" / "runtime"),
-                     "--root", str(root), "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["new"] == []
-        assert payload["checked_files"] > 5

@@ -75,11 +75,6 @@ class TestAhoCorasickBasics:
         ac = AhoCorasick([b"ab", b"ac"])
         assert ac.state_count == 4  # root, a, ab, ac
 
-    def test_state_depth(self):
-        ac = AhoCorasick([b"abc"])
-        state, _ = ac.scan(b"ab")
-        assert ac.state_depth(state) == 2
-
 
 class TestAhoCorasickStreaming:
     def test_match_across_chunk_boundary(self):

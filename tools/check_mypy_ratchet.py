@@ -22,7 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-try:  # pragma: no cover - 3.10 fallback, mirrors splitcheck.config
+try:  # pragma: no cover - 3.10 fallback
     import tomllib
 except ModuleNotFoundError:  # pragma: no cover
     import tomli as tomllib  # type: ignore[no-redef]

@@ -46,7 +46,9 @@ from .slowpath import SlowPath, by_row
 #: arriving and the fast path cannot handle them; tiny-segment flows are
 #: typically interactive and would bounce straight back.  (A whole-signature
 #: hit confirmed in one packet no longer diverts at all: the fast-path
-#: alert is already the final verdict.)
+#: alert is already the final verdict.  A piece match is R5 in context --
+#: the packet agreed with the signature around the piece -- so benign text
+#: that merely contains a piece never diverts and never needs probation.)
 PROBATION_REASONS = frozenset(
     {
         DivertReason.PIECE_MATCH,

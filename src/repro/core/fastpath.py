@@ -151,7 +151,7 @@ FASTPATH_IDLE_TIMEOUT = 300.0
 @dataclass
 class FastPathResult:
     """Outcome of one packet through the fast path (built only for a
-    packet that alerts, diverts or hits a piece)."""
+    packet that alerts or diverts; a piece hit in context diverts)."""
 
     divert: DivertReason | None = None
     alerts: list[Alert] = field(default_factory=list)
@@ -228,6 +228,13 @@ class FastPath:
         self._c_anomaly = {
             reason: anomaly.labels(cause=reason.value) for reason in DivertReason
         }
+        piece_hits = tel.counter(
+            "repro_fastpath_piece_hits_total",
+            "Fast-path piece hits on applicable signatures, by R5 verdict",
+            ("verdict",),
+        )
+        self._c_piece_divert = piece_hits.labels(verdict="divert")
+        self._c_piece_out = piece_hits.labels(verdict="out_of_context")
         self._h_payload = tel.histogram(
             "repro_fastpath_payload_bytes",
             "Scanned payload size distribution",
@@ -385,7 +392,10 @@ class FastPath:
         or where the backend needs the write-back), hit resolution,
         anomaly bookkeeping, RST/FIN teardown.  ``hits`` are the
         automaton's matches for this payload (``None`` or empty:
-        none); ``payload`` is read only when ``hits`` is non-empty.
+        none); ``payload`` is read only when ``hits`` is non-empty, to
+        confirm whole signatures and to check each piece hit against
+        its own signature's bytes around it (R5 diverts only on a piece
+        in context).
 
         Returns ``None`` for the clean majority -- nothing is allocated
         for a packet that neither alerts nor diverts -- and a
@@ -564,13 +574,29 @@ class FastPath:
     ) -> FastPathResult | None:
         """Turn one payload's automaton matches into piece hits, alerts
         and (rule R5) a divert; a hit whose signature does not apply to
-        this flow leaves ``result`` as it came -- ``None`` included."""
+        this flow, or whose packet disagrees with its signature around
+        it, leaves ``result`` as it came -- ``None`` included."""
         flow = flow_of_tuple(key)
-        for entry_id, _end in hits:
+        for entry_id, end in hits:
             entry = self._entries[entry_id]
             if isinstance(entry, Piece):
-                if not entry.signature.applies_to_flow(flow):
+                signature = entry.signature
+                if not signature.applies_to_flow(flow):
                     continue
+                # R5 in context: the occurrence this hit would belong to
+                # starts at ``start``; the packet must carry the
+                # signature's own bytes wherever the two overlap.
+                start = end - len(entry.data) - entry.offset
+                lo = start if start > 0 else 0
+                hi = min(start + len(signature.pattern), len(payload))
+                if signature.fold(bytes(payload[lo:hi])) != signature.match_pattern[
+                    lo - start : hi - start
+                ]:
+                    if self._tel_on:
+                        self._c_piece_out.inc()
+                    continue
+                if self._tel_on:
+                    self._c_piece_divert.inc()
                 result = result or FastPathResult()
                 result.piece_hits.append(entry)
                 if result.divert is None:

@@ -820,9 +820,12 @@ _EDGE_POLICY = SplitPolicy(piece_length=8)
 _EDGE_SPLIT = split_ruleset(_EDGE_RULES, _EDGE_POLICY)
 _B = _EDGE_SPLIT.small_packet_threshold
 _FLOOR = FastPathConfig().min_ttl
+_PIECE = _EDGE_SPLIT.splits[5001].pieces[1]
 _CONTENTS = {
     "filler": b"",
-    "piece": _EDGE_SPLIT.splits[5001].pieces[1].data,
+    # Right-aligned, so the occurrence runs off the payload's end: in context.
+    "piece": ATTACK_SIGNATURE[: _PIECE.offset + len(_PIECE.data)],
+    "decoy": _PIECE.data + b"?",  # filler before, "?" after: out of context
     "whole": ATTACK_SIGNATURE,
     "unsplittable": b"a tiny! b",
     "extras_missing": b"NEEDS-A-SECOND-CONTENT-x",
@@ -925,7 +928,8 @@ def test_rule_edge_program_reaches_refusal_and_mid_batch_reinstatement():
     """The two engine states a random program reaches only by luck, pinned:
     a divert refused at capacity (the flow stays on the fast path), and a
     flow that enters a batch diverted -- so the sweep skipped its rows --
-    and is reinstated by that batch's first row (batch size 7)."""
+    and is reinstated by that batch's first row (batch size 7).  A piece
+    in contradicting context on the reinstated flow leaves it fast."""
     data = lambda flow, delta, content="filler", plen=600: (  # noqa: E731
         flow, "tcp", plen, delta, 64, TCP_ACK, content,
     )
@@ -938,6 +942,7 @@ def test_rule_edge_program_reaches_refusal_and_mid_batch_reinstatement():
         data(1, 0),
         data(1, 0),
         data(0, 0),  # second clean slow-path packet: flow 0 is reinstated
+        data(0, 0, "decoy"),  # piece out of context: no divert
         data(0, 0, "unsplittable"),  # back on the fast path, scanned there
         data(0, -1),  # retransmission: diverts again
         (2, "udp", 600, 0, 64, 0, "udp_hit"),

@@ -1,6 +1,10 @@
 """Unit tests for the Split-Detect fast path."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ATTACK_SIGNATURE, attack_ruleset, fast_process
 from repro.core import (
@@ -24,7 +28,7 @@ from repro.packet import (
     fragment,
     tuple_of_flow,
 )
-from repro.signatures import SplitPolicy, split_ruleset
+from repro.signatures import RuleSet, Signature, SplitPolicy, split_ruleset
 
 
 def make_fastpath(config=None, piece_length=8):
@@ -246,15 +250,6 @@ class TestPieceScanning:
         hits = [h for r in results for h in r.piece_hits]
         assert {h.signature.sid for h in hits} == {5001}
 
-    def test_single_piece_in_packet_diverts(self):
-        fp = make_fastpath()
-        rules = attack_ruleset()
-        split = split_ruleset(rules, SplitPolicy(piece_length=8))
-        piece = split.splits[5001].pieces[1]
-        payload = b"x" * 50 + piece.data + b"y" * 50
-        _, diverts = run(fp, packets_for(payload))
-        assert DivertReason.PIECE_MATCH in diverts
-
     def test_wrong_port_piece_does_not_divert(self):
         fp = make_fastpath()
         payload = b"A" * 50 + ATTACK_SIGNATURE + b"B" * 50
@@ -279,6 +274,156 @@ class TestPieceScanning:
         results, diverts = run(fp, packets_for(payload))
         alerts = [a for r in results for a in r.alerts]
         assert any(a.sid == 9001 and a.path == "fast" for a in alerts)
+
+
+def piece_hits_of(fastpath, payload):
+    """The in-context piece hits of one data packet, as (sid, index)."""
+    return [(h.signature.sid, h.index) for r in run(fastpath, packets_for(payload))[0] for h in r.piece_hits]
+
+
+class TestPieceInContext:
+    """R5 diverts on a piece hit only when the packet agrees with the
+    hit's own signature wherever that occurrence and the packet overlap
+    (sid 5001 at p = 8: pieces at offsets 0 / 10 / 19)."""
+
+    PIECE = split_ruleset(attack_ruleset(), SplitPolicy(piece_length=8)).splits[5001].pieces[1]
+
+    def test_piece_inside_its_signature_diverts(self):
+        # Whole-signature entries off: only the three pieces can hit.
+        fp = make_fastpath(FastPathConfig(scan_whole_signatures=False))
+        payload = b"x" * 50 + ATTACK_SIGNATURE + b"y" * 50
+        assert run(fp, packets_for(payload))[1] == [DivertReason.PIECE_MATCH]
+        assert piece_hits_of(make_fastpath(), payload) == [(5001, 0), (5001, 1), (5001, 2)]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"x" * 50 + PIECE.data + b"y" * 50,  # a bare piece among filler
+            b"x" * 50 + ATTACK_SIGNATURE[: PIECE.offset + len(PIECE.data)] + b"y" * 50,
+            b"x" * 50 + ATTACK_SIGNATURE[PIECE.offset :] + b"y" * 50,
+        ],
+        ids=["both-sides", "after", "before"],
+    )
+    def test_contradicting_bytes_beside_the_piece_do_not_divert(self, payload):
+        fp = make_fastpath()
+        _, diverts = run(fp, packets_for(payload))
+        assert diverts == []
+        assert piece_hits_of(make_fastpath(), payload) == []
+
+    @pytest.mark.parametrize("flipped", [0, PIECE.offset - 1, PIECE.offset + len(PIECE.data), 27])
+    def test_one_flipped_signature_byte_leaves_no_piece_in_context(self, flipped):
+        # Every piece that does not hold the flipped byte overlaps it.
+        payload = bytearray(b"x" * 50 + ATTACK_SIGNATURE + b"y" * 50)
+        payload[50 + flipped] ^= 0x20
+        fp = make_fastpath(FastPathConfig(scan_whole_signatures=False))
+        assert run(fp, packets_for(bytes(payload)))[1] == []
+
+    @pytest.mark.parametrize(
+        "payload, hits",
+        [
+            (b"x" * 50 + ATTACK_SIGNATURE[:19], [(5001, 0), (5001, 1)]),  # occurrence runs off the end
+            (ATTACK_SIGNATURE[12:] + b"y" * 50, [(5001, 2)]),  # ... off the start
+        ],
+        ids=["end", "start"],
+    )
+    def test_a_piece_at_the_packet_edge_diverts(self, payload, hits):
+        # The split-attack shape: the rest of the occurrence is in the
+        # neighbouring packets, so the window is cut at the payload edge.
+        assert piece_hits_of(make_fastpath(), payload) == hits
+        assert run(make_fastpath(), packets_for(payload))[1] == [DivertReason.PIECE_MATCH]
+
+    def test_nocase_signature_agrees_case_folded(self):
+        signature = Signature(sid=6001, pattern=b"Nocase-Evil-Command-Line-X", nocase=True)
+        fp = FastPath(split_ruleset(attack_ruleset(extra=[signature]), SplitPolicy(piece_length=8)))
+        assert piece_hits_of(fp, b"x" * 50 + b"nOCASE-eVIL-cOMMAND") == [(6001, 0), (6001, 1)]
+        assert piece_hits_of(fp, b"x" * 50 + b"nOCASE-eVIL-cOMMAND" + b"y" * 50) == []
+
+    def _equal_pieces(self, *patterns):
+        rules = RuleSet()
+        for sid, pattern in enumerate(patterns, start=7001):
+            rules.add(Signature(sid=sid, pattern=pattern))
+        split = split_ruleset(rules, SplitPolicy(piece_length=8, optimize_boundaries=False))
+        return FastPath(split)
+
+    def test_equal_pieces_of_one_signature_are_checked_each_at_its_offset(self):
+        fp = self._equal_pieces(b"ABCDEFGH" + b"12345678" + b"ABCDEFGH")
+        assert [p.data for p in fp.split_rules.splits[7001].pieces] == [b"ABCDEFGH", b"12345678", b"ABCDEFGH"]
+        # DualAutomaton reports every id of a duplicate pattern.
+        assert [hit[0] for hit in fp.automaton.find_all(b"xABCDEFGH")] == [0, 2]
+        assert piece_hits_of(fp, b"x" * 50 + b"ABCDEFGH12") == [(7001, 0)]
+        assert piece_hits_of(fp, b"345678ABCDEFGH" + b"y" * 50) == [(7001, 2)]
+        assert piece_hits_of(fp, b"x" * 50 + b"ABCDEFGH" + b"y" * 50) == []
+
+    def test_equal_pieces_of_two_signatures_are_checked_each_in_its_own(self):
+        fp = self._equal_pieces(b"ABCDEFGH" + b"11111111" + b"22222222", b"33333333" + b"ABCDEFGH" + b"44444444")
+        assert piece_hits_of(fp, b"x" * 50 + b"ABCDEFGH1111") == [(7001, 0)]
+        assert piece_hits_of(fp, b"333333ABCDEFGH444444") == [(7002, 1)]
+        assert piece_hits_of(fp, b"x" * 50 + b"ABCDEFGH" + b"y" * 50) == []
+
+    def test_piece_hits_are_counted_by_verdict(self):
+        from repro.telemetry import TelemetryRegistry
+
+        tel = TelemetryRegistry()
+        split = split_ruleset(attack_ruleset(), SplitPolicy(piece_length=8))
+        fp = FastPath(split, telemetry=tel)
+        run(fp, packets_for(ATTACK_SIGNATURE[12:] + b"y" * 50 + self.PIECE.data + b"y" * 50))
+        counter = tel.get("repro_fastpath_piece_hits_total")
+        assert counter.value_for(verdict="out_of_context") == 1
+        assert counter.value_for(verdict="divert") == 1
+
+
+def in_context_oracle(split_rules, payload: bytes) -> Counter:
+    """Brute force R5: every occurrence of every piece in ``payload``
+    whose signature agrees with the payload wherever the two overlap."""
+    found = Counter()
+    for split in split_rules.splits.values():
+        signature = split.signature
+        pattern, folded = signature.match_pattern, signature.fold(payload)
+        for piece in split.pieces:
+            data = signature.fold(piece.data)
+            for at in range(len(payload) - len(data) + 1):
+                start = at - piece.offset
+                if folded[at : at + len(data)] == data and all(
+                    folded[i] == pattern[i - start]
+                    for i in range(max(start, 0), min(start + len(pattern), len(payload)))
+                ):
+                    found[signature.sid, piece.index] += 1
+    return found
+
+
+_CASE_ALPHABET = st.sampled_from([b"a", b"b", b"A", b"B", b"z"])
+
+
+@st.composite
+def piece_context_cases(draw):
+    """1-3 signatures over a tiny alphabet (some nocase) and one payload
+    of their slices and filler."""
+    rules = RuleSet()
+    patterns = []
+    for sid in range(1, draw(st.integers(1, 3)) + 1):
+        pattern = b"".join(draw(st.lists(_CASE_ALPHABET.filter(lambda c: c != b"z"), min_size=12, max_size=24)))
+        patterns.append(pattern)
+        rules.add(Signature(sid=sid, pattern=pattern, nocase=draw(st.booleans())))
+    fragment = st.one_of(
+        st.builds(lambda s, a, b: s[a:b], st.sampled_from(patterns), st.integers(0, 24), st.integers(0, 24)),
+        st.lists(_CASE_ALPHABET, max_size=6).map(b"".join),
+    )
+    payload = b"".join(draw(st.lists(fragment, min_size=1, max_size=8)))
+    return rules, payload
+
+
+@given(piece_context_cases())
+@settings(max_examples=200, deadline=None)
+def test_piece_hits_equal_the_brute_force_context_oracle(case):
+    rules, payload = case
+    split = split_ruleset(rules, SplitPolicy(piece_length=4))
+    fp = FastPath(split)
+    segment = TcpSegment(src_port=44000, dst_port=80, seq=1, flags=TCP_ACK, payload=payload)
+    result = fast_process(fp, TimedPacket(1.0, build_tcp_packet("10.9.9.9", "10.0.0.2", segment)))
+    expected = in_context_oracle(split, payload)
+    assert Counter((h.signature.sid, h.index) for h in result.piece_hits) == expected
+    if expected:
+        assert result.divert is not None
 
 
 class TestSeedFlowLifecycle:

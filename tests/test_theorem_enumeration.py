@@ -17,6 +17,17 @@ Two obligations, counted separately:
 - **confirmed**: an alert names the signature (SIGNATURE or
   PARTIAL_SIGNATURE) or flags the flow AMBIGUITY -- the slow path's half.
 
+R5 checks a piece hit against its own signature's bytes around it, so
+a decoy family sends, ahead of the compliant delivery, a piece of the
+same signature in contradicting context (filler on both sides): as an
+in-order segment of its own before every legal segmentation of the
+signature, and one filler byte from the signature, so some
+segmentations carry the decoy and a real piece in one packet.  Every
+such delivery must still be detected and confirmed, and the decoy alone
+must pass the fast path.  Checking context at the wrong alignment (a
+hit's end moved by its piece's offset, or by one byte) must leave some
+of these deliveries undetected.
+
 Tightness as mutation testing: each rule THEORY.md calls necessary is
 switched off in turn, over a family of cases that rule exists to catch,
 and the checker must then find a counterexample.  R1 (size), R2 (order)
@@ -37,7 +48,8 @@ the flow may return to the fast path.  ``safe_to_release``
 itself is held to a brute-force oracle by a Hypothesis differential.
 
 Run as a script for a wider scope (the nightly job): batch 256 and
-contexts up to 2B, counterexamples written as JSON::
+contexts up to 2B, the decoy family included, counterexamples written
+as JSON::
 
     PYTHONPATH=src python tests/test_theorem_enumeration.py \\
         --batch 256 --contexts 0,1,3,8,15,16 --out counterexamples.json
@@ -205,6 +217,39 @@ def handoff_cases(signature: Signature) -> list[tuple[Case, int]]:
     return cases
 
 
+def split_of(signature: Signature):
+    rules = RuleSet()
+    rules.add(signature)
+    return split_ruleset(rules, SplitPolicy(piece_length=P)).splits[signature.sid]
+
+
+def decoy_cases(signature: Signature) -> list[Case]:
+    """R5-in-context's family: each piece of the signature in
+    contradicting context (filler on both sides, so its own hit does not
+    divert), in order ahead of the compliant delivery -- as a segment of
+    its own ahead of every legal segmentation of the signature, and one
+    filler byte from it, so some legal segmentations of the whole stream
+    carry the decoy and a real piece in one packet."""
+    cases = []
+    for piece in split_of(signature).pieces:
+        decoy = FILLER * P + piece.data + FILLER * P
+        stream = decoy + signature.pattern
+        for lengths in compositions(len(signature.pattern)):
+            lengths = (len(decoy), *lengths)
+            cases.append(Case(f"decoy-ahead@{piece.index}", len(decoy), 0, lengths, tuple(cut(stream, lengths))))
+        decoy = FILLER + piece.data + FILLER
+        stream = decoy + signature.pattern
+        for lengths in compositions(len(stream)):
+            cases.append(Case(f"decoy-inside@{piece.index}", len(decoy), 0, lengths, tuple(cut(stream, lengths))))
+    return cases
+
+
+def bare_decoy_cases(signature: Signature) -> list[Case]:
+    """The decoys alone, one segment each: a connection that must pass."""
+    decoys = [FILLER * P + piece.data + FILLER * P for piece in split_of(signature).pieces]
+    return [Case(f"bare-decoy@{i}", len(d), 0, (len(d),), tuple(cut(d, (len(d),)))) for i, d in enumerate(decoys)]
+
+
 def chaff_cases(signature: Signature) -> list[Case]:
     """R4's family: each legal segmentation (no context) with a low-TTL
     garbage copy of one segment sent just before it."""
@@ -325,6 +370,29 @@ def check(signatures_, batches, contexts=CONTEXTS) -> tuple[int, dict[str, list[
     return total, found
 
 
+def check_decoys(signatures_, batches) -> tuple[int, dict[str, list[Case]]]:
+    """The decoy family per signature: counterexamples by kind, plus
+    ``decoy_diverted`` for a bare decoy the fast path did not let pass."""
+    total = 0
+    found: dict[str, list[Case]] = {"undetected": [], "unconfirmed": [], "batch_mismatch": [], "decoy_diverted": []}
+    for signature in signatures_:
+        cases = decoy_cases(signature)
+        bare = bare_decoy_cases(signature)
+        total += len(cases)
+        whole = encode(signature, cases + bare)
+        first: Verdicts | None = None
+        for batch_size in batches:
+            verdicts = run_cases(signature, cases + bare, whole, batch_size)
+            for kind, bad in verdicts.counterexamples(cases).items():  # zip stops at cases
+                found[kind] += bad
+            found["decoy_diverted"] += [c for c, hit in zip(bare, verdicts.detected[len(cases) :]) if hit]
+            if first is None:
+                first = verdicts
+            elif verdicts.alerts != first.alerts:
+                found["batch_mismatch"].append(cases[0])
+    return total, found
+
+
 def test_every_legal_segmentation_is_detected_and_confirmed(capsys):
     started = time.perf_counter()
     total, found = check(signatures(), BATCHES)
@@ -335,6 +403,24 @@ def test_every_legal_segmentation_is_detected_and_confirmed(capsys):
             + f" ({time.perf_counter() - started:.1f}s)"
         )
     assert total > 10_000
+    for kind, bad in found.items():
+        assert not bad, f"{kind}: {minimal(bad).describe()}"
+
+
+def test_every_decoy_delivery_is_detected_and_confirmed(capsys):
+    """A piece in contradicting context does not divert, and sent in
+    order ahead of the signature (in its own packet or beside a real
+    piece) it hides nothing: every compliant delivery after it is still
+    detected and confirmed."""
+    started = time.perf_counter()
+    total, found = check_decoys(signatures(), BATCHES)
+    with capsys.disabled():
+        print(
+            f"\n[decoy] {total} segmentations x batch {BATCHES}: "
+            + ", ".join(f"{kind} {len(bad)}" for kind, bad in found.items())
+            + f" ({time.perf_counter() - started:.1f}s)"
+        )
+    assert total > 5_000
     for kind, bad in found.items():
         assert not bad, f"{kind}: {minimal(bad).describe()}"
 
@@ -447,6 +533,27 @@ def _drop_piece_hits(ips: SplitDetectIPS) -> None:
     fast._resolve_hits = without_pieces
 
 
+def _misaligned_context(shift):
+    """R5's context checked at the wrong alignment: each piece hit's
+    end moved by ``shift(piece)`` before the fast path reads it."""
+
+    def patch(ips: SplitDetectIPS) -> None:
+        fast = ips.fast_path
+        resolve = fast._resolve_hits
+
+        def misaligned(key, hits, payload, ts, result):
+            entries = fast._entries
+            moved = [
+                (i, end + shift(entries[i])) if isinstance(entries[i], Piece) else (i, end)
+                for i, end in hits
+            ]
+            return resolve(key, moved, payload, ts, result)
+
+        fast._resolve_hits = misaligned
+
+    return patch
+
+
 MUTATIONS = {
     "R1": (tiny_cases, {"fast_config": FastPathConfig(check_tiny=False)}, "undetected"),
     "R2": (resend_cases, {"fast_config": FastPathConfig(check_order=False)}, "undetected"),
@@ -471,6 +578,22 @@ def test_each_rule_is_load_bearing(rule):
         assert broken[kind], f"{rule} off: no counterexample in {len(cases)} cases"
 
 
+@pytest.mark.parametrize(
+    "shift", [lambda piece: piece.offset, lambda piece: 1], ids=["ignores-offset", "off-by-one"]
+)
+def test_context_at_the_wrong_alignment_is_caught(shift):
+    """The decoy family is clean with R5 as shipped; checking a hit's
+    context anywhere but at its own piece's offset loses real pieces."""
+    signature = signatures()[0]
+    cases = decoy_cases(signature)
+    whole = encode(signature, cases)
+    for batch_size in BATCHES:
+        intact = run_cases(signature, cases, whole, batch_size).counterexamples(cases)
+        assert intact == {"undetected": [], "unconfirmed": []}
+        broken = run_cases(signature, cases, whole, batch_size, patch=_misaligned_context(shift))
+        assert broken.counterexamples(cases)["undetected"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--batch", type=int, action="append", help="batch size (repeatable)")
@@ -480,6 +603,10 @@ def main(argv: list[str] | None = None) -> int:
     batches = tuple(args.batch or BATCHES)
     contexts = tuple(int(c) for c in args.contexts.split(","))
     total, found = check(signatures(), batches, contexts)
+    decoys, decoy_found = check_decoys(signatures(), batches)
+    total += decoys
+    for kind, bad in decoy_found.items():
+        found.setdefault(kind, []).extend(bad)
     report = {kind: [case.describe() for case in bad] for kind, bad in found.items()}
     print(f"{total} segmentations x batch {batches}: " + json.dumps({k: len(v) for k, v in report.items()}))
     if args.out:

@@ -600,10 +600,9 @@ class SplitDetectIPS:
                     run[1].append((flow, ts_col[row], ttl_col[row], seq_col[row], flags, payload))
                     if tel_on:
                         self._stage_decode.observe(perf_counter_ns() - t0)
-                    # A possible close or probation end ends the run, as tracing does.
+                    # A possible close or probation end ends the run.
                     if (
-                        trace_enabled
-                        or flags & ALONE_FLAGS
+                        flags & ALONE_FLAGS
                         or (len(run[0]) == 1 and not open_ended(canonical))
                         or len(run[0]) >= self._probation.get(canonical, n + 1)
                     ):
@@ -700,8 +699,9 @@ class SplitDetectIPS:
         for canonical in list(runs):
             rows, fields = runs.pop(canonical)
             self.stats.packets_total += len(rows)
-            if self._trace_enabled:  # a traced row is a run of one
-                self.tracer.record(fields[0][0], "decode", "slow_route", fields[0][1])
+            if self._trace_enabled:
+                for flow, ts, *_ in fields:
+                    self.tracer.record(flow, "decode", "slow_route", ts)
             tagged += [(rows[pos], [alert]) for pos, alert in self._to_slow(canonical, fields)]
 
     def _hand_over(self, flow: FlowKey, expected: int | None) -> None:

@@ -224,8 +224,7 @@ def test_alerts_and_digest_at_one_and_four_shards_are_unchanged():
     }
 
 
-def test_rows_live_as_long_as_their_last_automaton(monkeypatch):
-    monkeypatch.setattr(aho_corasick, "YOUNG_ROWS", 0)  # unlink even this small set
+def test_rows_live_as_long_as_their_last_automaton():
     base = aho_corasick.AhoCorasick([b"abc", b"bcd"])
     view = base.view()
     root = base._root_row

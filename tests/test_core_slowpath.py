@@ -195,19 +195,15 @@ def test_piece_walk_and_sweep_counts_are_exported(trace):
         ips.process(packet)
     gauges = ips.telemetry_snapshot()["gauges"]["repro_slowpath_match"]
     samples = {
-        (s["labels"]["matcher"], s["labels"]["side"], s["labels"]["stat"]): (
-            s["labels"]["engine"],
-            s["value"],
-        )
+        (s["labels"]["matcher"], s["labels"]["side"], s["labels"]["stat"]): s["value"]
         for s in gauges["values"]
     }
     assert {matcher for matcher, _, _ in samples} == {"piece"}
-    engine, states = samples[("piece", "sensitive", "states")]
-    assert engine == "compiled"
-    assert states == ips.fast_path.automaton.sensitive.state_count
-    assert samples[("piece", "sensitive", "walked_chunks")][1] > 0
-    assert samples[("piece", "sensitive", "walked_bytes")][1] > 0
-    assert samples[("piece", "sensitive", "swept_chunks")][1] > 0
+    states = ips.fast_path.automaton.sensitive.state_count
+    assert samples[("piece", "sensitive", "states")] == states
+    assert samples[("piece", "sensitive", "walked_chunks")] > 0
+    assert samples[("piece", "sensitive", "walked_bytes")] > 0
+    assert samples[("piece", "sensitive", "swept_chunks")] > 0
 
 
 # -- confirmation against a brute-force oracle -------------------------------
